@@ -146,7 +146,7 @@ def bench_cell(
             publisher.join()
         released = injector.finish_serve_faults()
         if released:
-            server.release_admission_load(released)
+            server.engine.release_admission_load(released)
         store.chaos = None
 
         post_legs = [

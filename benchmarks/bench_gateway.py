@@ -214,7 +214,7 @@ def bench_multi_tenant(nodes: int, query_count: int) -> Dict[str, Any]:
             coords, index_kind="linear", source="bench"
         )
         oracles[name] = run_workload(
-            QueryPlanner(oracle_store, clock=lambda: 0.0, timer=lambda: 0.0),
+            QueryPlanner(oracle_store, timer=lambda: 0.0),
             queries,
             timer=lambda: 0.0,
         ).checksum

@@ -68,7 +68,7 @@ def oracle_prefix_checksum(node_ids, components, heights, queries) -> str:
     store = SnapshotStore.from_arrays(
         node_ids, components.copy(), heights.copy(), index_kind="linear"
     )
-    planner = QueryPlanner(store, clock=lambda: 0.0, timer=lambda: 0.0)
+    planner = QueryPlanner(store, timer=lambda: 0.0)
     report = run_workload(planner, queries, timer=lambda: 0.0)
     return report.checksum
 

@@ -520,7 +520,6 @@ def _queries_workload(
         planner = QueryPlanner(
             store,
             cache_entries=int(workload.param("cache_entries")),
-            clock=lambda: 0.0,
             timer=lambda: 0.0,
         )
         started = time.perf_counter()

@@ -242,7 +242,7 @@ def _parse_tenant(raw: Any, position: int, defaults: Mapping[str, Any]) -> Tenan
         shards=_int_field(merged, "shards", 2, 1, where),
         index=index,
         history=_int_field(merged, "history", 4, 1, where),
-        cache_entries=_int_field(merged, "cache_entries", 8192, 0, where),
+        cache_entries=_int_field(merged, "cache_entries", 8192, 1, where),
         admission_limit=_int_field(merged, "admission_limit", 256, 1, where),
         quota=_parse_quota(quota_raw, where) if "quota" in merged else TenantQuota(),
         data=_parse_data(raw.get("data"), where),

@@ -110,7 +110,11 @@ def make_span(
     trace: Optional[TraceRecorder],
     labels: Mapping[str, Any],
 ):
-    """Build a span for ``registry`` (no-op unless recording somewhere)."""
-    if not registry.spans_enabled and trace is None:
+    """Build a span for ``registry`` (no-op unless recording somewhere).
+
+    ``registry`` may be ``None`` (a caller with no telemetry attached):
+    the span is then the no-op whatever ``trace`` is.
+    """
+    if registry is None or (not registry.spans_enabled and trace is None):
         return NOOP_SPAN
     return _Span(registry, name, trace, labels)

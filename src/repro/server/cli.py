@@ -348,7 +348,7 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
                     snapshot, index_kind="linear"
                 )
                 oracle = run_workload(
-                    QueryPlanner(oracle_store, clock=lambda: 0.0, timer=lambda: 0.0),
+                    QueryPlanner(oracle_store, timer=lambda: 0.0),
                     queries,
                     timer=lambda: 0.0,
                 )

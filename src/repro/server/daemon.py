@@ -608,29 +608,6 @@ class CoordinateServer:
             "daemon_connections_open", "Currently open client connections."
         )
 
-    # -- engine delegation (the historical daemon API keeps working) ----
-    @property
-    def admission_limit(self) -> int:
-        return self.engine.admission_limit
-
-    def _admit(self) -> bool:
-        return self.engine._admit()
-
-    def _release(self) -> None:
-        self.engine._release()
-
-    def inject_admission_load(self, amount: int) -> None:
-        self.engine.inject_admission_load(amount)
-
-    def release_admission_load(self, amount: int) -> None:
-        self.engine.release_admission_load(amount)
-
-    def error_stats(self) -> Dict[str, Any]:
-        return self.engine.error_stats()
-
-    def admission_stats(self) -> Dict[str, Any]:
-        return self.engine.admission_stats()
-
     def _connection_stats(self) -> Dict[str, Any]:
         """The TCP-transport fields of the admission stats section."""
         return {

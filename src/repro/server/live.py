@@ -236,7 +236,7 @@ class LiveServingHarness:
             # store (and return any injected admission slots).
             released = self.chaos.finish_serve_faults()
             if released:
-                self.server.release_admission_load(released)
+                self.server.engine.release_admission_load(released)
 
         generation = self.store.generation()
         if len(generation) < 2:
@@ -258,13 +258,13 @@ class LiveServingHarness:
         )
 
         # The single-store linear oracle over the same final snapshot;
-        # clock and timer pinned so its behaviour is a pure function of
-        # the inputs (mirrors the in-kernel queries workload).
+        # timer pinned so its behaviour is a pure function of the inputs
+        # (mirrors the in-kernel queries workload).
         oracle_store = SnapshotStore.from_snapshot(
             generation.snapshot, index_kind="linear"
         )
         oracle = run_workload(
-            QueryPlanner(oracle_store, clock=lambda: 0.0, timer=lambda: 0.0),
+            QueryPlanner(oracle_store, timer=lambda: 0.0),
             queries,
             timer=lambda: 0.0,
         )

@@ -18,22 +18,25 @@ may also rely on ordering alone.  ``version`` is the snapshot version the
 whole answer was served from -- every element of a payload is consistent
 with exactly that one published generation, across all shards.
 
-Query payloads are *identical* to the in-process
-:class:`~repro.service.planner.QueryPlanner` payload shapes (same keys,
-same floats, same ordering), which is what lets a replayed workload be
-checksummed against the single-store oracle byte for byte.
+Query payloads are built by the one executor,
+:func:`repro.service.planner.answer_query` -- the function the in-process
+:class:`~repro.service.planner.QueryPlanner` calls too -- so keys, floats
+and ordering are the single-store oracle's by construction, and a
+replayed workload checksums against it byte for byte.
 
 Operations
 ----------
 
 ========== ==========================================================
-``knn``       ``target``, ``k`` -> planner knn payload
-``nearest``   ``target`` -> planner knn payload with one neighbor
-``range``     ``target``, ``radius_ms`` -> planner range payload
-``distance``  ``a``, ``b`` -> planner pairwise payload
-``centroid``  ``members`` (list, may be empty) -> planner centroid payload
+``knn``       ``target``, ``k`` -> ``answer_query`` knn payload
+``nearest``   ``target`` -> the knn payload with one neighbor
+``range``     ``target``, ``radius_ms`` -> ``answer_query`` range payload
+``distance``  ``a``, ``b`` -> ``answer_query`` pairwise payload
+``centroid``  ``members`` (list, may be empty) -> ``answer_query``
+                 centroid payload
 ``version``   -> ``{"version": int, "nodes": int, "source": str}``
-``stats``     -> serving/ingest/admission/error counters (JSON-safe)
+``stats``     -> serving/ingest/admission/error counters (JSON-safe);
+                 per-kind ``p50_us``/``p99_us`` are histogram read-outs
 ``metrics``   -> ``{"content_type": str, "text": str}`` -- the server's
                  telemetry registry rendered in Prometheus text format
 ``health``    -> coordinate-health sections (relative error, drift,

@@ -6,6 +6,12 @@ shards by a stable hash of the node id.  Each shard owns its own
 pluggable spatial index); cross-shard queries scatter to every shard and
 merge the partial answers.
 
+**One executor.** A generation answers a query by handing its shard
+indexes to :func:`repro.service.planner.answer_query` -- the same function
+the single-store :class:`~repro.service.planner.QueryPlanner` calls with
+one index.  This module owns partitioning, generations, the cache and the
+degraded path; it shapes no payload itself.
+
 **Oracle identity.** Merged answers are byte-identical -- same node sets,
 same ``Coordinate.distance`` floats, same ordering including ties -- to a
 single un-sharded store serving the same snapshot:
@@ -47,22 +53,27 @@ import copy
 import hashlib
 import threading
 import time
-import warnings
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coordinate import Coordinate, centroid
+from repro.core.coordinate import Coordinate
 from repro.obs.events import EventLog
 from repro.obs.health import HealthTracker
 from repro.obs.registry import Counter, LatencyHistogram, TelemetryRegistry
-from repro.obs.tracing import NOOP_SPAN, TraceRecorder, make_span
+from repro.obs.tracing import TraceRecorder, make_span
 from repro.overlay.knn import CoordinateIndex
 from repro.service.index import INDEX_KINDS
-from repro.service.planner import LRUTTLCache, Query, QueryError, QUERY_KINDS
+from repro.service.planner import (
+    LRUTTLCache,
+    Query,
+    QueryError,
+    QUERY_KINDS,
+    answer_query,
+    latency_percentiles_us,
+)
 from repro.service.publish import EpochDelta
 from repro.service.snapshot import SnapshotStore
-from repro.stats.percentile import StreamingPercentile
 
 __all__ = [
     "HEALTH_SECTIONS",
@@ -80,13 +91,6 @@ HEALTH_SECTIONS = (
     "neighbor_churn",
     "staleness",
 )
-
-
-def _span(registry: Optional[TelemetryRegistry], name: str, trace, **labels):
-    """A span when a registry is attached; the shared no-op otherwise."""
-    if registry is None:
-        return NOOP_SPAN
-    return make_span(registry, name, trace, labels)
 
 
 class _DeadShardIndex:
@@ -200,111 +204,6 @@ class ShardGeneration:
     def __len__(self) -> int:
         return len(self.node_order)
 
-    # -- scatter-gather queries (oracle-identical payloads) -------------
-    def _coordinate_of(self, node_id: str) -> Coordinate:
-        coordinate = self.snapshot.coordinate_of(node_id)
-        if coordinate is None:
-            raise QueryError(f"unknown node {node_id!r}")
-        return coordinate
-
-    def _merge(
-        self, partials: List[List[Tuple[str, float]]], limit: Optional[int]
-    ) -> List[Tuple[str, float]]:
-        """Merge per-shard (node_id, rtt) lists by ``(rtt, global seq)``."""
-        merged = [pair for partial in partials for pair in partial]
-        merged.sort(key=lambda pair: (pair[1], self.global_seq[pair[0]]))
-        return merged if limit is None else merged[:limit]
-
-    def knn(
-        self,
-        target: str,
-        k: int,
-        *,
-        registry: Optional[TelemetryRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
-        exclude_shards: Sequence[int] = (),
-    ) -> Dict[str, Any]:
-        coordinate = self._coordinate_of(target)
-        partials = []
-        for shard, index in enumerate(self.shard_indexes):
-            if shard in exclude_shards:
-                continue
-            with _span(registry, "query.scatter", trace, shard=shard):
-                partials.append(index.nearest(coordinate, k, exclude=[target]))
-        with _span(registry, "query.merge", trace):
-            neighbors = self._merge(partials, k)
-        return {
-            "target": target,
-            "neighbors": [
-                {"node_id": node_id, "predicted_rtt_ms": rtt}
-                for node_id, rtt in neighbors
-            ],
-        }
-
-    def range(
-        self,
-        target: str,
-        radius_ms: float,
-        *,
-        registry: Optional[TelemetryRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
-        exclude_shards: Sequence[int] = (),
-    ) -> Dict[str, Any]:
-        coordinate = self._coordinate_of(target)
-        partials = []
-        for shard, index in enumerate(self.shard_indexes):
-            if shard in exclude_shards:
-                continue
-            with _span(registry, "query.scatter", trace, shard=shard):
-                partials.append(index.within(coordinate, radius_ms))
-        with _span(registry, "query.merge", trace):
-            hits = self._merge(partials, None)
-        return {
-            "target": target,
-            "radius_ms": radius_ms,
-            "hits": [
-                {"node_id": node_id, "predicted_rtt_ms": rtt}
-                for node_id, rtt in hits
-                if node_id != target
-            ],
-        }
-
-    def distance(self, first: str, second: str) -> Dict[str, Any]:
-        a = self.snapshot.coordinate_of(first)
-        b = self.snapshot.coordinate_of(second)
-        if a is None or b is None:
-            missing = first if a is None else second
-            raise QueryError(f"unknown node {missing!r}")
-        return {"pair": [first, second], "predicted_rtt_ms": a.distance(b)}
-
-    def centroid(
-        self,
-        members: Tuple[str, ...],
-        *,
-        registry: Optional[TelemetryRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
-        exclude_shards: Sequence[int] = (),
-    ) -> Dict[str, Any]:
-        chosen = members or tuple(self.node_order)
-        coordinates = [self._coordinate_of(node_id) for node_id in chosen]
-        if not coordinates:
-            raise QueryError("centroid query over an empty snapshot")
-        point = centroid(coordinates)
-        partials = []
-        for shard, index in enumerate(self.shard_indexes):
-            if shard in exclude_shards:
-                continue
-            with _span(registry, "query.scatter", trace, shard=shard):
-                partials.append(index.nearest(point, 1))
-        with _span(registry, "query.merge", trace):
-            nearest = self._merge(partials, 1)
-        return {
-            "members": len(chosen),
-            "centroid": list(point.components),
-            "nearest_host": nearest[0][0] if nearest else None,
-            "nearest_rtt_ms": nearest[0][1] if nearest else None,
-        }
-
     def answer(
         self,
         query: Query,
@@ -315,42 +214,22 @@ class ShardGeneration:
     ) -> Any:
         """The oracle-identical payload for one service-layer query.
 
-        ``exclude_shards`` restricts the scatter to the healthy subset --
-        the degraded-response path while a shard is down.  A partial
-        answer is exactly the full merge minus the excluded shards'
-        candidates (pairwise distance reads the snapshot directly and is
-        never affected).
+        Scatter, merge and payload shaping are
+        :func:`repro.service.planner.answer_query`'s, with the shard
+        indexes as its partitions and the global sequence as its
+        tie-break.  ``exclude_shards`` restricts the scatter to the
+        healthy subset -- the degraded-response path while a shard is
+        down.
         """
-        if query.kind in ("knn", "nearest"):
-            return self.knn(
-                query.target,
-                query.k if query.kind == "knn" else 1,
-                registry=registry,
-                trace=trace,
-                exclude_shards=exclude_shards,
-            )
-        if query.kind == "range":
-            return self.range(
-                query.target,
-                query.radius_ms,
-                registry=registry,
-                trace=trace,
-                exclude_shards=exclude_shards,
-            )
-        if query.kind == "pairwise":
-            return self.distance(*query.pair)
-        if query.kind == "centroid":
-            return self.centroid(
-                query.members,
-                registry=registry,
-                trace=trace,
-                exclude_shards=exclude_shards,
-            )
-        raise QueryError(f"unknown query kind {query.kind!r}")  # pragma: no cover
-
-
-#: Reservoir size for the exact per-kind latency percentiles.
-_LATENCY_RESERVOIR = 65536
+        return answer_query(
+            query,
+            self.snapshot,
+            self.shard_indexes,
+            self.global_seq,
+            exclude_shards,
+            registry=registry,
+            trace=trace,
+        )
 
 
 class _ServeStats:
@@ -358,29 +237,13 @@ class _ServeStats:
 
     Counts and the mergeable latency histogram live in the store's
     telemetry registry (each instrument carries its own lock), so serving
-    threads never touch the store-wide stats lock for bookkeeping.  The
-    *exact* percentile read-out (``p50_us``/``p99_us`` in ``stats()``)
-    additionally keeps one :class:`StreamingPercentile` per executor
-    thread -- recorded lock-free via a thread-local -- and folds them
-    together with :meth:`StreamingPercentile.merge` only when stats are
-    read.  Below the reservoir capacity the merge is a concatenation, so
-    the folded answer equals a single shared estimator's, without the
-    shared lock.
+    threads never touch the store-wide stats lock for bookkeeping, and
+    ``p50_us`` / ``p99_us`` in ``stats()`` are read from that histogram.
     """
 
-    __slots__ = (
-        "kind",
-        "served",
-        "cache_hits",
-        "errors",
-        "latency_ms",
-        "_local",
-        "_estimators",
-        "_lock",
-    )
+    __slots__ = ("served", "cache_hits", "errors", "latency_ms")
 
     def __init__(self, kind: str, registry: TelemetryRegistry) -> None:
-        self.kind = kind
         self.served: Counter = registry.counter(
             "store_served_total", "Queries served by the sharded store.", kind=kind
         )
@@ -395,41 +258,14 @@ class _ServeStats:
             "Uncached serve latency in milliseconds.",
             kind=kind,
         )
-        self._local = threading.local()
-        self._estimators: List[StreamingPercentile] = []
-        self._lock = threading.Lock()
-
-    def record_latency(self, elapsed_us: float) -> None:
-        estimator = getattr(self._local, "estimator", None)
-        if estimator is None:
-            estimator = StreamingPercentile(capacity=_LATENCY_RESERVOIR)
-            with self._lock:
-                self._estimators.append(estimator)
-            self._local.estimator = estimator
-        estimator.add(elapsed_us)
-        self.latency_ms.observe(elapsed_us / 1e3)
-
-    def merged_latency_us(self) -> StreamingPercentile:
-        """All per-thread estimators folded into one (read-time merge)."""
-        merged = StreamingPercentile(capacity=_LATENCY_RESERVOIR)
-        with self._lock:
-            estimators = list(self._estimators)
-        for estimator in estimators:
-            merged.merge(estimator)
-        return merged
 
     def as_dict(self) -> Dict[str, Any]:
-        summary: Dict[str, Any] = {
+        return {
             "served": self.served.value,
             "cache_hits": self.cache_hits.value,
             "errors": self.errors.value,
+            **latency_percentiles_us(self.latency_ms),
         }
-        latency_us = self.merged_latency_us()
-        if latency_us.count:
-            summary["p50_us"] = latency_us.percentile(50.0)
-            summary["p99_us"] = latency_us.percentile(99.0)
-            summary["latency_exact"] = latency_us.is_exact
-        return summary
 
 
 class ShardedCoordinateStore:
@@ -448,7 +284,6 @@ class ShardedCoordinateStore:
         index_kind: str = "vptree",
         history: int = 4,
         cache_entries: int = 8192,
-        cache_ttl_s: float = float("inf"),
         timer: Callable[[], float] = time.perf_counter,
         registry: Optional[TelemetryRegistry] = None,
         health_seed: int = 0,
@@ -483,7 +318,7 @@ class ShardedCoordinateStore:
         )
         self._generation = empty
         self._generations: Dict[int, ShardGeneration] = {0: empty}
-        self.cache = LRUTTLCache(cache_entries, cache_ttl_s)
+        self.cache = LRUTTLCache(cache_entries)
         self._serve_stats: Dict[str, _ServeStats] = {
             kind: _ServeStats(kind, self.registry) for kind in QUERY_KINDS
         }
@@ -581,23 +416,6 @@ class ShardedCoordinateStore:
             )
             return generation
 
-    def publish_arrays(
-        self,
-        node_ids: Sequence[str],
-        components: np.ndarray,
-        heights: Optional[np.ndarray] = None,
-        *,
-        source: str = "",
-    ) -> ShardGeneration:
-        """Deprecated alias of :meth:`publish_epoch` (same semantics)."""
-        warnings.warn(
-            "ShardedCoordinateStore.publish_arrays() is deprecated; use "
-            "publish_epoch() (the EpochPublisher protocol entry point)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.publish_epoch(node_ids, components, heights, source=source)
-
     def publish_delta(self, delta: EpochDelta) -> ShardGeneration:
         """Apply an incremental epoch on top of the serving generation.
 
@@ -691,23 +509,6 @@ class ShardedCoordinateStore:
                 mode="delta", changed_count=delta.changed_count,
             )
             return generation
-
-    def publish_coordinates(
-        self, coordinates: Mapping[str, Coordinate], *, source: str = ""
-    ) -> ShardGeneration:
-        """Deprecated alias of :meth:`_publish_mapping` (same semantics).
-
-        Use :meth:`publish_delta` with
-        :meth:`EpochDelta.from_coordinates` for incremental object
-        batches, or :meth:`publish_epoch` for whole populations.
-        """
-        warnings.warn(
-            "ShardedCoordinateStore.publish_coordinates() is deprecated; use "
-            "publish_delta(EpochDelta.from_coordinates(...)) or publish_epoch()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._publish_mapping(coordinates, source=source)
 
     def _publish_mapping(
         self, coordinates: Mapping[str, Coordinate], *, source: str = ""
@@ -1024,7 +825,7 @@ class ShardedCoordinateStore:
         degraded = bool(down) and query.kind != "pairwise"
         key = (pinned.version, query)
         if not degraded:
-            with _span(self.registry, "store.cache", trace, kind=query.kind):
+            with make_span(self.registry, "store.cache", trace, {"kind": query.kind}):
                 with self._stats_lock:
                     found, payload = self.cache.get(key)
             if found:
@@ -1033,7 +834,7 @@ class ShardedCoordinateStore:
                 return ServeResult(copy.deepcopy(payload), pinned.version, True)
         started = self._timer()
         try:
-            with _span(self.registry, "store.serve", trace, kind=query.kind):
+            with make_span(self.registry, "store.serve", trace, {"kind": query.kind}):
                 payload = pinned.answer(
                     query,
                     registry=self.registry,
@@ -1043,12 +844,12 @@ class ShardedCoordinateStore:
         except QueryError:
             stats.errors.inc()
             raise
-        elapsed_us = (self._timer() - started) * 1e6
+        elapsed_ms = (self._timer() - started) * 1e3
         if degraded:
             if chaos is not None:
                 chaos.note_degraded()
             stats.served.inc()
-            stats.record_latency(elapsed_us)
+            stats.latency_ms.observe(elapsed_ms)
             return ServeResult(
                 payload,
                 pinned.version,
@@ -1062,7 +863,7 @@ class ShardedCoordinateStore:
         with self._stats_lock:
             self.cache.put(key, cached_copy)
         stats.served.inc()
-        stats.record_latency(elapsed_us)
+        stats.latency_ms.observe(elapsed_ms)
         return ServeResult(payload, pinned.version, False)
 
     # ------------------------------------------------------------------
@@ -1077,14 +878,7 @@ class ShardedCoordinateStore:
             if stats.served.value or stats.errors.value
         }
         with self._stats_lock:
-            cache = {
-                "entries": len(self.cache),
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "expirations": self.cache.expirations,
-                "evictions_lru": self.cache.evictions_lru,
-                "evictions_rollover": self.cache.evictions_rollover,
-            }
+            cache = self.cache.stats()
         ingest = {
             "versions_published": self._c_publishes.value,
             "nodes_ingested": self._c_nodes_ingested.value,

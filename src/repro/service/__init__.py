@@ -4,8 +4,10 @@ Simulation and replay runs *produce* coordinates; this package *serves*
 them.  The write path ingests streaming coordinate updates into versioned,
 immutable snapshots (:mod:`repro.service.snapshot`); the read path answers
 proximity queries -- k-nearest, range, pairwise latency, centroid --
-through sub-linear spatial indexes (:mod:`repro.service.index`) behind a
-batching, caching, stats-keeping planner (:mod:`repro.service.planner`).
+through sub-linear spatial indexes (:mod:`repro.service.index`); one
+executor (:func:`~repro.service.planner.answer_query`) builds every
+payload, behind a batching, caching, stats-keeping planner
+(:mod:`repro.service.planner`).
 :mod:`repro.service.workload` generates deterministic query load for
 scenarios and benchmarks, and :mod:`repro.service.cli` exposes the
 ``repro serve`` / ``repro query`` commands.
@@ -25,6 +27,7 @@ from repro.service.planner import (
     QueryPlanner,
     QueryResult,
     QUERY_KINDS,
+    answer_query,
 )
 from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
 from repro.service.workload import (
@@ -51,6 +54,7 @@ __all__ = [
     "SnapshotStore",
     "VPTreeIndex",
     "WorkloadReport",
+    "answer_query",
     "build_index",
     "generate_queries",
     "payload_checksum",

@@ -61,8 +61,7 @@ def _print_stats(stats: Dict[str, Any]) -> None:
     cache = stats.get("cache", {})
     print(
         f"cache: {cache.get('entries', 0)} entries, {cache.get('hits', 0)} hits, "
-        f"{cache.get('misses', 0)} misses, {cache.get('expirations', 0)} expirations, "
-        f"{cache.get('evictions_lru', 0)} lru / "
+        f"{cache.get('misses', 0)} misses, {cache.get('evictions_lru', 0)} lru / "
         f"{cache.get('evictions_rollover', 0)} rollover evictions; "
         f"{stats.get('batches_flushed', 0)} batch(es)"
     )

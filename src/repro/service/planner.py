@@ -1,8 +1,7 @@
-"""Batched query planning over coordinate snapshots: the read path.
+"""Query execution and batched planning over coordinate snapshots: the read path.
 
-:class:`QueryPlanner` turns :class:`~repro.service.snapshot.SnapshotStore`
-views into answers for the application-level questions the paper argues
-coordinates make geometric:
+Coordinates make the application-level questions the paper cares about
+geometric:
 
 * ``knn`` -- the k nodes nearest an indexed node (excluding itself);
 * ``nearest`` -- the single nearest node to a node (``knn`` with k=1);
@@ -10,6 +9,13 @@ coordinates make geometric:
 * ``pairwise`` -- the predicted RTT between two nodes;
 * ``centroid`` -- the latency-optimal meeting point of a node group and
   the indexed node closest to it.
+
+**One executor.**  :func:`answer_query` is the only code that turns a
+:class:`Query` into its payload.  It scatters over a tuple of index
+partitions and merges by ``(rtt, insertion order)``; the sharded serving
+store (:class:`repro.server.sharding.ShardGeneration`) passes its shard
+indexes, and :class:`QueryPlanner` passes the single store's one index --
+a single store is the one-partition case, not a second implementation.
 
 Queries are **batched**: :meth:`QueryPlanner.submit` stages work and
 :meth:`QueryPlanner.flush` executes the whole batch against a *single*
@@ -21,19 +27,20 @@ When the pinned index is the ``dense`` kind, flush goes further: all
 cache-missing knn / nearest / range queries in the batch are grouped (by
 ``k`` / radius) and answered through the index's batch entry points --
 chunked ``(q, n)`` NumPy distance matrices instead of q separate scans --
-with byte-identical payloads, cache writes and per-kind stats.  Everything
-else in the batch (pairwise, centroid, unknown targets, duplicates served
-from the cache, non-dense indexes) falls back to the per-query path.
+with byte-identical payloads (shaped by the executor's own helper), cache
+writes and per-kind stats.  Everything else in the batch (pairwise,
+centroid, unknown targets, duplicates served from the cache, non-dense
+indexes) goes through :func:`answer_query`.
 
-Results are **cached** in an LRU+TTL map whose key includes the snapshot
-version -- a cached answer can therefore never leak across coordinate
-generations; entries from superseded versions simply age out, and their
-capacity evictions are counted separately from live-version LRU evictions
-(see :class:`LRUTTLCache`) so serving hit rates stay interpretable under
-snapshot rollover.  Per-kind
-**stats** (counts, cache hits, and service-latency percentiles via
-:class:`~repro.stats.percentile.StreamingPercentile`, exact below its
-capacity cutoff) make the serving layer observable.
+Results are **cached** in an LRU map whose key includes the snapshot
+version -- a cached answer can therefore never be stale or leak across
+coordinate generations; entries from superseded versions simply age out,
+and their capacity evictions are counted separately from live-version LRU
+evictions (see :class:`LRUTTLCache`) so serving hit rates stay
+interpretable under snapshot rollover.  Per-kind **stats** (counts, cache
+hits, and service-latency percentiles read from the registry's latency
+histogram, within one bucket of exact) make the serving layer observable;
+exact percentiles are the load harness's job (``repro load``).
 """
 
 from __future__ import annotations
@@ -42,14 +49,23 @@ import copy
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.coordinate import centroid
-from repro.obs.registry import TelemetryRegistry
+from repro.core.coordinate import Coordinate, centroid
+from repro.obs.registry import LatencyHistogram, TelemetryRegistry
+from repro.obs.tracing import TraceRecorder, make_span
 from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
-from repro.stats.percentile import StreamingPercentile
 
-__all__ = ["Query", "QueryError", "QueryResult", "QueryPlanner", "LRUTTLCache", "QUERY_KINDS"]
+__all__ = [
+    "Query",
+    "QueryError",
+    "QueryResult",
+    "QueryPlanner",
+    "LRUTTLCache",
+    "QUERY_KINDS",
+    "answer_query",
+    "latency_percentiles_us",
+]
 
 #: Recognised query kinds.
 QUERY_KINDS = ("knn", "nearest", "range", "pairwise", "centroid")
@@ -122,11 +138,136 @@ class QueryResult:
     error: Optional[str] = None
 
 
-class LRUTTLCache:
-    """A bounded LRU cache whose entries also expire after ``ttl_s``.
+def _coordinate_of(snapshot, node_id: str) -> Coordinate:
+    coordinate = snapshot.coordinate_of(node_id)
+    if coordinate is None:
+        raise QueryError(f"unknown node {node_id!r}")
+    return coordinate
 
-    The clock is injected so deterministic consumers (the scenario
-    workload, tests) can drive expiry logically instead of by wall time.
+
+def _proximity_payload(query: Query, ranked) -> Dict[str, Any]:
+    """The knn / nearest / range payload for ranked ``(node_id, rtt)`` pairs.
+
+    A target is never its own neighbour or hit: kNN scans exclude it up
+    front, range scans return it at distance zero and it is dropped here.
+    """
+    target = query.target
+    entries = [
+        {"node_id": node_id, "predicted_rtt_ms": rtt}
+        for node_id, rtt in ranked
+        if node_id != target
+    ]
+    if query.kind == "range":
+        return {"target": target, "radius_ms": query.radius_ms, "hits": entries}
+    return {"target": target, "neighbors": entries}
+
+
+def answer_query(
+    query: Query,
+    snapshot,
+    indexes: Sequence[Any],
+    order: Optional[Mapping[str, int]] = None,
+    exclude: Sequence[int] = (),
+    *,
+    registry: Optional[TelemetryRegistry] = None,
+    trace: Optional[TraceRecorder] = None,
+) -> Any:
+    """The payload for ``query`` over one pinned snapshot: the one executor.
+
+    ``indexes`` are the spatial-index partitions that together hold the
+    snapshot's population (a single store passes its one index); only
+    their ``nearest`` / ``within`` methods are used.  Partial answers
+    merge by ``(rtt, order[node_id])``, where ``order`` maps a node id to
+    its position in the snapshot's insertion order -- the linear oracle's
+    tie-break.  Any node in the global top-k is in its own partition's
+    top-k, so merging per-partition top-k lists loses nothing, and one
+    partition alone is already in oracle order and needs no ``order``.
+
+    ``exclude`` names partitions to skip (shards that are down): the
+    answer is then exactly the full merge minus those partitions'
+    members.  Pairwise distance reads the snapshot alone and is never
+    affected.
+    """
+    kind = query.kind
+    if kind == "pairwise":
+        first, second = query.pair
+        a = _coordinate_of(snapshot, first)
+        b = _coordinate_of(snapshot, second)
+        return {"pair": [first, second], "predicted_rtt_ms": a.distance(b)}
+    limit: Optional[int]  # how many merged candidates the answer keeps
+    if kind == "centroid":
+        members = query.members or snapshot.node_ids()
+        if not members:
+            raise QueryError("centroid query over an empty snapshot")
+        point = centroid([_coordinate_of(snapshot, node_id) for node_id in members])
+        limit = 1
+
+        def scan(index):
+            return index.nearest(point, 1)
+
+    elif kind == "range":
+        point = _coordinate_of(snapshot, query.target)
+        limit = None
+
+        def scan(index):
+            return index.within(point, query.radius_ms)
+
+    else:
+        point = _coordinate_of(snapshot, query.target)
+        limit = query.k if kind == "knn" else 1
+
+        def scan(index):
+            return index.nearest(point, limit, exclude=[query.target])
+
+    partials = []
+    for partition, index in enumerate(indexes):
+        if partition in exclude:
+            continue
+        with make_span(registry, "query.scatter", trace, {"shard": partition}):
+            partials.append(scan(index))
+    with make_span(registry, "query.merge", trace, {}):
+        if len(partials) == 1:
+            ranked = partials[0]
+        else:
+            ranked = [pair for partial in partials for pair in partial]
+            ranked.sort(key=lambda pair: (pair[1], order[pair[0]]))
+            if limit is not None:
+                ranked = ranked[:limit]
+    if kind == "centroid":
+        host, rtt = ranked[0] if ranked else (None, None)
+        return {
+            "members": len(members),
+            "centroid": list(point.components),
+            "nearest_host": host,
+            "nearest_rtt_ms": rtt,
+        }
+    return _proximity_payload(query, ranked)
+
+
+def latency_percentiles_us(histogram: LatencyHistogram) -> Dict[str, float]:
+    """The ``p50_us`` / ``p99_us`` stats keys, read from a latency histogram.
+
+    The registry histogram (milliseconds) is the one owner of
+    served-latency percentiles: the read-out is within one bucket (~12%)
+    of the exact sample percentile.  Empty until something was observed.
+    """
+    if not histogram.count:
+        return {}
+    return {
+        "p50_us": histogram.percentile(50.0) * 1e3,
+        "p99_us": histogram.percentile(99.0) * 1e3,
+    }
+
+
+_ABSENT = object()
+
+
+class LRUTTLCache:
+    """A bounded LRU result cache.
+
+    Keys carry the snapshot version, so an entry can never be stale and
+    nothing expires by age.  (The name predates the removal of the TTL
+    it once had; the benchmark contract imports it.)
 
     Capacity evictions are classified: when the consumer keeps
     :attr:`current_version` up to date (the planner and the serving
@@ -135,44 +276,29 @@ class LRUTTLCache:
     ``rollover`` eviction -- it was dead weight the moment the store
     published a newer snapshot -- while an entry keyed to the live
     version counts as a plain ``lru`` eviction (genuine capacity
-    pressure).  TTL expiry stays its own counter (``expirations``).
-    Live-serving hit rates are only interpretable with this split: a
-    low hit rate caused by rollover churn calls for faster clients or
-    slower publishing, one caused by LRU pressure calls for a bigger
-    cache.
+    pressure).  Live-serving hit rates are only interpretable with this
+    split: a low hit rate caused by rollover churn calls for faster
+    clients or slower publishing, one caused by LRU pressure calls for a
+    bigger cache.
     """
 
     __slots__ = (
         "max_entries",
-        "ttl_s",
-        "_clock",
         "_entries",
         "hits",
         "misses",
-        "expirations",
         "current_version",
         "evictions_lru",
         "evictions_rollover",
     )
 
-    def __init__(
-        self,
-        max_entries: int = 4096,
-        ttl_s: float = float("inf"),
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_entries: int = 4096) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if ttl_s <= 0.0:
-            raise ValueError("ttl_s must be positive")
         self.max_entries = max_entries
-        self.ttl_s = ttl_s
-        self._clock = clock
-        self._entries: "OrderedDict[Any, Tuple[float, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.expirations = 0
         #: The snapshot version currently being served; entries keyed to
         #: older versions evict as ``rollover`` rather than ``lru``.
         self.current_version: Optional[int] = None
@@ -183,15 +309,9 @@ class LRUTTLCache:
         return len(self._entries)
 
     def get(self, key: Any) -> Tuple[bool, Any]:
-        """(found, value); found is False for missing *and* expired keys."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return False, None
-        stored_at, value = entry
-        if self._clock() - stored_at > self.ttl_s:
-            del self._entries[key]
-            self.expirations += 1
+        """(found, value); a hit becomes the most recently used entry."""
+        value = self._entries.get(key, _ABSENT)
+        if value is _ABSENT:
             self.misses += 1
             return False, None
         self._entries.move_to_end(key)
@@ -199,7 +319,7 @@ class LRUTTLCache:
         return True, value
 
     def put(self, key: Any, value: Any) -> None:
-        self._entries[key] = (self._clock(), value)
+        self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             evicted_key, _ = self._entries.popitem(last=False)
@@ -223,18 +343,26 @@ class LRUTTLCache:
     def clear(self) -> None:
         self._entries.clear()
 
+    def stats(self) -> Dict[str, int]:
+        """The ``cache`` section of a planner's or store's ``stats()``."""
+        return {
+            "entries": len(self._entries),
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions_lru": self.evictions_lru,
+            "evictions_rollover": self.evictions_rollover,
+        }
+
 
 class _KindStats:
-    """Per-query-kind accounting backed by registry instruments.
+    """Per-query-kind accounting, all of it in registry instruments.
 
-    The counts live in telemetry counters (shared with the Prometheus
-    rendering); the exact-percentile reservoir stays local because the
-    ``p50_us``/``p99_us`` stats keys promise exactness below capacity,
-    which a bucketed histogram cannot give -- the registry histogram
-    records the same latencies for merging and tail analysis.
+    Counts and served latency live in the telemetry registry (shared
+    with the Prometheus rendering); ``p50_us`` / ``p99_us`` are read from
+    the latency histogram.
     """
 
-    __slots__ = ("submitted", "executed", "cache_hits", "errors", "latency_us", "latency_ms")
+    __slots__ = ("submitted", "executed", "cache_hits", "errors", "latency_ms")
 
     def __init__(self, kind: str, registry: TelemetryRegistry) -> None:
         self.submitted = registry.counter(
@@ -249,27 +377,18 @@ class _KindStats:
         self.errors = registry.counter(
             "planner_errors_total", "Queries that raised QueryError.", kind=kind
         )
-        self.latency_us = StreamingPercentile(capacity=8192)
         self.latency_ms = registry.histogram(
             "planner_serve_latency_ms", "Uncached planner serve latency.", kind=kind
         )
 
-    def record_latency(self, elapsed_us: float) -> None:
-        self.latency_us.add(elapsed_us)
-        self.latency_ms.observe(elapsed_us / 1e3)
-
     def as_dict(self) -> Dict[str, Any]:
-        summary: Dict[str, Any] = {
+        return {
             "submitted": self.submitted.value,
             "executed": self.executed.value,
             "cache_hits": self.cache_hits.value,
             "errors": self.errors.value,
+            **latency_percentiles_us(self.latency_ms),
         }
-        if self.latency_us.count:
-            summary["p50_us"] = self.latency_us.percentile(50.0)
-            summary["p99_us"] = self.latency_us.percentile(99.0)
-            summary["latency_exact"] = self.latency_us.is_exact
-        return summary
 
 
 class QueryPlanner:
@@ -280,13 +399,11 @@ class QueryPlanner:
         store: SnapshotStore,
         *,
         cache_entries: int = 4096,
-        cache_ttl_s: float = float("inf"),
-        clock: Callable[[], float] = time.monotonic,
         timer: Callable[[], float] = time.perf_counter,
         registry: Optional[TelemetryRegistry] = None,
     ) -> None:
         self.store = store
-        self.cache = LRUTTLCache(cache_entries, cache_ttl_s, clock=clock)
+        self.cache = LRUTTLCache(cache_entries)
         self._timer = timer
         self._pending: List[Query] = []
         self.registry = registry if registry is not None else TelemetryRegistry()
@@ -395,7 +512,7 @@ class QueryPlanner:
                     [batch[position].target for position in positions], k
                 )
                 self._record_batch(
-                    batch, snapshot, slots, positions, answers, started, "knn"
+                    batch, snapshot, slots, positions, answers, started
                 )
         for radius_ms, positions in range_groups.items():
             with self.registry.span("planner.batch", shape="range"):
@@ -404,38 +521,21 @@ class QueryPlanner:
                     [batch[position].target for position in positions], radius_ms
                 )
                 self._record_batch(
-                    batch, snapshot, slots, positions, answers, started, "range"
+                    batch, snapshot, slots, positions, answers, started
                 )
 
     def _record_batch(
-        self, batch, snapshot, slots, positions, answers, started, shape
+        self, batch, snapshot, slots, positions, answers, started
     ) -> None:
         """Turn one group's batched answers into payloads, cache and stats."""
-        per_query_us = (self._timer() - started) * 1e6 / max(len(positions), 1)
+        per_query_ms = (self._timer() - started) * 1e3 / max(len(positions), 1)
         for position, answer in zip(positions, answers):
             if answer is None:  # unknown target: per-query path reports it
                 continue
             query = batch[position]
-            if shape == "knn":
-                payload: Any = {
-                    "target": query.target,
-                    "neighbors": [
-                        {"node_id": node_id, "predicted_rtt_ms": rtt}
-                        for node_id, rtt in answer
-                    ],
-                }
-            else:
-                payload = {
-                    "target": query.target,
-                    "radius_ms": query.radius_ms,
-                    "hits": [
-                        {"node_id": node_id, "predicted_rtt_ms": rtt}
-                        for node_id, rtt in answer
-                        if node_id != query.target
-                    ],
-                }
+            payload = _proximity_payload(query, answer)
             stats = self._stats[query.kind]
-            stats.record_latency(per_query_us)
+            stats.latency_ms.observe(per_query_ms)
             stats.executed.inc()
             self.cache.put((snapshot.version, query), copy.deepcopy(payload))
             slots[position] = QueryResult(
@@ -469,14 +569,7 @@ class QueryPlanner:
         return {
             "kinds": per_kind,
             "batches_flushed": self.batches_flushed,
-            "cache": {
-                "entries": len(self.cache),
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "expirations": self.cache.expirations,
-                "evictions_lru": self.cache.evictions_lru,
-                "evictions_rollover": self.cache.evictions_rollover,
-            },
+            "cache": self.cache.stats(),
         }
 
     def cache_hit_rate(self) -> float:
@@ -496,64 +589,13 @@ class QueryPlanner:
         started = self._timer()
         try:
             with self.registry.span("planner.serve", kind=query.kind):
-                payload = self._answer(query, snapshot, index)
+                payload = answer_query(
+                    query, snapshot, (index,), registry=self.registry
+                )
         except QueryError:
             stats.errors.inc()
             raise
-        stats.record_latency((self._timer() - started) * 1e6)
+        stats.latency_ms.observe((self._timer() - started) * 1e3)
         stats.executed.inc()
         self.cache.put(key, copy.deepcopy(payload))
         return QueryResult(query, payload, snapshot.version, cached=False)
-
-    def _answer(self, query: Query, snapshot: CoordinateSnapshot, index) -> Any:
-        kind = query.kind
-        if kind in ("knn", "nearest"):
-            coordinate = snapshot.coordinate_of(query.target)
-            if coordinate is None:
-                raise QueryError(f"unknown node {query.target!r}")
-            k = query.k if kind == "knn" else 1
-            neighbors = index.nearest(coordinate, k, exclude=[query.target])
-            return {
-                "target": query.target,
-                "neighbors": [
-                    {"node_id": node_id, "predicted_rtt_ms": rtt}
-                    for node_id, rtt in neighbors
-                ],
-            }
-        if kind == "range":
-            coordinate = snapshot.coordinate_of(query.target)
-            if coordinate is None:
-                raise QueryError(f"unknown node {query.target!r}")
-            hits = [
-                {"node_id": node_id, "predicted_rtt_ms": rtt}
-                for node_id, rtt in index.within(coordinate, query.radius_ms)
-                if node_id != query.target
-            ]
-            return {"target": query.target, "radius_ms": query.radius_ms, "hits": hits}
-        if kind == "pairwise":
-            first, second = query.pair
-            a = snapshot.coordinate_of(first)
-            b = snapshot.coordinate_of(second)
-            if a is None or b is None:
-                missing = first if a is None else second
-                raise QueryError(f"unknown node {missing!r}")
-            return {"pair": [first, second], "predicted_rtt_ms": a.distance(b)}
-        if kind == "centroid":
-            members = query.members or tuple(snapshot.node_ids())
-            coordinates = []
-            for node_id in members:
-                coordinate = snapshot.coordinate_of(node_id)
-                if coordinate is None:
-                    raise QueryError(f"unknown node {node_id!r}")
-                coordinates.append(coordinate)
-            if not coordinates:
-                raise QueryError("centroid query over an empty snapshot")
-            point = centroid(coordinates)
-            nearest = index.nearest(point, 1)
-            return {
-                "members": len(members),
-                "centroid": list(point.components),
-                "nearest_host": nearest[0][0] if nearest else None,
-                "nearest_rtt_ms": nearest[0][1] if nearest else None,
-            }
-        raise QueryError(f"unknown query kind {kind!r}")  # pragma: no cover

@@ -1,14 +1,10 @@
-"""The unified epoch-publish API: :class:`EpochPublisher` + :class:`EpochDelta`.
+"""The epoch-publish API: :class:`EpochPublisher` + :class:`EpochDelta`.
 
-Before this module existed the publish surface was a three-way duck-typed
-sprawl: ``SnapshotStore.publish_arrays``, ``ShardedCoordinateStore``'s
-``publish_arrays``/``publish_coordinates``, and ``run_batch_simulation``'s
-informal ``publish_store`` contract ("anything exposing publish_arrays").
-Every publisher now implements one explicit protocol with two entry
-points:
+Every publisher implements one explicit protocol with two entry points,
+and there is no other way to publish arrays:
 
 * :meth:`EpochPublisher.publish_epoch` -- a **full** epoch: the complete
-  population's arrays, exactly the old ``publish_arrays`` semantics.
+  population's arrays, adopted as the next generation.
 * :meth:`EpochPublisher.publish_delta` -- an **incremental** epoch: only
   the rows that changed since the previous generation (plus explicit
   removals), carried by an :class:`EpochDelta`.  The store applies it by
@@ -16,6 +12,8 @@ points:
   spatial index incrementally, which is what makes millisecond epoch
   rollover possible at low churn (the paper's coordinates are stable
   precisely because most nodes barely move between update windows).
+  Object batches (``{node_id: Coordinate}``) go the same way through
+  :meth:`EpochDelta.from_coordinates`.
 
 The delta path never weakens the repo's oracle-identity contract: a
 delta-published generation is *byte-identical* -- coordinates, query

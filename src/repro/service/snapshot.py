@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -316,8 +315,8 @@ class SnapshotStore:
     Parameters
     ----------
     index_kind:
-        Spatial index built for published versions (``linear``, ``vptree``
-        or ``grid``; see :mod:`repro.service.index`).
+        Spatial index built for published versions (``linear``,
+        ``vptree``, ``grid`` or ``dense``; see :mod:`repro.service.index`).
     history:
         How many published versions stay addressable through :meth:`at`
         (older versions are forgotten; their snapshots remain valid for
@@ -450,23 +449,6 @@ class SnapshotStore:
             self._publish_locked(snapshot)
             self._ingested += len(snapshot)
             return snapshot
-
-    def publish_arrays(
-        self,
-        node_ids: Sequence[str],
-        components: np.ndarray,
-        heights: Optional[np.ndarray] = None,
-        *,
-        source: str = "",
-    ) -> ArraySnapshot:
-        """Deprecated alias of :meth:`publish_epoch` (same semantics)."""
-        warnings.warn(
-            "SnapshotStore.publish_arrays() is deprecated; use publish_epoch() "
-            "(the EpochPublisher protocol entry point)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.publish_epoch(node_ids, components, heights, source=source)
 
     def publish_delta(self, delta: EpochDelta) -> ArraySnapshot:
         """Apply an incremental epoch on top of the latest version.

@@ -154,7 +154,7 @@ class TestBackoff:
 
         async def scenario(address):
             async with await AsyncCoordinateClient.connect(*address) as client:
-                server.inject_admission_load(4)  # saturate: every query sheds
+                server.engine.inject_admission_load(4)  # saturate: every query sheds
                 delays = []
 
                 async def fake_sleep(seconds):
@@ -167,7 +167,7 @@ class TestBackoff:
                         seed=5,
                         sleep=fake_sleep,
                     )
-                server.release_admission_load(4)
+                server.engine.release_admission_load(4)
                 recovered = await client.request_with_retry(
                     {"op": "nearest", "target": target}, retries=1
                 )
@@ -200,7 +200,7 @@ class TestBackoff:
 
         async def scenario(address):
             async with await AsyncCoordinateClient.connect(*address) as client:
-                server.inject_admission_load(4)
+                server.engine.inject_admission_load(4)
                 delays = []
 
                 async def fake_sleep(seconds):
@@ -213,7 +213,7 @@ class TestBackoff:
                         seed=5,
                         sleep=fake_sleep,
                     )
-                server.release_admission_load(4)
+                server.engine.release_admission_load(4)
                 return delays
 
         with server.run_in_thread() as handle:

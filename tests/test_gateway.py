@@ -175,6 +175,16 @@ class TestGatewayConfig:
             ),
             (lambda raw: raw["tenants"][0].update(color="red"), "unknown field"),
             (lambda raw: raw["tenants"][0].update(shards=0), "'shards' must be >= 1"),
+            # A zero-entry cache used to validate here and then fail at
+            # boot inside build_store with a bare ValueError.
+            (
+                lambda raw: raw["tenants"][0].update(cache_entries=0),
+                "tenant 'acme': 'cache_entries' must be >= 1",
+            ),
+            (
+                lambda raw: raw["gateway"].update(cache_entries=0),
+                "'cache_entries' must be >= 1",
+            ),
             (lambda raw: raw["tenants"][0].update(index="btree"), "unknown index"),
             (
                 lambda raw: raw["tenants"][0].update(quota={"capacity": 0}),
@@ -816,7 +826,7 @@ class TestLoadAndCli:
             coords, index_kind="linear", source="t"
         )
         oracle = run_workload(
-            QueryPlanner(oracle_store, clock=lambda: 0.0, timer=lambda: 0.0),
+            QueryPlanner(oracle_store, timer=lambda: 0.0),
             queries,
             timer=lambda: 0.0,
         )

@@ -1,0 +1,243 @@
+"""One query executor, one latency-percentile owner, no publish shims.
+
+The serving stack used to keep two hand-written copies of "turn a query
+into its payload" (the planner's and the sharded generation's) and two
+private percentile reservoirs beside the registry histogram.  These tests
+hold the collapse in place:
+
+* the single executor (:func:`repro.service.planner.answer_query`),
+  reached through both fronts, equals a brute-force oracle written here
+  -- the independence the comparison lost when the fronts started sharing
+  one builder;
+* the dense batch path shapes the same payloads as the per-query path;
+* ``stats()`` percentiles are the registry histogram's read-out;
+* structurally, there is one of each under ``src/``.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.coordinate import Coordinate, centroid
+from repro.server.sharding import ShardedCoordinateStore, shard_of
+from repro.service.index import INDEX_KINDS
+from repro.service.planner import Query, QueryPlanner
+from repro.service.snapshot import SnapshotStore
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+# A coarse lattice: duplicate points and equal-distance ties are the
+# common case, which is where a merge or tie-break bug would show.
+_AXIS = st.sampled_from([0.0, 1.0, 2.0, 3.5])
+_POINT = st.tuples(_AXIS, _AXIS, st.sampled_from([0.0, 0.0, 0.5]))
+
+
+def _brute_force(query, node_ids, coordinates, excluded_members):
+    """The payload by definition: ``Coordinate.distance``, a stable sort
+    (insertion order breaks ties), excluded shards' members filtered out."""
+    candidates = [n for n in node_ids if n not in excluded_members]
+
+    def ranked(point, skip=None):
+        pairs = [
+            (n, point.distance(coordinates[n])) for n in candidates if n != skip
+        ]
+        return sorted(pairs, key=lambda pair: pair[1])  # stable
+
+    def entries(pairs):
+        return [{"node_id": n, "predicted_rtt_ms": rtt} for n, rtt in pairs]
+
+    if query.kind == "pairwise":
+        a, b = query.pair
+        return {
+            "pair": [a, b],
+            "predicted_rtt_ms": coordinates[a].distance(coordinates[b]),
+        }
+    if query.kind == "centroid":
+        members = query.members or tuple(node_ids)
+        point = centroid([coordinates[n] for n in members])
+        nearest = ranked(point)[:1]
+        return {
+            "members": len(members),
+            "centroid": list(point.components),
+            "nearest_host": nearest[0][0] if nearest else None,
+            "nearest_rtt_ms": nearest[0][1] if nearest else None,
+        }
+    near = ranked(coordinates[query.target], skip=query.target)
+    if query.kind == "range":
+        hits = [pair for pair in near if pair[1] <= query.radius_ms]
+        return {
+            "target": query.target,
+            "radius_ms": query.radius_ms,
+            "hits": entries(hits),
+        }
+    k = query.k if query.kind == "knn" else 1
+    return {"target": query.target, "neighbors": entries(near[:k])}
+
+
+@st.composite
+def _universes(draw):
+    points = draw(st.lists(_POINT, min_size=1, max_size=12))
+    node_ids = [f"n{i:02d}" for i in range(len(points))]
+    pick = st.sampled_from(node_ids)
+    query = st.one_of(
+        st.builds(Query.knn, pick, st.integers(1, 5)),
+        st.builds(Query.nearest, pick),
+        st.builds(Query.range, pick, st.sampled_from([0.0, 1.0, 2.0, 5.0])),
+        st.builds(Query.pairwise, pick, pick),
+        st.builds(
+            Query.centroid, st.lists(pick, max_size=4, unique=True).map(tuple)
+        ),
+    )
+    shards = draw(st.integers(1, 4))
+    return (
+        node_ids,
+        points,
+        draw(st.lists(query, min_size=1, max_size=8)),
+        shards,
+        draw(st.sampled_from(INDEX_KINDS)),
+        draw(st.frozensets(st.integers(0, shards - 1))),
+    )
+
+
+class TestOneExecutor:
+    @given(_universes())
+    @settings(max_examples=120, deadline=None)
+    def test_both_fronts_equal_a_brute_force_oracle(self, universe):
+        node_ids, points, queries, shards, kind, excluded = universe
+        components = np.asarray([point[:2] for point in points])
+        heights = np.asarray([point[2] for point in points])
+        coordinates = {
+            node_id: Coordinate(point[:2], point[2])
+            for node_id, point in zip(node_ids, points)
+        }
+        store = ShardedCoordinateStore(shards, index_kind=kind)
+        generation = store.publish_epoch(node_ids, components, heights)
+        planner = QueryPlanner(
+            SnapshotStore.from_coordinates(coordinates, index_kind="linear")
+        )
+        excluded_members = {
+            node_id for node_id in node_ids if shard_of(node_id, shards) in excluded
+        }
+        for query in queries:
+            whole = _brute_force(query, node_ids, coordinates, set())
+            assert generation.answer(query) == whole
+            assert planner.execute(query).payload == whole
+            partial = _brute_force(query, node_ids, coordinates, excluded_members)
+            assert generation.answer(query, exclude_shards=excluded) == partial
+
+    def test_dense_flush_shapes_the_payloads_execute_does(self):
+        rng = np.random.default_rng(4)
+        node_ids = [f"n{i:03d}" for i in range(80)]
+        # Rounded so that duplicates and ties occur in the batch kernels too.
+        components = rng.uniform(0.0, 6.0, size=(80, 2)).round()
+        heights = np.zeros(80)
+
+        def planner():
+            return QueryPlanner(
+                SnapshotStore.from_arrays(node_ids, components, heights),
+                timer=lambda: 0.0,
+            )
+
+        queries = []
+        for position, node_id in enumerate(node_ids[:30]):
+            queries.append(Query.knn(node_id, k=1 + position % 4))
+            queries.append(Query.range(node_id, float(position % 3)))
+            queries.append(Query.nearest(node_id))
+            queries.append(Query.pairwise(node_id, node_ids[-1 - position]))
+        queries.append(Query.centroid(tuple(node_ids[:5])))
+        queries.append(Query.knn("ghost"))  # an error slot, not a poisoned batch
+        batched = planner().execute_batch(queries)
+        single = planner()
+        for query, result in zip(queries, batched):
+            if query.target == "ghost":
+                assert result.payload is None and "unknown node" in result.error
+            else:
+                assert result.payload == single.execute(query).payload
+
+
+class TestOnePercentileOwner:
+    def _assert_histogram_readout(self, kinds, registry, metric):
+        assert kinds
+        for kind, summary in kinds.items():
+            histogram = registry.histogram(metric, kind=kind)
+            assert summary["p50_us"] == histogram.percentile(50.0) * 1e3
+            assert summary["p99_us"] == histogram.percentile(99.0) * 1e3
+            assert "latency_exact" not in summary
+
+    def _ticking_timer(self):
+        # 0, 1 ms, 3 ms, 6 ms, ...: every served latency is distinct and
+        # known, so the read-out is a pure function of the query stream.
+        state = {"now": 0.0, "step": 0.0}
+
+        def timer():
+            state["step"] += 1e-3
+            state["now"] += state["step"]
+            return state["now"]
+
+        return timer
+
+    def _queries(self, node_ids):
+        return [Query.knn(node_id, k=2) for node_id in node_ids] + [
+            Query.pairwise(node_ids[0], node_id) for node_id in node_ids[1:]
+        ]
+
+    def test_store_stats_percentiles_are_the_histogram_readout(self):
+        coordinates = {f"n{i}": Coordinate([float(i), 0.0]) for i in range(12)}
+        store = ShardedCoordinateStore.from_coordinates(
+            coordinates, shards=2, timer=self._ticking_timer()
+        )
+        for query in self._queries(list(coordinates)):
+            store.serve(query)
+        kinds = store.stats()["kinds"]
+        assert set(kinds) == {"knn", "pairwise"}
+        self._assert_histogram_readout(kinds, store.registry, "store_serve_latency_ms")
+        assert "expirations" not in store.stats()["cache"]
+
+    def test_planner_stats_percentiles_are_the_histogram_readout(self):
+        coordinates = {f"n{i}": Coordinate([float(i), 0.0]) for i in range(12)}
+        planner = QueryPlanner(
+            SnapshotStore.from_coordinates(coordinates), timer=self._ticking_timer()
+        )
+        planner.execute_batch(self._queries(list(coordinates)))
+        kinds = planner.stats()["kinds"]
+        assert set(kinds) == {"knn", "pairwise"}
+        self._assert_histogram_readout(
+            kinds, planner.registry, "planner_serve_latency_ms"
+        )
+        assert "expirations" not in planner.stats()["cache"]
+
+
+class TestOneOfEachInTheSourceTree:
+    def _modules(self, *packages):
+        for package in packages:
+            yield from sorted((SRC / package).rglob("*.py"))
+
+    def test_one_module_writes_the_payload_key(self):
+        # The key every proximity payload carries is written by the
+        # executor's module and no other under the serving packages.
+        # (engine/kernel.py only *reads* it and is out of scope.)
+        writers = [
+            path.relative_to(SRC).as_posix()
+            for path in self._modules("service", "server")
+            if '"predicted_rtt_ms"' in path.read_text()
+        ]
+        assert writers == ["service/planner.py"]
+
+    def test_exact_percentiles_live_only_in_the_load_harness(self):
+        importers = [
+            path.relative_to(SRC).as_posix()
+            for path in self._modules("")
+            if re.search(r"^\s*(from|import) .*\bStreamingPercentile\b", path.read_text(), re.M)
+        ]
+        assert importers == ["server/load.py", "stats/__init__.py"]
+
+    def test_no_shims_and_no_warnings_under_src(self):
+        for path in self._modules(""):
+            text = path.read_text()
+            for gone in ("warnings.warn", "publish_arrays", "publish_coordinates"):
+                assert gone not in text, f"{gone} in {path.relative_to(SRC)}"

@@ -287,20 +287,19 @@ class TestPublisherProtocol:
         assert hasattr(LiveServingHarness, "publish_epoch")
         assert hasattr(LiveServingHarness, "publish_delta")
 
-    def test_deprecated_shims_warn_and_delegate(self):
-        ids = ["a", "b"]
-        comps = np.asarray([[0.0, 0.0], [3.0, 4.0]])
-        hts = np.asarray([0.0, 1.0])
-        store = SnapshotStore(index_kind="dense")
-        with pytest.deprecated_call():
-            snapshot = store.publish_arrays(ids, comps.copy(), hts.copy(), source="s")
-        assert snapshot.version == 1 and snapshot.node_ids() == ids
+    def test_deprecated_shims_are_gone(self):
+        # One way to publish: the protocol's two entry points.  The
+        # object-batch route the shim covered is a delta like any other.
+        assert not hasattr(SnapshotStore, "publish_arrays")
+        assert not hasattr(ShardedCoordinateStore, "publish_arrays")
+        assert not hasattr(ShardedCoordinateStore, "publish_coordinates")
         sharded = ShardedCoordinateStore(2, index_kind="dense")
-        with pytest.deprecated_call():
-            generation = sharded.publish_arrays(ids, comps.copy(), hts.copy(), source="s")
-        assert generation.version == 1
-        with pytest.deprecated_call():
-            generation = sharded.publish_coordinates({"c": Coordinate([1.0, 1.0])})
+        sharded.publish_epoch(
+            ["a", "b"], np.asarray([[0.0, 0.0], [3.0, 4.0]]), np.asarray([0.0, 1.0])
+        )
+        generation = sharded.publish_delta(
+            EpochDelta.from_coordinates({"c": Coordinate([1.0, 1.0])})
+        )
         assert generation.version == 2 and "c" in generation.global_seq
 
     def test_batch_simulation_rejects_non_publisher(self):

@@ -40,6 +40,7 @@ from repro.server.protocol import (
 )
 from repro.server.sharding import ShardGeneration, ShardedCoordinateStore, shard_of
 from repro.service.planner import Query, QueryError, QueryPlanner
+from repro.service.publish import EpochDelta
 from repro.service.snapshot import SnapshotStore
 from repro.service.workload import generate_queries, payload_checksum, run_workload
 
@@ -50,7 +51,7 @@ INDEX_KINDS = ("linear", "vptree", "grid", "dense")
 def oracle_payloads(coords, queries):
     """The single-store linear oracle's payloads, in stream order."""
     store = SnapshotStore.from_coordinates(coords, index_kind="linear", source="t")
-    planner = QueryPlanner(store, clock=lambda: 0.0, timer=lambda: 0.0)
+    planner = QueryPlanner(store, timer=lambda: 0.0)
     report = run_workload(planner, queries, timer=lambda: 0.0)
     return [result.payload for result in report.results], report.checksum
 
@@ -161,7 +162,7 @@ class TestSharding:
         components = np.asarray([coords[n].components for n in node_ids])
         heights = np.zeros(len(node_ids))
         by_arrays = ShardedCoordinateStore(3, index_kind="dense")
-        by_arrays.publish_arrays(node_ids, components, heights, source="arr")
+        by_arrays.publish_epoch(node_ids, components, heights, source="arr")
         by_objects = ShardedCoordinateStore.from_coordinates(
             coords, shards=3, index_kind="dense"
         )
@@ -180,8 +181,8 @@ class TestSharding:
         moved["extra1"] = Coordinate([1.5, 0.5])
 
         sharded = ShardedCoordinateStore(3, index_kind="vptree")
-        sharded.publish_coordinates(first, source="t")
-        sharded.publish_coordinates(moved, source="t")
+        sharded.publish_delta(EpochDelta.from_coordinates(first, source="t"))
+        sharded.publish_delta(EpochDelta.from_coordinates(moved, source="t"))
 
         single = SnapshotStore(index_kind="linear")
         single.apply_many(first)
@@ -192,7 +193,7 @@ class TestSharding:
         merged = dict(first)
         merged.update(moved)
         queries = generate_queries(list(merged), 200, mix="mixed", seed=9)
-        planner = QueryPlanner(single, clock=lambda: 0.0, timer=lambda: 0.0)
+        planner = QueryPlanner(single, timer=lambda: 0.0)
         oracle = run_workload(planner, queries, timer=lambda: 0.0)
         assert sharded.version == 2
         assert [sharded.serve(q)[0] for q in queries] == [
@@ -202,14 +203,16 @@ class TestSharding:
     def test_generation_pinning_and_retention(self):
         store = ShardedCoordinateStore(2, index_kind="linear", history=2)
         a = {f"n{i}": Coordinate([float(i)]) for i in range(4)}
-        store.publish_coordinates(a)
+        store.publish_delta(EpochDelta.from_coordinates(a))
         pinned = store.generation()
         for round_no in range(4):
-            store.publish_coordinates(
-                {f"n{i}": Coordinate([float(i + round_no)]) for i in range(4)}
+            store.publish_delta(
+                EpochDelta.from_coordinates(
+                    {f"n{i}": Coordinate([float(i + round_no)]) for i in range(4)}
+                )
             )
         # The pinned generation still answers from its own coordinates.
-        payload = pinned.knn("n0", 1)
+        payload = pinned.answer(Query.knn("n0", k=1))
         assert payload["neighbors"][0]["predicted_rtt_ms"] == 1.0
         assert store.version == 5
         with pytest.raises(KeyError, match="not retained"):
@@ -222,7 +225,9 @@ class TestSharding:
             store.serve(Query.knn("ghost"))
         with pytest.raises(QueryError, match="empty snapshot"):
             store.serve(Query.centroid(()))
-        store.publish_coordinates({"a": Coordinate([0.0]), "b": Coordinate([1.0])})
+        store.publish_delta(
+            EpochDelta.from_coordinates({"a": Coordinate([0.0]), "b": Coordinate([1.0])})
+        )
         with pytest.raises(QueryError, match="unknown node 'ghost'"):
             store.serve(Query.pairwise("a", "ghost"))
 
@@ -235,7 +240,7 @@ class TestSharding:
         assert not cached and cached_again and repeat == payload
         # New generation: the cache key includes the version, so the
         # answer is recomputed against the new coordinates.
-        store.publish_coordinates({"n0": Coordinate([10.0])})
+        store.publish_delta(EpochDelta.from_coordinates({"n0": Coordinate([10.0])}))
         moved, version2, cached3 = store.serve(query)
         assert version2 == version + 1 and not cached3
         assert moved != payload
@@ -337,12 +342,12 @@ class TestDaemon:
         store = ShardedCoordinateStore.from_coordinates(
             synthetic_coordinates(8, seed=1), shards=1
         )
-        server = CoordinateServer(store, admission_limit=1)
-        assert server._admit() is True
-        assert server._admit() is False
-        server._release()
-        assert server._admit() is True
-        stats = server.admission_stats()
+        engine = CoordinateServer(store, admission_limit=1).engine
+        assert engine._admit() is True
+        assert engine._admit() is False
+        engine._release()
+        assert engine._admit() is True
+        stats = engine.admission_stats()
         assert stats["rejected_overload"] == 1
         assert stats["admitted"] == 2
         assert stats["max_in_flight"] == 1
@@ -589,7 +594,7 @@ class TestHealthWire:
             shards, index_kind="vptree", history=epochs + 2, health_seed=5
         )
         for epoch in range(epochs):
-            store.publish_arrays(
+            store.publish_epoch(
                 node_ids, base + epoch * 2.0, np.zeros(nodes), source=f"e{epoch}"
             )
         return store
@@ -696,7 +701,7 @@ class TestHealthWire:
                 shards, index_kind="linear", history=8, health_seed=9
             )
             for epoch in range(4):
-                store.publish_arrays(
+                store.publish_epoch(
                     node_ids,
                     base * (1.0 + 0.05 * epoch),
                     np.full(36, 0.5),
@@ -732,7 +737,7 @@ class TestIngestWhileServing:
         base = rng.uniform(-100.0, 100.0, size=(n, 3))
         epochs = 24
         store = ShardedCoordinateStore(3, index_kind="vptree", history=epochs + 2)
-        store.publish_arrays(node_ids, base.copy(), np.zeros(n), source="e0")
+        store.publish_epoch(node_ids, base.copy(), np.zeros(n), source="e0")
 
         stop = threading.Event()
 
@@ -741,7 +746,7 @@ class TestIngestWhileServing:
             # between any cross-epoch pair differ from both epochs' own.
             for epoch in range(1, epochs):
                 shifted = base + epoch * 13.37
-                store.publish_arrays(
+                store.publish_epoch(
                     node_ids, shifted, np.zeros(n), source=f"e{epoch}"
                 )
                 time.sleep(0.002)
@@ -772,8 +777,10 @@ class TestIngestWhileServing:
         store = ShardedCoordinateStore.from_coordinates(coords, shards=2)
         query = Query.knn("n3", k=2)
         before, v1, _ = store.serve(query)
-        store.publish_coordinates(
-            {f"n{i}": Coordinate([float(i) * 3.0]) for i in range(8)}
+        store.publish_delta(
+            EpochDelta.from_coordinates(
+                {f"n{i}": Coordinate([float(i) * 3.0]) for i in range(8)}
+            )
         )
         after, v2, cached = store.serve(query)
         assert v2 == v1 + 1 and not cached
@@ -972,7 +979,7 @@ class TestServerCli:
             2, index_kind="vptree", history=8, health_seed=3
         )
         for epoch in range(3):
-            store.publish_arrays(
+            store.publish_epoch(
                 node_ids, base + epoch * 1.5, np.zeros(30), source=f"e{epoch}"
             )
         # Deterministic sections only: staleness reads the wall clock.

@@ -256,14 +256,14 @@ class TestDenseBatchAndArrays:
     def test_publish_arrays_versions_and_dense_adoption(self):
         ids, components, heights, _, _ = self._universe(n=60)
         store = SnapshotStore(index_kind="dense")
-        snapshot = store.publish_arrays(ids, components, heights, source="epoch1")
+        snapshot = store.publish_epoch(ids, components, heights, source="epoch1")
         assert snapshot.version == 1 and store.version == 1
         index = store.index_for()
         # Zero-copy adoption: the dense index holds the snapshot's arrays.
         _, snap_components, snap_heights = snapshot.arrays()
         assert index._components is snap_components
         assert index._heights is snap_heights
-        later = store.publish_arrays(ids, components + 1.0, heights, source="epoch2")
+        later = store.publish_epoch(ids, components + 1.0, heights, source="epoch2")
         assert later.version == 2
         assert store.at(1) is snapshot
 
@@ -272,7 +272,7 @@ class TestDenseBatchAndArrays:
         store = SnapshotStore()
         store.apply("x", Coordinate([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="staged"):
-            store.publish_arrays(ids, components, heights)
+            store.publish_epoch(ids, components, heights)
 
     def test_object_commit_on_top_of_array_epoch(self):
         ids, components, heights, _, _ = self._universe(n=12)
@@ -307,7 +307,7 @@ class TestDenseBatchAndArrays:
                 )
             else:
                 store = SnapshotStore.from_coordinates(coordinates, index_kind=kind)
-            return QueryPlanner(store, clock=lambda: 0.0, timer=lambda: 0.0)
+            return QueryPlanner(store, timer=lambda: 0.0)
 
         batched = run_workload(planner(), queries, batch_size=64, timer=lambda: 0.0)
         single_planner = planner()
@@ -318,7 +318,6 @@ class TestDenseBatchAndArrays:
         linear = run_workload(
             QueryPlanner(
                 SnapshotStore.from_coordinates(coordinates, index_kind="linear"),
-                clock=lambda: 0.0,
                 timer=lambda: 0.0,
             ),
             queries,
@@ -546,14 +545,21 @@ class TestConcurrentIngest:
 # Planner: cache, batching, stats
 # ----------------------------------------------------------------------
 class TestLRUTTLCache:
-    def test_ttl_expiry_with_injected_clock(self):
-        now = [0.0]
-        cache = LRUTTLCache(max_entries=8, ttl_s=10.0, clock=lambda: now[0])
-        cache.put("k", "v")
-        assert cache.get("k") == (True, "v")
-        now[0] = 10.5
-        assert cache.get("k") == (False, None)
-        assert cache.expirations == 1
+    def test_entries_never_expire_and_the_ttl_knobs_are_gone(self):
+        # Keys carry the snapshot version, so an entry cannot go stale:
+        # nothing reads a clock and there is no expiry to configure.
+        cache = LRUTTLCache(max_entries=8)
+        cache.put("k", None)  # a stored None is a hit, not a miss
+        assert cache.get("k") == (True, None)
+        assert cache.get("absent") == (False, None)
+        assert cache.stats() == {
+            "entries": 1, "hits": 1, "misses": 1,
+            "evictions_lru": 0, "evictions_rollover": 0,
+        }
+        for knob in ({"ttl_s": 10.0}, {"clock": lambda: 0.0}):
+            with pytest.raises(TypeError):
+                LRUTTLCache(8, **knob)
+        assert not hasattr(cache, "expirations")
 
     def test_lru_eviction_order(self):
         cache = LRUTTLCache(max_entries=2)
@@ -568,8 +574,6 @@ class TestLRUTTLCache:
     def test_validation(self):
         with pytest.raises(ValueError):
             LRUTTLCache(max_entries=0)
-        with pytest.raises(ValueError):
-            LRUTTLCache(ttl_s=0.0)
 
     def test_capacity_evictions_classified_lru_vs_rollover(self):
         cache = LRUTTLCache(max_entries=2)
@@ -640,7 +644,7 @@ class TestQueryPlanner:
         assert stats["kinds"]["knn"]["cache_hits"] == 1
         assert stats["kinds"]["pairwise"]["executed"] == 1
         assert stats["batches_flushed"] == 1
-        assert stats["kinds"]["knn"]["latency_exact"] is True
+        assert "latency_exact" not in stats["kinds"]["knn"]
         assert planner.cache_hit_rate() == pytest.approx(1.0 / 3.0)
 
     def test_stats_split_rollover_from_lru_evictions(self, store):

@@ -27,6 +27,19 @@ Per epoch, :class:`HealthTracker` computes:
   replaced since the previous epoch -- embedding stability as an
   application would feel it.
 
+A publish that moves 1% of the population costs 1% of a full pass: the
+tracker diffs each epoch's arrays against the ones it retained from the
+previous epoch and does the per-node work for the moved rows only.  The
+rest displaced by exactly 0.0, which the histogram counts without
+seeing them, and a kNN target is re-scanned only when it moved, one of
+its neighbors moved, or a moved row now lies within its k-th neighbor
+distance.  There is no second code path: a first epoch, a changed
+population or an epoch in which every row moved runs the same routines
+with nothing skipped, and a property test pins the two to identical
+snapshots, histograms and Prometheus text.  Neighbor selection is
+ordered by ``(distance, row)``, so equal-distance ties cannot make a
+skipped scan and a repeated one disagree.
+
 Everything is deterministic: the pair/target samples derive from
 ``(seed, label)`` via :func:`~repro.stats.sampling.derive_rng`, no wall
 clock is read, and all histograms use fixed bucket schemes, so two
@@ -167,7 +180,10 @@ class HealthTracker:
         self._prev_heights: Optional[np.ndarray] = None
         self._prev_centroid: Optional[np.ndarray] = None
         self._prev_time: Optional[float] = None
-        self._prev_knn: Dict[str, frozenset] = {}
+        #: Per kNN target: (neighbor ids, their rows, k-th neighbor
+        #: distance).  The rows and the distance are what lets the next
+        #: epoch prove a target's neighbor set unchanged without a scan.
+        self._prev_knn: Dict[str, Tuple[frozenset, np.ndarray, float]] = {}
 
         # Aggregates.
         self._epochs = 0
@@ -210,6 +226,14 @@ class HealthTracker:
             "Per-node displacement between consecutive epochs.",
             scheme=DISPLACEMENT_SCHEME,
         )
+        self._c_knn_targets = self.registry.counter(
+            "health_knn_targets_total",
+            "kNN churn targets evaluated, all observed epochs.",
+        )
+        self._c_knn_rescans = self.registry.counter(
+            "health_knn_rescans_total",
+            "kNN churn targets whose neighbor set needed a population scan.",
+        )
 
     # ------------------------------------------------------------------
     # Sampling (first epoch)
@@ -247,9 +271,17 @@ class HealthTracker:
         version: Optional[int] = None,
         time_s: Optional[float] = None,
     ) -> HealthSnapshot:
-        """Fold one published epoch into the health stream."""
+        """Fold one published epoch into the health stream.
+
+        The arrays are retained (not copied) as the next epoch's
+        reference, so callers must not write to them afterwards; the
+        per-node work is done only for rows that differ from the
+        retained ones (see the module docstring).
+        """
         ids = tuple(node_ids)
-        components = np.asarray(components, dtype=np.float64)
+        # C-contiguous so a row's sum of squares is the same float
+        # whether it is reduced alone or with the whole population.
+        components = np.ascontiguousarray(components, dtype=np.float64)
         if components.ndim != 2 or components.shape[0] != len(ids):
             raise ValueError(
                 f"components must be ({len(ids)}, d); got {components.shape}"
@@ -265,14 +297,18 @@ class HealthTracker:
             self._materialise_samples(ids)
         if self._prev_index_of is not None and ids == self._prev_ids:
             index_of = self._prev_index_of
+            moved = self._moved_rows(components, heights)
         else:
             index_of = {node_id: row for row, node_id in enumerate(ids)}
+            # No row-for-row correspondence with the retained epoch:
+            # nothing can be skipped.
+            moved = None
 
         errors = self._observe_errors(index_of, components, heights, time_s)
         drift_velocity, disp_median, disp_p95 = self._observe_drift(
-            ids, index_of, components, heights, time_s
+            ids, index_of, components, heights, time_s, moved
         )
-        churn = self._observe_churn(ids, index_of, components, heights)
+        churn = self._observe_churn(ids, index_of, components, heights, moved)
 
         self._epochs += 1
         self._c_epochs.inc()
@@ -369,6 +405,13 @@ class HealthTracker:
         self._h_error.observe_many(errors)
         return errors
 
+    # -- the self-diff ---------------------------------------------------
+    def _moved_rows(self, components: np.ndarray, heights: np.ndarray) -> np.ndarray:
+        """Mask of rows that differ from the retained epoch (same population)."""
+        return (components != self._prev_components).any(axis=1) | (
+            heights != self._prev_heights
+        )
+
     # -- drift ----------------------------------------------------------
     def _observe_drift(
         self,
@@ -377,6 +420,7 @@ class HealthTracker:
         components: np.ndarray,
         heights: np.ndarray,
         time_s: Optional[float],
+        moved: Optional[np.ndarray],
     ) -> Tuple[Optional[float], Optional[float], Optional[float]]:
         centroid = components.mean(axis=0) if components.shape[0] else None
         drift_velocity: Optional[float] = None
@@ -398,63 +442,105 @@ class HealthTracker:
             drift_velocity = step / dt
             self._path_ms += step
             self._drift_dt += dt
-        if self._prev_ids is not None and self._prev_components is not None:
-            if self._prev_ids == ids:
-                delta = components - self._prev_components
-                dh = heights - self._prev_heights
-            else:
-                prev_index = {
-                    node_id: row for row, node_id in enumerate(self._prev_ids)
-                }
-                common = [nid for nid in ids if nid in prev_index]
-                if not common:
-                    self._prev_centroid = centroid
-                    return drift_velocity, None, None
-                now_rows = np.fromiter(
-                    (index_of[nid] for nid in common), dtype=np.int64
-                )
-                prev_rows = np.fromiter(
-                    (prev_index[nid] for nid in common), dtype=np.int64
-                )
-                delta = components[now_rows] - self._prev_components[prev_rows]
-                dh = heights[now_rows] - self._prev_heights[prev_rows]
-            displacement = np.sqrt(np.sum(delta * delta, axis=1)) + np.abs(dh)
-            if displacement.size:
-                disp_median = float(np.percentile(displacement, 50.0))
-                disp_p95 = float(np.percentile(displacement, 95.0))
-                self._h_displacement.observe_many(displacement)
         self._prev_centroid = centroid
+        if self._prev_index_of is None:
+            return drift_velocity, None, None
+        if moved is not None:
+            now_rows = prev_rows = np.flatnonzero(moved)
+            compared = len(ids)
+        else:
+            prev_index = self._prev_index_of
+            common = [nid for nid in ids if nid in prev_index]
+            now_rows = np.fromiter((index_of[nid] for nid in common), dtype=np.int64)
+            prev_rows = np.fromiter(
+                (prev_index[nid] for nid in common), dtype=np.int64
+            )
+            compared = len(common)
+        if not compared:
+            return drift_velocity, None, None
+        delta = components[now_rows] - self._prev_components[prev_rows]
+        dh = heights[now_rows] - self._prev_heights[prev_rows]
+        # The compared rows left out of ``now_rows`` are bit-equal to
+        # their retained selves, so each displaced by exactly 0.0.
+        moved_by = np.sqrt(np.sum(delta * delta, axis=1)) + np.abs(dh)
+        displacement = np.zeros(compared)
+        displacement[: moved_by.size] = moved_by
+        disp_median = float(np.percentile(displacement, 50.0))
+        disp_p95 = float(np.percentile(displacement, 95.0))
+        self._h_displacement.observe_many(moved_by)
+        self._h_displacement.observe_repeated(0.0, compared - moved_by.size)
         return drift_velocity, disp_median, disp_p95
 
     # -- neighbor churn --------------------------------------------------
+    @staticmethod
+    def _neighbor_distances(
+        components: np.ndarray, heights: np.ndarray, row: int, others
+    ) -> np.ndarray:
+        """Predicted RTT from ``row`` to each of ``others`` (rows or a slice)."""
+        delta = components[others] - components[row]
+        distances = np.sqrt(np.sum(delta * delta, axis=1))
+        return distances + heights[others] + heights[row]
+
     def _observe_churn(
         self,
         ids: Tuple[str, ...],
         index_of: Dict[str, int],
         components: np.ndarray,
         heights: np.ndarray,
+        moved: Optional[np.ndarray],
     ) -> Optional[float]:
         assert self._knn_target_ids is not None
         if len(ids) < 2 or not self._knn_target_ids:
             return None
         k = min(self.knn_k, len(ids) - 1)
-        current: Dict[str, frozenset] = {}
+        moved_rows = None if moved is None else np.flatnonzero(moved)
+        current: Dict[str, Tuple[frozenset, np.ndarray, float]] = {}
+        rescans = 0
         for target in self._knn_target_ids:
             row = index_of.get(target)
             if row is None:
                 continue
-            delta = components - components[row]
-            distances = np.sqrt(np.sum(delta * delta, axis=1))
-            distances = distances + heights + heights[row]
+            held = self._prev_knn.get(target)
+            if (
+                moved is not None
+                and held is not None
+                and not moved[row]
+                and not moved[held[1]].any()
+                and not (
+                    self._neighbor_distances(components, heights, row, moved_rows)
+                    <= held[2]
+                ).any()
+            ):
+                # Neither the target nor a neighbor moved and no moved
+                # row reaches the k-th distance: a scan would select the
+                # same rows again.
+                current[target] = held
+                continue
+            rescans += 1
+            distances = self._neighbor_distances(
+                components, heights, row, slice(None)
+            )
             distances[row] = np.inf
-            nearest = np.argpartition(distances, k - 1)[:k]
-            current[target] = frozenset(ids[int(idx)] for idx in nearest)
+            kth = float(np.partition(distances, k - 1)[k - 1])
+            # Best k by (distance, row): ``inside`` ascends by row and
+            # the sort is stable.
+            inside = np.flatnonzero(distances <= kth)
+            nearest = inside[np.argsort(distances[inside], kind="stable")[:k]]
+            current[target] = (
+                frozenset(ids[idx] for idx in nearest.tolist()),
+                nearest,
+                kth,
+            )
+        self._c_knn_targets.inc(len(current))
+        self._c_knn_rescans.inc(rescans)
         churn: Optional[float] = None
         if self._prev_knn:
             shared = [t for t in current if t in self._prev_knn]
             if shared:
                 replaced = [
-                    1.0 - len(current[t] & self._prev_knn[t]) / max(len(current[t]), 1)
+                    1.0
+                    - len(current[t][0] & self._prev_knn[t][0])
+                    / max(len(current[t][0]), 1)
                     for t in shared
                 ]
                 churn = float(np.mean(replaced))

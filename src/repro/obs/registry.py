@@ -268,6 +268,31 @@ class LatencyHistogram:
             self._count += int(array.size)
             self._sum += batch_sum
 
+    def observe_repeated(self, value: float, count: int) -> None:
+        """Record ``count`` copies of ``value`` without materialising them.
+
+        Leaves exactly what ``observe_many([value] * count)`` would: one
+        bucket takes the whole count, and ``value * count`` is the
+        correctly rounded sum ``math.fsum`` returns for the batch.  This
+        is how the health tracker counts the rows a delta did not move
+        (displacement exactly 0.0) without touching them.
+        """
+        value = float(value)
+        if math.isnan(value):
+            raise ValueError("cannot observe NaN")
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count == 0:
+            return
+        with self._lock:
+            self._counts[self.scheme.bucket_index(value)] += count
+            self._count += count
+            self._sum += value * count
+            if value < self._min:
+                self._min = value
+            if value > self._max:
+                self._max = value
+
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other`` into this histogram (exact; ``other`` untouched)."""
         if other.scheme != self.scheme:

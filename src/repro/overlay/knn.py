@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.coordinate import Coordinate
+from repro.core.coordinate import Coordinate, sequential_sum
 
 __all__ = ["CoordinateIndex"]
 
@@ -112,7 +112,9 @@ class CoordinateIndex:
         best_host: Optional[str] = None
         best_cost = float("inf")
         for node_id, coordinate in self._coordinates.items():
-            cost = sum(coordinate.distance(endpoint) for endpoint in endpoints)
+            cost = sequential_sum(
+                [coordinate.distance(endpoint) for endpoint in endpoints]
+            )
             if cost < best_cost:
                 best_cost = cost
                 best_host = node_id

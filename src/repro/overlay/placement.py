@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.coordinate import Coordinate, centroid
+from repro.core.coordinate import Coordinate, centroid, sequential_sum
 from repro.overlay.knn import CoordinateIndex
 
 __all__ = ["PlacementDecision", "OperatorPlacement"]
@@ -84,7 +84,9 @@ class OperatorPlacement:
     # ------------------------------------------------------------------
     def _placement_cost(self, host_coordinate: Coordinate, endpoints: Sequence[Coordinate]) -> float:
         """Total predicted RTT between the host and every endpoint."""
-        return sum(host_coordinate.distance(endpoint) for endpoint in endpoints)
+        return sequential_sum(
+            [host_coordinate.distance(endpoint) for endpoint in endpoints]
+        )
 
     def evaluate(self, operator_id: str) -> PlacementDecision:
         """Re-evaluate one operator's placement against current coordinates."""

@@ -341,6 +341,17 @@ class ShardedCoordinateStore:
             )
             for mode in ("full", "delta")
         }
+        # The health pass runs after the swap but still under the ingest
+        # lock, so store_publish_ms (which stops at the swap) does not
+        # cover it; without this the lock hold has no instrument.
+        self._h_health_observe_ms = {
+            mode: self.registry.histogram(
+                "store_health_observe_ms",
+                "Health observation time after the generation swap.",
+                mode=mode,
+            )
+            for mode in ("full", "delta")
+        }
         self._g_version = self.registry.gauge(
             "store_version", "Currently served generation version."
         )
@@ -645,8 +656,12 @@ class ShardedCoordinateStore:
         # Health observes the same frozen arrays the generation serves;
         # no wall time is passed, so its values stay a pure function of
         # the publish stream (per-epoch drift/error units).
+        observe_started = self._timer()
         self.health_tracker.observe_epoch(
             node_ids, components, heights, version=generation.version
+        )
+        self._h_health_observe_ms[mode].observe(
+            (self._timer() - observe_started) * 1e3
         )
 
     # ------------------------------------------------------------------

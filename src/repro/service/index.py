@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coordinate import Coordinate
+from repro.core.coordinate import Coordinate, sequential_sum
 from repro.overlay.knn import CoordinateIndex
 
 __all__ = ["INDEX_KINDS", "build_index", "VPTreeIndex", "GridIndex", "DenseIndex"]
@@ -98,6 +98,71 @@ def _loosen(bound: float) -> float:
     scored with the exact ``Coordinate.distance`` floats.
     """
     return bound - 1e-9 * (1.0 + abs(bound))
+
+
+def _euclidean(components: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every ``(..., d)`` row to ``origin``, oracle-exact.
+
+    The one array spelling of ``Coordinate.euclidean_distance``: squared
+    component differences accumulated left to right, one rounding per
+    addition, then one ``sqrt`` -- so each element is the very float the
+    scalar oracle computes for that pair.  ``origin`` broadcasts against
+    the leading axes (one point, or one point per row).
+    """
+    delta = components - origin
+    acc = delta[..., 0] * delta[..., 0]
+    for j in range(1, delta.shape[-1]):
+        acc = acc + delta[..., j] * delta[..., j]
+    return np.sqrt(acc)
+
+
+def _check_dimensions(point: Coordinate, components: np.ndarray) -> None:
+    if components.shape[0] and point.dimensions != components.shape[1]:
+        raise ValueError(
+            "coordinate dimensionality mismatch: "
+            f"{components.shape[1]} vs {point.dimensions}"
+        )
+
+
+def _distances_from(
+    target: Coordinate, components: np.ndarray, heights: np.ndarray
+) -> np.ndarray:
+    """``target.distance(row)`` for every row: ``(euclid + target.height) + row height``."""
+    _check_dimensions(target, components)
+    origin = np.asarray(target.components, dtype=np.float64)
+    return (_euclidean(components, origin) + target.height) + heights
+
+
+def _costs_to(
+    endpoint: Coordinate, components: np.ndarray, heights: np.ndarray
+) -> np.ndarray:
+    """``row.distance(endpoint)`` for every row.
+
+    The 1-median oracle adds the row height before the endpoint height,
+    the mirror image of :func:`_distances_from`, and float addition is
+    not associative.
+    """
+    _check_dimensions(endpoint, components)
+    origin = np.asarray(endpoint.components, dtype=np.float64)
+    return (_euclidean(components, origin) + heights) + endpoint.height
+
+
+def _best_rows(distances: np.ndarray, seqs: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the best k by ``(distance, insertion seq)``; +inf rows excluded.
+
+    ``argpartition`` finds the k-th-distance cut and only the candidate
+    set at the boundary is sorted.
+    """
+    n = distances.shape[0]
+    if k < n:
+        head = np.argpartition(distances, k - 1)[:k]
+        tau = distances[head].max()
+        candidates = np.nonzero(distances <= tau)[0]
+    else:
+        candidates = np.arange(n)
+    candidates = candidates[distances[candidates] < np.inf]
+    order = np.lexsort((seqs[candidates], distances[candidates]))
+    return candidates[order[:k]]
 
 
 def build_index(kind: str = "vptree") -> CoordinateIndex:
@@ -207,12 +272,18 @@ class VPTreeIndex(_SpatialIndex):
 
     Incremental epochs (:meth:`delta_applied`) never restructure the
     tree: a derived index shares the immutable tree of its base and
-    carries the changed rows in a small unsorted *overlay* scanned
-    exactly on every query, with the stale tree entries masked by a
-    *tombstone* set.  Results stay byte-identical to a from-scratch
-    rebuild because overlay candidates are scored with the same exact
-    ``Coordinate.distance`` floats and keep their original insertion
-    sequence (relative order is all the tie-break needs).
+    carries the changed rows in a small unsorted *overlay*, with the
+    stale tree entries masked by a *tombstone* set.  The overlay is four
+    aligned arrays (ids, components, heights, insertion seqs) scored on
+    every query by the same oracle-exact array kernel the dense index
+    uses, so a read pays a handful of NumPy calls for it rather than a
+    Python loop over rows; only the best ``k + |exclude|`` rows by
+    ``(distance, seq)`` (the rows inside the radius for ``within``, the
+    one cheapest row for ``min_cost_host``) are offered to the tree
+    walk's collector.  Results stay byte-identical to a from-scratch
+    rebuild because those floats are ``Coordinate.distance``'s own and
+    overlay rows keep their original insertion sequence (relative order
+    is all the tie-break needs).
     """
 
     def __init__(self) -> None:
@@ -220,12 +291,18 @@ class VPTreeIndex(_SpatialIndex):
         self._root: Optional[_VPNode] = None
         #: Node ids whose tree entry is stale (changed or removed).
         self._tombstones: frozenset = frozenset()
-        #: Changed/added rows, scanned exactly: (seq, node_id, coordinate).
-        self._overlay: Tuple[Tuple[int, str, Coordinate], ...] = ()
+        self._clear_overlay()
+
+    def _clear_overlay(self) -> None:
+        #: Changed/added rows, scanned exactly; empty means no overlay.
+        self._ov_ids: List[str] = []
+        self._ov_components = np.empty((0, 0), dtype=np.float64)
+        self._ov_heights = np.empty(0, dtype=np.float64)
+        self._ov_seqs = np.empty(0, dtype=np.int64)
 
     def _rebuild(self) -> None:
         self._tombstones = frozenset()
-        self._overlay = ()
+        self._clear_overlay()
         entries = self._entries()
         if not entries:
             self._root = None
@@ -278,7 +355,14 @@ class VPTreeIndex(_SpatialIndex):
             return self
         if self._root is None:
             return None
-        overlay = {entry[1]: entry for entry in self._overlay}
+        changed_components = np.asarray(changed_components, dtype=np.float64)
+        changed_heights = np.asarray(changed_heights, dtype=np.float64)
+        held = len(self._ov_ids)
+        ov_ids = list(self._ov_ids)
+        ov_seqs = self._ov_seqs.tolist()
+        slot_of = {node_id: slot for slot, node_id in enumerate(ov_ids)}
+        # Overlay slot each changed row lands in (overwrite or append).
+        slots: List[int] = []
         tombstones = set(self._tombstones)
         coordinates = dict(self._coordinates)
         seqs = dict(self._seq)
@@ -293,14 +377,19 @@ class VPTreeIndex(_SpatialIndex):
             # Mask any tree entry for this node; harmless when the node
             # was never in the tree (overlay entries bypass tombstones).
             tombstones.add(node_id)
-            overlay[node_id] = (seq, node_id, coordinate)
             coordinates[node_id] = coordinate
             seqs[node_id] = seq
+            slot = slot_of.get(node_id)
+            if slot is None:
+                slot = slot_of[node_id] = len(ov_ids)
+                ov_ids.append(node_id)
+                ov_seqs.append(seq)
+            slots.append(slot)
         for node_id in removed_ids:
             if node_id not in seqs:
                 continue
             tombstones.add(node_id)
-            overlay.pop(node_id, None)
+            slot_of.pop(node_id, None)
             del coordinates[node_id]
             del seqs[node_id]
         # ``tombstones`` is exactly the distinct touched-node footprint
@@ -308,13 +397,33 @@ class VPTreeIndex(_SpatialIndex):
         # subset of it, so counting both would double-charge changed rows.
         if len(tombstones) > _overlay_budget(len(coordinates)):
             return None
+        dims = changed_components.shape[1] if slots else self._ov_components.shape[1]
+        ov_components = np.empty((len(ov_ids), dims), dtype=np.float64)
+        ov_heights = np.empty(len(ov_ids), dtype=np.float64)
+        if held:
+            ov_components[:held] = self._ov_components
+            ov_heights[:held] = self._ov_heights
+        if slots:
+            ov_components[slots] = changed_components
+            ov_heights[slots] = changed_heights
+        ov_seqs = np.asarray(ov_seqs, dtype=np.int64)
+        if len(slot_of) != len(ov_ids):
+            # Removals hit overlay rows: compact them out.
+            keep = sorted(slot_of.values())
+            ov_ids = [ov_ids[slot] for slot in keep]
+            ov_components = ov_components[keep]
+            ov_heights = ov_heights[keep]
+            ov_seqs = ov_seqs[keep]
         clone = VPTreeIndex()
         clone._coordinates = coordinates
         clone._seq = seqs
         clone._next_seq = next_seq
         clone._root = self._root
         clone._tombstones = frozenset(tombstones)
-        clone._overlay = tuple(overlay.values())
+        clone._ov_ids = ov_ids
+        clone._ov_components = ov_components
+        clone._ov_heights = ov_heights
+        clone._ov_seqs = ov_seqs
         clone._dirty = False
         return clone
 
@@ -340,10 +449,15 @@ class VPTreeIndex(_SpatialIndex):
                 best.offer(distance, seq, node_id)
 
         # Overlay first: its exact distances tighten the pruning
-        # threshold before the tree walk starts.
-        for seq, node_id, coordinate in self._overlay:
-            if node_id not in excluded:
-                best.offer(target.distance(coordinate), seq, node_id)
+        # threshold before the tree walk starts.  At most |excluded| of
+        # the overlay's best k + |excluded| rows are skipped, so the k
+        # that could survive are all among them.
+        if self._ov_ids:
+            distances = _distances_from(target, self._ov_components, self._ov_heights)
+            for row in _best_rows(distances, self._ov_seqs, k + len(excluded)).tolist():
+                node_id = self._ov_ids[row]
+                if node_id not in excluded:
+                    best.offer(float(distances[row]), int(self._ov_seqs[row]), node_id)
         stack: List[Tuple[_VPNode, float]] = [(self._root, 0.0)]
         while stack:
             node, bound = stack.pop()
@@ -377,10 +491,12 @@ class VPTreeIndex(_SpatialIndex):
             return []
         tombstones = self._tombstones
         hits: List[Tuple[float, int, str]] = []
-        for seq, node_id, coordinate in self._overlay:
-            distance = target.distance(coordinate)
-            if distance <= radius_ms:
-                hits.append((distance, seq, node_id))
+        if self._ov_ids:
+            distances = _distances_from(target, self._ov_components, self._ov_heights)
+            for row in np.flatnonzero(distances <= radius_ms).tolist():
+                hits.append(
+                    (float(distances[row]), int(self._ov_seqs[row]), self._ov_ids[row])
+                )
         stack: List[_VPNode] = [self._root]
         while stack:
             node = stack.pop()
@@ -422,12 +538,16 @@ class VPTreeIndex(_SpatialIndex):
             if cost < best_cost or (cost == best_cost and seq < best_seq):
                 best_cost, best_seq, best_host = cost, seq, node_id
 
-        for seq, node_id, coordinate in self._overlay:
-            offer(
-                sum(coordinate.distance(endpoint) for endpoint in endpoints),
-                seq,
-                node_id,
-            )
+        if self._ov_ids:
+            # Endpoint by endpoint, the order sequential_sum adds them in.
+            costs = _costs_to(endpoints[0], self._ov_components, self._ov_heights)
+            for endpoint in endpoints[1:]:
+                costs = costs + _costs_to(
+                    endpoint, self._ov_components, self._ov_heights
+                )
+            cheapest = np.flatnonzero(costs == costs.min())
+            row = int(cheapest[np.argmin(self._ov_seqs[cheapest])])
+            offer(float(costs[row]), int(self._ov_seqs[row]), self._ov_ids[row])
         stack: List[Tuple[_VPNode, float]] = [(self._root, 0.0)]
         while stack:
             node, bound = stack.pop()
@@ -438,7 +558,9 @@ class VPTreeIndex(_SpatialIndex):
                     if node_id in tombstones:
                         continue
                     offer(
-                        sum(coordinate.distance(endpoint) for endpoint in endpoints),
+                        sequential_sum(
+                            [coordinate.distance(endpoint) for endpoint in endpoints]
+                        ),
                         seq,
                         node_id,
                     )
@@ -446,7 +568,7 @@ class VPTreeIndex(_SpatialIndex):
             assert node.coordinate is not None
             per_endpoint = [node.coordinate.distance(endpoint) for endpoint in endpoints]
             if node.node_id not in tombstones:
-                offer(sum(per_endpoint), node.seq, node.node_id)
+                offer(sequential_sum(per_endpoint), node.seq, node.node_id)
             near, far = node.children
             if near is not None:
                 near_bound = _loosen(sum(max(0.0, d - node.mu) for d in per_endpoint))
@@ -1104,86 +1226,31 @@ class DenseIndex(_SpatialIndex):
         return self.nearest(coordinate, k, exclude=[node_id])
 
     # -- distance kernels ----------------------------------------------
-    def _check_dimensions(self, target: Coordinate) -> None:
-        if self._components.shape[0] and target.dimensions != self._components.shape[1]:
-            raise ValueError(
-                "coordinate dimensionality mismatch: "
-                f"{self._components.shape[1]} vs {target.dimensions}"
-            )
-
-    def _distances_to(self, target: Coordinate) -> np.ndarray:
-        """Predicted RTT from ``target`` to every row, oracle-exact.
-
-        Same operation order as ``Coordinate.distance``: a left-to-right
-        accumulation of squared component differences, then
-        ``(sqrt + target.height) + row height``.
-        """
-        self._check_dimensions(target)
-        return (self._euclidean_to(target) + target.height) + self._heights
-
-    def _cost_to(self, endpoint: Coordinate) -> np.ndarray:
-        """Predicted RTT from every row *to* ``endpoint``.
-
-        Same floats as ``row.distance(endpoint)`` -- the 1-median oracle
-        adds the row height before the endpoint height, the mirror image
-        of :meth:`_distances_to`, and float addition is not associative.
-        """
-        self._check_dimensions(endpoint)
-        return (self._euclidean_to(endpoint) + self._heights) + endpoint.height
-
-    def _euclidean_to(self, target: Coordinate) -> np.ndarray:
-        delta = self._components - np.asarray(target.components, dtype=np.float64)
-        acc = delta[:, 0] * delta[:, 0]
-        for j in range(1, delta.shape[1]):
-            acc = acc + delta[:, j] * delta[:, j]
-        return np.sqrt(acc)
-
-    def _overlay_euclidean_to(self, target: Coordinate) -> np.ndarray:
-        """Oracle-exact Euclidean distances over the overlay rows."""
-        delta = self._ov_components - np.asarray(target.components, dtype=np.float64)
-        acc = delta[:, 0] * delta[:, 0]
-        for j in range(1, delta.shape[1]):
-            acc = acc + delta[:, j] * delta[:, j]
-        return np.sqrt(acc)
-
     def _query_distances(self, target: Coordinate) -> np.ndarray:
         """Predicted RTTs over all combined rows; stale rows forced to +inf."""
-        distances = self._distances_to(target)
+        distances = _distances_from(target, self._components, self._heights)
         if not self._overlay_active:
             return distances
         if self._masked_rows.size:
             distances[self._masked_rows] = np.inf
         if self._ov_ids:
-            overlay = (
-                self._overlay_euclidean_to(target) + target.height
-            ) + self._ov_heights
+            overlay = _distances_from(target, self._ov_components, self._ov_heights)
             distances = np.concatenate([distances, overlay])
         return distances
 
     def _query_costs(self, endpoint: Coordinate) -> np.ndarray:
         """Predicted RTTs row->endpoint over all combined rows (no masking)."""
-        cost = self._cost_to(endpoint)
-        if self._overlay_active and self._ov_ids:
-            overlay = (
-                self._overlay_euclidean_to(endpoint) + self._ov_heights
-            ) + endpoint.height
+        cost = _costs_to(endpoint, self._components, self._heights)
+        if self._ov_ids:
+            overlay = _costs_to(endpoint, self._ov_components, self._ov_heights)
             cost = np.concatenate([cost, overlay])
         return cost
 
     def _top_k(self, distances: np.ndarray, k: int) -> List[Tuple[str, float]]:
         """Best-k rows by ``(distance, insertion seq)``; +inf rows excluded."""
-        n = distances.shape[0]
-        if k < n:
-            head = np.argpartition(distances, k - 1)[:k]
-            tau = distances[head].max()
-            candidates = np.nonzero(distances <= tau)[0]
-        else:
-            candidates = np.arange(n)
-        candidates = candidates[distances[candidates] < np.inf]
-        order = np.lexsort((self._row_seq[candidates], distances[candidates]))
         return [
             (self._ids[int(row)], float(distances[row]))
-            for row in candidates[order[:k]]
+            for row in _best_rows(distances, self._row_seq, k)
         ]
 
     # -- queries -------------------------------------------------------
@@ -1246,7 +1313,7 @@ class DenseIndex(_SpatialIndex):
     # that keeps roughly ``4 * (k + pad)`` candidates -- no per-row
     # argpartition over all n columns.  Stage two RESCORES only the
     # surviving candidates with the exact float64 expression of
-    # :meth:`_distances_to`, so every emitted float is bit-identical to
+    # :func:`_distances_from`, so every emitted float is bit-identical to
     # the single-query (and linear oracle) answer.
     #
     # Exactness of the *selection* is certified per row, not assumed:
@@ -1314,20 +1381,13 @@ class DenseIndex(_SpatialIndex):
     ) -> np.ndarray:
         """Exact predicted RTTs row->candidate, same floats as the oracle."""
         comps = self._components
-        delta = comps[candidates] - comps[rows][:, None, :]
-        acc = delta[..., 0] * delta[..., 0]
-        for j in range(1, comps.shape[1]):
-            acc = acc + delta[..., j] * delta[..., j]
-        return (np.sqrt(acc) + self._heights[rows][:, None]) + self._heights[candidates]
+        euclid = _euclidean(comps[candidates], comps[rows][:, None, :])
+        return (euclid + self._heights[rows][:, None]) + self._heights[candidates]
 
     def _exact_row_distances(self, row: int) -> np.ndarray:
         """Exact predicted RTTs from one row to every row (fallback path)."""
-        comps = self._components
-        delta = comps - comps[row]
-        acc = delta[:, 0] * delta[:, 0]
-        for j in range(1, comps.shape[1]):
-            acc = acc + delta[:, j] * delta[:, j]
-        return (np.sqrt(acc) + self._heights[row]) + self._heights
+        euclid = _euclidean(self._components, self._components[row])
+        return (euclid + self._heights[row]) + self._heights
 
     def _resolve_rows(self, target_ids: Sequence[str]) -> List[Tuple[int, int]]:
         return [

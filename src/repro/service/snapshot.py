@@ -26,7 +26,8 @@ Two snapshot representations share one duck-typed read API:
   component and ``(n,)`` height arrays, published whole via
   :meth:`SnapshotStore.publish_epoch` or incrementally via
   :meth:`SnapshotStore.publish_delta` (copy-on-write of the touched rows
-  only; see :mod:`repro.service.publish`).  A batch simulation hands its
+  only, sharing the id list and row map with the base when no node joins
+  or leaves; see :mod:`repro.service.publish`).  A batch simulation hands its
   state arrays straight in -- no per-node object materialisation -- and a
   ``dense`` index adopts them without copying.
 
@@ -53,23 +54,24 @@ from repro.service.publish import EpochDelta
 __all__ = ["ArraySnapshot", "CoordinateSnapshot", "SnapshotStore"]
 
 
-def _snapshot_arrays(snapshot) -> Tuple[List[str], np.ndarray, np.ndarray]:
-    """``(node_ids, components, heights)`` for either snapshot form."""
-    arrays = getattr(snapshot, "arrays", None)
-    if arrays is not None:
-        return arrays()
+def _as_array_snapshot(snapshot) -> "ArraySnapshot":
+    """A non-empty ``snapshot`` itself when array-backed, else its object form lifted."""
+    if isinstance(snapshot, ArraySnapshot):
+        return snapshot
     node_ids = snapshot.node_ids()
-    if not node_ids:
-        return node_ids, np.empty((0, 1), dtype=np.float64), np.empty(0, dtype=np.float64)
-    components = np.asarray(
-        [snapshot.coordinates[node_id].components for node_id in node_ids],
-        dtype=np.float64,
+    return ArraySnapshot(
+        snapshot.version,
+        node_ids,
+        np.asarray(
+            [snapshot.coordinates[node_id].components for node_id in node_ids],
+            dtype=np.float64,
+        ),
+        np.asarray(
+            [snapshot.coordinates[node_id].height for node_id in node_ids],
+            dtype=np.float64,
+        ),
+        source=snapshot.source,
     )
-    heights = np.asarray(
-        [snapshot.coordinates[node_id].height for node_id in node_ids],
-        dtype=np.float64,
-    )
-    return node_ids, components, heights
 
 
 class CoordinateSnapshot:
@@ -244,6 +246,30 @@ class ArraySnapshot:
         self._heights = heights
         self._row_of: Optional[Dict[str, int]] = None
         self._mapping: Optional[Mapping[str, Coordinate]] = None
+
+    def _derived(
+        self, version: int, components: np.ndarray, heights: np.ndarray, source: str
+    ) -> "ArraySnapshot":
+        """A same-population snapshot over new coordinate arrays.
+
+        The derived snapshot *shares* this one's id list and
+        ``{node_id: row}`` map (both immutable once published) instead of
+        copying one and rebuilding the other: a delta that neither adds
+        nor removes a node costs no per-node Python work.  The arrays
+        must already be validated (copies of this snapshot's rows plus an
+        :class:`~repro.service.publish.EpochDelta`'s).
+        """
+        components.setflags(write=False)
+        heights.setflags(write=False)
+        derived = object.__new__(ArraySnapshot)
+        derived.version = version
+        derived.source = source
+        derived._node_ids = self._node_ids
+        derived._components = components
+        derived._heights = heights
+        derived._row_of = self._row_index
+        derived._mapping = None
+        return derived
 
     # -- array access (the zero-copy read path) ------------------------
     def arrays(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
@@ -460,7 +486,13 @@ class SnapshotStore:
         rewritten, removed rows are compacted out and genuinely new nodes
         append after the survivors -- exactly the population a
         from-scratch publish of the final state would hold, byte for
-        byte.  When the base version's spatial index is memoised, the new
+        byte.  A delta that leaves the population unchanged (the steady
+        state: rows move, nobody joins or leaves) does no per-node
+        Python work at all: the new snapshot *shares* the base's id list
+        and ``{node_id: row}`` map, both immutable once published, so
+        ``arrays()[0]`` and the map behind ``coordinate_of`` are the very
+        objects the base holds.  Only a removal or an addition pays for
+        fresh ones.  When the base version's spatial index is memoised, the new
         version's index is *derived* from it incrementally
         (``delta_applied``) instead of rebuilt, which is what makes
         millisecond epoch rollover possible at low churn; past the
@@ -502,8 +534,7 @@ class SnapshotStore:
     def _apply_delta_locked(self, base, delta: EpochDelta) -> ArraySnapshot:
         """The base snapshot with ``delta`` applied, as a new ArraySnapshot."""
         source = delta.source or base.source
-        node_ids, components, heights = _snapshot_arrays(base)
-        if not node_ids:
+        if not len(base):
             # Empty base: the delta's rows are the whole population
             # (removals of unknown ids are ignored, as everywhere).
             return ArraySnapshot(
@@ -513,19 +544,18 @@ class SnapshotStore:
                 delta.heights,
                 source=source,
             )
+        base = _as_array_snapshot(base)
+        node_ids, components, heights = base.arrays()
         changed = delta.node_ids
-        removed = set(delta.removed_ids)
-        if not changed and not removed:
+        if not changed and not delta.removed_ids:
             # Version lockstep without copying: share the frozen arrays.
-            return ArraySnapshot(
-                base.version + 1, node_ids, components, heights, source=source
-            )
+            return base._derived(base.version + 1, components, heights, source)
         if changed and delta.components.shape[1] != components.shape[1]:
             raise ValueError(
                 f"delta dimensionality {delta.components.shape[1]} does not "
                 f"match snapshot dimensionality {components.shape[1]}"
             )
-        row_of = {node_id: row for row, node_id in enumerate(node_ids)}
+        row_of = base._row_index
         work_components = components.copy()
         work_heights = heights.copy()
         existing_rows: List[int] = []
@@ -541,16 +571,22 @@ class SnapshotStore:
         if existing_rows:
             work_components[existing_rows] = delta.components[existing_positions]
             work_heights[existing_rows] = delta.heights[existing_positions]
-        if removed:
-            keep = np.asarray(
-                [node_id not in removed for node_id in node_ids], dtype=bool
+        removed_rows = [
+            row_of[node_id] for node_id in delta.removed_ids if node_id in row_of
+        ]
+        if not removed_rows and not added_positions:
+            # Population unchanged: same ids, same rows, new coordinates.
+            return base._derived(
+                base.version + 1, work_components, work_heights, source
             )
+        new_ids = list(node_ids)
+        if removed_rows:
+            keep = np.ones(len(node_ids), dtype=bool)
+            keep[removed_rows] = False
+            work_components = work_components[keep]
+            work_heights = work_heights[keep]
+            removed = set(delta.removed_ids)
             new_ids = [node_id for node_id in node_ids if node_id not in removed]
-            if len(new_ids) != len(node_ids):
-                work_components = work_components[keep]
-                work_heights = work_heights[keep]
-        else:
-            new_ids = list(node_ids)
         if added_positions:
             work_components = np.concatenate(
                 [work_components, delta.components[added_positions]]

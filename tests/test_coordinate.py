@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coordinate import Coordinate, centroid
+from repro.core.coordinate import Coordinate, centroid, sequential_sum
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -203,3 +204,35 @@ class TestMetricProperties:
         for dim in range(3):
             values = [p[dim] for p in points]
             assert min(values) - 1e-9 <= mid[dim] <= max(values) + 1e-9
+
+
+class TestSequentialAccumulation:
+    """The scalar oracle adds left to right on every interpreter.
+
+    Builtin ``sum()`` is Neumaier-compensated on CPython >= 3.12, which
+    moves the last bit of about one 3-d distance in ten; the array
+    kernels checked byte-for-byte against this class accumulate column
+    by column, uncompensated.
+    """
+
+    def test_sequential_sum_is_uncompensated(self):
+        # A compensated sum recovers the 1.0 the first addition absorbs.
+        assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
+        assert sequential_sum([]) == 0.0
+        assert sequential_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+
+    def test_euclidean_distance_is_the_left_to_right_formula(self):
+        rng = random.Random(20261004)
+        for _ in range(20000):
+            a = [rng.gauss(0.0, 50.0) for _ in range(3)]
+            b = [rng.gauss(0.0, 50.0) for _ in range(3)]
+            acc = (a[0] - b[0]) * (a[0] - b[0])
+            acc = acc + (a[1] - b[1]) * (a[1] - b[1])
+            acc = acc + (a[2] - b[2]) * (a[2] - b[2])
+            ca, cb = Coordinate(a), Coordinate(b)
+            assert ca.euclidean_distance(cb) == math.sqrt(acc)
+            norm = math.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
+            assert ca.magnitude() == norm
+            if acc > 0.0:
+                unit = ca.unit_vector_toward(cb)
+                assert unit.components[0] == (a[0] - b[0]) / math.sqrt(acc)

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import NodeConfig
 from repro.latency.planetlab import PlanetLabDataset
@@ -303,6 +305,131 @@ class TestHealthTracker:
             HealthTracker(sample_pairs=0)
         with pytest.raises(ValueError, match="window"):
             HealthTracker(window=0)
+
+
+# ----------------------------------------------------------------------
+# The self-diffing pass equals the pass that skips nothing
+# ----------------------------------------------------------------------
+# A coarse lattice with a few heights (one tall enough that a target can
+# sit farther from itself than from its neighbors): equal-distance ties (a moved row
+# landing exactly on a target's k-th neighbor distance) are the common
+# case, which is where a skipped scan and a repeated one could disagree.
+_AXIS = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+_POINT = st.tuples(_AXIS, _AXIS, st.sampled_from([0.0, 0.0, 0.5, 2.0]))
+
+
+@st.composite
+def _delta_chains(draw):
+    """A small population and a chain of epochs derived from it.
+
+    Each step is an empty delta, a few rows moving (targets, neighbors
+    and outsiders alike -- the rows are drawn blind to the sample),
+    every row moving, a removal or an addition.  Returns the epochs as
+    ``(node_ids, components, heights)`` triples plus tracker arguments.
+    """
+    points = draw(st.lists(_POINT, min_size=3, max_size=12))
+    ids = [f"n{i:02d}" for i in range(len(points))]
+    epochs = [(list(ids), list(points))]
+    fresh = 0
+    for kind in draw(
+        st.lists(
+            st.sampled_from(["empty", "some", "some", "all", "remove", "add"]),
+            min_size=1,
+            max_size=6,
+        )
+    ):
+        ids, points = list(ids), list(points)
+        if kind == "some":
+            for row in draw(
+                st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=3)
+            ):
+                points[row] = draw(_POINT)
+        elif kind == "all":
+            points = [draw(_POINT) for _ in points]
+        elif kind == "remove" and len(ids) > 3:
+            row = draw(st.integers(0, len(ids) - 1))
+            del ids[row], points[row]
+        elif kind == "add":
+            ids.append(f"late{fresh}")
+            points.append(draw(_POINT))
+            fresh += 1
+        epochs.append((ids, points))
+    arrays = [
+        (
+            ids,
+            np.asarray([point[:2] for point in points]),
+            np.asarray([point[2] for point in points]),
+        )
+        for ids, points in epochs
+    ]
+    return (
+        arrays,
+        draw(st.integers(0, 5)),  # seed
+        draw(st.integers(1, 3)),  # knn_k
+        draw(st.integers(1, 5)),  # knn_sample
+    )
+
+
+def _without_rescan_counter(text):
+    return [line for line in text.splitlines() if "health_knn_rescans_total" not in line]
+
+
+class TestIncrementalEqualsFull:
+    @given(_delta_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_self_diffing_tracker_equals_one_that_rescans_everything(self, chain):
+        epochs, seed, knn_k, knn_sample = chain
+
+        def tracker():
+            return HealthTracker(
+                seed=seed,
+                knn_k=knn_k,
+                knn_sample=knn_sample,
+                sample_pairs=8,
+                registry=TelemetryRegistry(),
+            )
+
+        incremental, full = tracker(), tracker()
+        # No production switch turns the skipping off; the reference
+        # tracker is told that every row moved.
+        full._moved_rows = lambda components, heights: np.ones(len(heights), dtype=bool)
+        for version, (ids, components, heights) in enumerate(epochs, start=1):
+            got = incremental.observe_epoch(ids, components, heights, version=version)
+            want = full.observe_epoch(ids, components, heights, version=version)
+            assert got.to_dict() == want.to_dict()
+            assert incremental.summary() == full.summary()
+            for name in ("error_histogram", "displacement_histogram"):
+                a, b = getattr(incremental, name), getattr(full, name)
+                assert a.bucket_counts() == b.bucket_counts()
+                assert (a.count, a.sum) == (b.count, b.sum)
+            assert _without_rescan_counter(
+                incremental.registry.render_prometheus()
+            ) == _without_rescan_counter(full.registry.render_prometheus())
+
+    def test_rescan_counters_count_the_skipped_work_and_repeat(self):
+        rng = np.random.default_rng(21)
+        n = 400
+        node_ids = [f"h{i:03d}" for i in range(n)]
+        base = rng.uniform(-80.0, 80.0, size=(n, 3))
+
+        def run():
+            tracker = HealthTracker(seed=2, registry=TelemetryRegistry())
+            targets = tracker.registry.counter("health_knn_targets_total")
+            rescans = tracker.registry.counter("health_knn_rescans_total")
+            tracker.observe_epoch(node_ids, base, np.zeros(n))
+            first = (targets.value, rescans.value)
+            tracker.observe_epoch(node_ids, base.copy(), np.zeros(n))  # nothing moved
+            unmoved = (targets.value, rescans.value)
+            moved = base.copy()
+            moved[:4] += 0.25
+            tracker.observe_epoch(node_ids, moved, np.zeros(n))
+            return first, unmoved, (targets.value, rescans.value)
+
+        first, unmoved, after = run()
+        assert first == (32, 32)  # a first epoch scans for every target
+        assert unmoved == (64, 32)  # an empty delta scans for none
+        assert after[0] == 96 and 32 <= after[1] < 64
+        assert run() == (first, unmoved, after)
 
 
 # ----------------------------------------------------------------------

@@ -236,6 +236,19 @@ class TestOneOfEachInTheSourceTree:
         ]
         assert importers == ["server/load.py", "stats/__init__.py"]
 
+    def test_one_oracle_exact_distance_kernel(self):
+        # The left-to-right accumulate-squares loop that makes an array
+        # distance the same float as ``Coordinate.distance`` is written
+        # once; the dense index's four kernels and the vp-tree overlay
+        # all call it.
+        lines = [
+            f"{path.relative_to(SRC).as_posix()}:{number}"
+            for path in self._modules("service")
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if "acc = acc + delta" in line
+        ]
+        assert len(lines) == 1 and lines[0].startswith("service/index.py:"), lines
+
     def test_no_shims_and_no_warnings_under_src(self):
         for path in self._modules(""):
             text = path.read_text()

@@ -30,7 +30,13 @@ from repro.server.protocol import (
     request_version,
 )
 from repro.server.sharding import HEALTH_SECTIONS, ShardedCoordinateStore
-from repro.service.index import INDEX_KINDS
+from repro.overlay.knn import CoordinateIndex
+from repro.service.index import (
+    INDEX_KINDS,
+    _LEAF_SIZE,
+    VPTreeIndex,
+    _overlay_budget,
+)
 from repro.service.planner import Query
 from repro.service.publish import EpochDelta, EpochPublisher
 from repro.service.snapshot import SnapshotStore
@@ -241,6 +247,172 @@ class TestDeltaEquivalenceSweep:
         assert published[1]["mode"] == "delta"
         assert published[1]["changed_count"] == 4
         assert published[1]["nodes"] == 29
+
+
+class TestPublishInstruments:
+    def test_health_pass_has_its_own_clock_and_a_rescan_count(self):
+        ticks = iter(range(10_000))
+        store = ShardedCoordinateStore(
+            2, index_kind="vptree", timer=lambda: float(next(ticks))
+        )
+        node_ids, components, heights = _initial_population(200, 2, seed=9)
+        store.publish_epoch(node_ids, components, heights)
+        store.publish_delta(EpochDelta(node_ids[:2], components[:2] + 1.0, heights[:2]))
+        registry = store.registry
+        for mode in ("full", "delta"):
+            observed = registry.histogram("store_health_observe_ms", mode=mode)
+            # One timer tick (1 s) elapses across the observation.
+            assert (observed.count, observed.sum) == (1, 1000.0)
+            # The publish clock still stops at the swap: same instrument,
+            # same meaning, one sample per publish.
+            assert registry.histogram("store_publish_ms", mode=mode).count == 1
+        targets = registry.counter("health_knn_targets_total").value
+        rescans = registry.counter("health_knn_rescans_total").value
+        assert targets == 64 and 32 <= rescans < 64
+
+
+class TestVPTreeArrayOverlay:
+    """The vp-tree's array-scored overlay against the linear oracle."""
+
+    N = 120  # overlay budget 64: small enough to fill, large enough to keep
+
+    def _lattice_point(self, rng, dims=2):
+        return Coordinate(
+            (np.round(rng.normal(scale=20.0, size=dims) / 5.0) * 5.0).tolist(),
+            float(np.round(rng.uniform(0.0, 4.0))),
+        )
+
+    def _apply(self, index, oracle, changed, removed=()):
+        """One delta through ``delta_applied``, mirrored on the oracle."""
+        ids = list(changed)
+        derived = index.delta_applied(
+            ids,
+            np.asarray([changed[i].components for i in ids]).reshape(len(ids), 2),
+            np.asarray([changed[i].height for i in ids]),
+            tuple(removed),
+        )
+        assert derived is not None, "chain was sized to stay inside the budget"
+        for node_id, coordinate in changed.items():
+            oracle.update(node_id, coordinate)
+        for node_id in removed:
+            oracle.remove(node_id)
+        return derived
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "overlay_rows", [1, _LEAF_SIZE, _overlay_budget(N) - 1]
+    )
+    def test_queries_equal_linear_oracle_after_a_delta_chain(self, overlay_rows, seed):
+        rng = np.random.default_rng(seed)
+        node_ids, components, heights = _initial_population(self.N, 2, seed)
+        oracle, index = CoordinateIndex(), VPTreeIndex()
+        for node_id, row, height in zip(node_ids, components, heights):
+            coordinate = Coordinate(row.tolist(), float(height))
+            oracle.update(node_id, coordinate)
+            index.update(node_id, coordinate)
+        # The overlay's final members: existing nodes plus, when there is
+        # room, one late joiner (a seq past the tree's).
+        members = [str(i) for i in rng.permutation(node_ids)[:overlay_rows]]
+        if overlay_rows > 1:
+            members[-1] = "late-joiner"
+        chunks = [
+            [str(node_id) for node_id in chunk]
+            for chunk in np.array_split(members, min(len(members), 3))
+        ]
+        for position, chunk in enumerate(chunks):
+            changed = {node_id: self._lattice_point(rng) for node_id in chunk}
+            if position:
+                # A row already in the overlay moves again (overwritten
+                # in place, not appended) -- the last time onto another
+                # overlay row, so two overlay rows tie at every probe.
+                changed[chunks[0][0]] = (
+                    changed[chunk[0]]
+                    if position == len(chunks) - 1
+                    else self._lattice_point(rng)
+                )
+            index = self._apply(index, oracle, changed)
+        if overlay_rows > 2:
+            # An overlay row leaves and comes back: its slot is compacted
+            # out and it re-enters with a fresh insertion seq, exactly as
+            # the oracle's dict re-appends it.
+            index = self._apply(index, oracle, {}, removed=[members[1]])
+            assert len(index._ov_ids) == overlay_rows - 1
+            index = self._apply(index, oracle, {members[1]: self._lattice_point(rng)})
+        assert len(index._ov_ids) == overlay_rows
+        assert index.node_ids() == oracle.node_ids()
+
+        probes = [self._lattice_point(rng) for _ in range(4)]
+        probes += [oracle.coordinate_of(node_id) for node_id in members[:3]]
+        for probe in probes:
+            closest = [node_id for node_id, _ in oracle.nearest(probe, k=3)]
+            for exclude in ((), closest[:1], closest + members[:2]):
+                for k in (1, 5, overlay_rows + 3):
+                    assert index.nearest(probe, k, exclude=exclude) == oracle.nearest(
+                        probe, k, exclude=exclude
+                    )
+            for radius in (0.0, 10.0, 25.0):
+                assert index.within(probe, radius) == oracle.within(probe, radius)
+        for endpoints in (probes[:1], probes[:2], probes[:4], probes[4:5]):
+            assert index.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
+
+
+class TestSharedRowMaps:
+    """A population-unchanged delta shares its base's id list and row map."""
+
+    def _store(self):
+        node_ids, components, heights = _initial_population(30, 2, seed=5)
+        store = SnapshotStore(index_kind="vptree")
+        base = store.publish_epoch(node_ids, components, heights)
+        return store, base, node_ids
+
+    def _assert_coordinates(self, snapshot, expected):
+        ids, components, heights = snapshot.arrays()
+        assert ids == list(expected)
+        for row, node_id in enumerate(ids):
+            coordinate = snapshot.coordinate_of(node_id)
+            assert coordinate == expected[node_id]
+            assert coordinate.components == tuple(components[row].tolist())
+            assert coordinate.height == float(heights[row])
+        assert snapshot.coordinate_of("ghost") is None
+
+    def test_unchanged_population_shares_and_changed_population_does_not(self):
+        store, base, node_ids = self._store()
+        expected = {node_id: base.coordinate_of(node_id) for node_id in node_ids}
+        moved = Coordinate([7.0, -3.0], 1.0)
+
+        same = store.publish_delta(
+            EpochDelta(
+                [node_ids[4]],
+                np.asarray([moved.components]),
+                np.asarray([moved.height]),
+                removed_ids=("never-published",),
+            )
+        )
+        expected[node_ids[4]] = moved
+        assert same.arrays()[0] is base.arrays()[0]
+        assert same._row_index is base._row_index
+        self._assert_coordinates(same, expected)
+        empty = store.publish_delta(EpochDelta([], np.empty((0, 2))))
+        assert empty.arrays()[0] is base.arrays()[0]
+        assert empty._row_index is base._row_index
+
+        removal = store.publish_delta(
+            EpochDelta([], np.empty((0, 2)), removed_ids=(node_ids[0],))
+        )
+        del expected[node_ids[0]]
+        assert removal.arrays()[0] is not base.arrays()[0]
+        assert removal._row_index is not base._row_index
+        self._assert_coordinates(removal, expected)
+
+        addition = store.publish_delta(
+            EpochDelta(["newcomer"], np.asarray([[1.0, 2.0]]), np.asarray([0.5]))
+        )
+        expected["newcomer"] = Coordinate([1.0, 2.0], 0.5)
+        assert addition.arrays()[0] is not removal.arrays()[0]
+        assert addition._row_index is not removal._row_index
+        self._assert_coordinates(addition, expected)
+        # The base was never written through the shared structures.
+        assert base.arrays()[0] == node_ids and len(base._row_index) == 30
 
 
 class TestEpochDeltaValidation:

@@ -318,19 +318,19 @@ async def run_load_async(
             in_flight = asyncio.Semaphore(max_in_flight)
             tasks: List[asyncio.Task] = []
 
-            async def fire(position: int) -> None:
+            async def fire(position: int, due: float) -> None:
                 # The arrival clock starts at the *scheduled* send time:
-                # any local admission wait is part of measured latency.
-                sent_at = time.perf_counter()
+                # a stalled loop and any local admission wait are both
+                # part of measured latency.
                 async with in_flight:
-                    await issue(position, clients[position % connections], sent_at)
+                    await issue(position, clients[position % connections], due)
 
             for position in range(len(queries)):
                 due = started + position * interval
                 delay = due - time.perf_counter()
                 if delay > 0:
                     await asyncio.sleep(delay)
-                tasks.append(asyncio.create_task(fire(position)))
+                tasks.append(asyncio.create_task(fire(position, due)))
             await asyncio.gather(*tasks)
         health, health_error = (
             await _fetch_health(clients[0], deterministic_timing)

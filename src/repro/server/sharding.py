@@ -49,7 +49,6 @@ ingest.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import threading
 import time
@@ -123,6 +122,8 @@ class ServeResult:
     every existing caller keeps working, while the degraded-response
     attributes (``partial``, ``missing_shards``) ride along for callers
     that understand them (the daemon's wire envelope).
+    ``payload`` is shared and read-only: a miss caches the very object it
+    returns and every later hit returns it again, uncopied.
     """
 
     __slots__ = ("payload", "version", "cached", "partial", "missing_shards")
@@ -846,7 +847,7 @@ class ShardedCoordinateStore:
             if found:
                 stats.served.inc()
                 stats.cache_hits.inc()
-                return ServeResult(copy.deepcopy(payload), pinned.version, True)
+                return ServeResult(payload, pinned.version, True)
         started = self._timer()
         try:
             with make_span(self.registry, "store.serve", trace, {"kind": query.kind}):
@@ -872,11 +873,8 @@ class ShardedCoordinateStore:
                 partial=True,
                 missing_shards=tuple(sorted(down)),
             )
-        # Copied outside the lock: a large range payload's deep copy must
-        # not serialise every other executor thread's bookkeeping.
-        cached_copy = copy.deepcopy(payload)
         with self._stats_lock:
-            self.cache.put(key, cached_copy)
+            self.cache.put(key, payload)
         stats.served.inc()
         stats.latency_ms.observe(elapsed_ms)
         return ServeResult(payload, pinned.version, False)

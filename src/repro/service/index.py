@@ -49,7 +49,7 @@ __all__ = ["INDEX_KINDS", "build_index", "VPTreeIndex", "GridIndex", "DenseIndex
 #: Registered index kinds, resolvable through :func:`build_index`.
 INDEX_KINDS = ("linear", "vptree", "grid", "dense")
 
-#: Entries per vp-tree leaf bucket / target entries per grid cell.
+#: Rows per vp-tree leaf slice / target entries per grid cell.
 _LEAF_SIZE = 12
 
 #: Overlay/compaction policy for delta-derived indexes (see
@@ -133,18 +133,21 @@ def _distances_from(
     return (_euclidean(components, origin) + target.height) + heights
 
 
-def _costs_to(
-    endpoint: Coordinate, components: np.ndarray, heights: np.ndarray
+def _total_costs(
+    endpoints: Sequence[Coordinate], components: np.ndarray, heights: np.ndarray
 ) -> np.ndarray:
-    """``row.distance(endpoint)`` for every row.
+    """``sequential_sum(row.distance(e) for e in endpoints)`` for every row.
 
-    The 1-median oracle adds the row height before the endpoint height,
-    the mirror image of :func:`_distances_from`, and float addition is
-    not associative.
+    ``row.distance(e)`` adds the row height before the endpoint height,
+    the mirror image of :func:`_distances_from` (float addition is not
+    associative), and endpoints are summed in ``sequential_sum``'s order.
     """
-    _check_dimensions(endpoint, components)
-    origin = np.asarray(endpoint.components, dtype=np.float64)
-    return (_euclidean(components, origin) + heights) + endpoint.height
+    costs = 0.0
+    for endpoint in endpoints:
+        _check_dimensions(endpoint, components)
+        origin = np.asarray(endpoint.components, dtype=np.float64)
+        costs = costs + ((_euclidean(components, origin) + heights) + endpoint.height)
+    return costs
 
 
 def _best_rows(distances: np.ndarray, seqs: np.ndarray, k: int) -> np.ndarray:
@@ -207,6 +210,22 @@ class _SpatialIndex(CoordinateIndex):
             for node_id, coordinate in self._coordinates.items()
         ]
 
+    def _entry_arrays(
+        self,
+    ) -> Tuple[List[Tuple[int, str, Coordinate]], np.ndarray, np.ndarray]:
+        """:meth:`_entries` and their ``(n, d)`` components / ``(n,)`` heights."""
+        entries = self._entries()
+        dims = entries[0][2].dimensions if entries else 0
+        for _, node_id, coordinate in entries:
+            if coordinate.dimensions != dims:
+                raise ValueError(
+                    f"{type(self).__name__} needs uniform dimensionality; "
+                    f"{node_id!r} has {coordinate.dimensions}, expected {dims}"
+                )
+        components = np.asarray([c.components for _, _, c in entries], dtype=np.float64)
+        heights = np.asarray([c.height for _, _, c in entries], dtype=np.float64)
+        return entries, components.reshape(len(entries), dims), heights
+
     def _ensure_built(self) -> None:
         if self._dirty:
             self._rebuild()
@@ -250,7 +269,7 @@ class _KBest:
 # Vantage-point tree
 # ----------------------------------------------------------------------
 class _VPNode:
-    __slots__ = ("seq", "node_id", "coordinate", "mu", "radius", "children", "bucket")
+    __slots__ = ("seq", "node_id", "coordinate", "mu", "radius", "children", "lo", "hi")
 
     def __init__(self) -> None:
         self.seq = 0
@@ -259,8 +278,9 @@ class _VPNode:
         self.mu = 0.0
         #: Max distance from the vantage to any point in this subtree.
         self.radius = 0.0
+        #: Inner nodes only; a leaf (no coordinate) is leaf-array rows [lo, hi).
         self.children: List[Optional["_VPNode"]] = [None, None]
-        self.bucket: Optional[List[Tuple[int, str, Coordinate]]] = None
+        self.lo = self.hi = 0
 
 
 class VPTreeIndex(_SpatialIndex):
@@ -270,20 +290,21 @@ class VPTreeIndex(_SpatialIndex):
     structure -- and therefore traversal order and results -- is a pure
     function of the index contents.
 
+    Only the pruning walk over inner nodes is scalar (one
+    ``Coordinate.distance`` per vantage).  A leaf is a ``[lo, hi)`` slice
+    of four flat arrays in leaf order (``_leaf_ids``, ``_leaf_components``,
+    ``_leaf_heights``, ``_leaf_seqs``), scored by the oracle-exact array
+    kernel: once per leaf for ``nearest`` / ``min_cost_host``, once over
+    all reached leaves for ``within``.
+
     Incremental epochs (:meth:`delta_applied`) never restructure the
-    tree: a derived index shares the immutable tree of its base and
-    carries the changed rows in a small unsorted *overlay*, with the
-    stale tree entries masked by a *tombstone* set.  The overlay is four
-    aligned arrays (ids, components, heights, insertion seqs) scored on
-    every query by the same oracle-exact array kernel the dense index
-    uses, so a read pays a handful of NumPy calls for it rather than a
-    Python loop over rows; only the best ``k + |exclude|`` rows by
-    ``(distance, seq)`` (the rows inside the radius for ``within``, the
-    one cheapest row for ``min_cost_host``) are offered to the tree
-    walk's collector.  Results stay byte-identical to a from-scratch
-    rebuild because those floats are ``Coordinate.distance``'s own and
-    overlay rows keep their original insertion sequence (relative order
-    is all the tie-break needs).
+    tree: a derived index shares its base's tree and leaf arrays, masks
+    stale entries with a *tombstone* set and carries the changed rows in
+    an *overlay* of four arrays of the same shape, scored the same way.
+    Results stay byte-identical to a from-scratch rebuild because every
+    float is ``Coordinate.distance``'s own and overlay rows keep their
+    original insertion sequence (relative order is all the tie-break
+    needs).
     """
 
     def __init__(self) -> None:
@@ -291,6 +312,10 @@ class VPTreeIndex(_SpatialIndex):
         self._root: Optional[_VPNode] = None
         #: Node ids whose tree entry is stale (changed or removed).
         self._tombstones: frozenset = frozenset()
+        self._leaf_ids: List[str] = []
+        self._leaf_components = np.empty((0, 0), dtype=np.float64)
+        self._leaf_heights = np.empty(0, dtype=np.float64)
+        self._leaf_seqs = np.empty(0, dtype=np.int64)
         self._clear_overlay()
 
     def _clear_overlay(self) -> None:
@@ -303,39 +328,46 @@ class VPTreeIndex(_SpatialIndex):
     def _rebuild(self) -> None:
         self._tombstones = frozenset()
         self._clear_overlay()
-        entries = self._entries()
+        entries, components, heights = self._entry_arrays()
+        self._root = None
         if not entries:
-            self._root = None
             return
+        leaves: List[np.ndarray] = []
+        filled = 0
         root_holder: List[Optional[_VPNode]] = [None, None]
-        stack: List[Tuple[List[Tuple[int, str, Coordinate]], List[Optional[_VPNode]], int]] = [
-            (entries, root_holder, 0)
+        stack: List[Tuple[np.ndarray, List[Optional[_VPNode]], int]] = [
+            (np.arange(len(entries)), root_holder, 0)
         ]
         while stack:
-            group, holder, slot = stack.pop()
+            rows, holder, slot = stack.pop()
             node = _VPNode()
             holder[slot] = node
-            if len(group) <= _LEAF_SIZE:
-                node.bucket = group
-                continue
-            seq, node_id, vantage = group[0]
-            rest = group[1:]
-            distances = [vantage.distance(coordinate) for _, _, coordinate in rest]
-            ranked = sorted(distances)
-            mu = ranked[(len(ranked) - 1) // 2]
-            near = [entry for entry, d in zip(rest, distances) if d <= mu]
-            far = [entry for entry, d in zip(rest, distances) if d > mu]
-            if not far:
-                # No split progress (duplicate-heavy group): finish as a
-                # leaf instead of chaining one vantage per level.
-                node.bucket = group
-                continue
-            node.seq, node.node_id, node.coordinate = seq, node_id, vantage
-            node.mu = mu
-            node.radius = ranked[-1]
-            stack.append((near, node.children, 0))
-            stack.append((far, node.children, 1))
+            if len(rows) > _LEAF_SIZE:
+                vantage = entries[rows[0]]
+                rest = rows[1:]
+                distances = _distances_from(vantage[2], components[rest], heights[rest])
+                median = (len(rest) - 1) // 2
+                mu = float(np.partition(distances, median)[median])
+                far = distances > mu
+                # No far side means no split progress (duplicate-heavy
+                # group): finish as a leaf instead of chaining one
+                # vantage per level.
+                if far.any():
+                    node.seq, node.node_id, node.coordinate = vantage
+                    node.mu = mu
+                    node.radius = float(distances.max())
+                    stack.append((rest[~far], node.children, 0))
+                    stack.append((rest[far], node.children, 1))
+                    continue
+            node.lo, node.hi = filled, filled + len(rows)
+            filled = node.hi
+            leaves.append(rows)
         self._root = root_holder[0]
+        order = np.concatenate(leaves).tolist()
+        self._leaf_ids = [entries[row][1] for row in order]
+        self._leaf_seqs = np.asarray([entries[row][0] for row in order], dtype=np.int64)
+        self._leaf_components = components[order]
+        self._leaf_heights = heights[order]
 
     # -- incremental epochs --------------------------------------------
     def delta_applied(
@@ -419,6 +451,10 @@ class VPTreeIndex(_SpatialIndex):
         clone._seq = seqs
         clone._next_seq = next_seq
         clone._root = self._root
+        clone._leaf_ids = self._leaf_ids
+        clone._leaf_components = self._leaf_components
+        clone._leaf_heights = self._leaf_heights
+        clone._leaf_seqs = self._leaf_seqs
         clone._tombstones = frozenset(tombstones)
         clone._ov_ids = ov_ids
         clone._ov_components = ov_components
@@ -463,11 +499,18 @@ class VPTreeIndex(_SpatialIndex):
             node, bound = stack.pop()
             if bound > best.threshold:
                 continue
-            if node.bucket is not None:
-                for seq, node_id, coordinate in node.bucket:
-                    offer(target.distance(coordinate), seq, node_id)
+            if node.coordinate is None:
+                lo, hi = node.lo, node.hi
+                distances = _distances_from(
+                    target, self._leaf_components[lo:hi], self._leaf_heights[lo:hi]
+                )
+                threshold = best.threshold
+                for distance, seq, node_id in zip(
+                    distances.tolist(), self._leaf_seqs[lo:hi].tolist(), self._leaf_ids[lo:hi]
+                ):
+                    if distance <= threshold:
+                        offer(distance, seq, node_id)
                 continue
-            assert node.coordinate is not None
             d_v = target.distance(node.coordinate)
             offer(d_v, node.seq, node.node_id)
             near_bound = _loosen(max(0.0, d_v - node.mu))
@@ -479,7 +522,7 @@ class VPTreeIndex(_SpatialIndex):
             if d_v > node.mu:
                 order = ((near, near_bound), (far, far_bound))
             for child, child_bound in order:
-                if child is not None and child_bound <= best.threshold:
+                if child_bound <= best.threshold:
                     stack.append((child, child_bound))
         return best.sorted_results()
 
@@ -497,28 +540,34 @@ class VPTreeIndex(_SpatialIndex):
                 hits.append(
                     (float(distances[row]), int(self._ov_seqs[row]), self._ov_ids[row])
                 )
+        reached: List[np.ndarray] = []  # leaf rows, scored after the walk
         stack: List[_VPNode] = [self._root]
         while stack:
             node = stack.pop()
-            if node.bucket is not None:
-                for seq, node_id, coordinate in node.bucket:
-                    if node_id in tombstones:
-                        continue
-                    distance = target.distance(coordinate)
-                    if distance <= radius_ms:
-                        hits.append((distance, seq, node_id))
+            if node.coordinate is None:
+                reached.append(np.arange(node.lo, node.hi))
                 continue
-            assert node.coordinate is not None
             d_v = target.distance(node.coordinate)
             if d_v <= radius_ms and node.node_id not in tombstones:
                 hits.append((d_v, node.seq, node.node_id))
             near, far = node.children
-            if near is not None and _loosen(max(0.0, d_v - node.mu)) <= radius_ms:
+            if _loosen(max(0.0, d_v - node.mu)) <= radius_ms:
                 stack.append(near)
-            if far is not None and _loosen(
-                max(0.0, node.mu - d_v, d_v - node.radius)
-            ) <= radius_ms:
+            if _loosen(max(0.0, node.mu - d_v, d_v - node.radius)) <= radius_ms:
                 stack.append(far)
+        if reached:  # every reached leaf row scored in one call
+            rows = np.concatenate(reached)
+            distances = _distances_from(
+                target, self._leaf_components[rows], self._leaf_heights[rows]
+            )
+            inside = distances <= radius_ms
+            rows = rows[inside]
+            for row, distance, seq in zip(
+                rows.tolist(), distances[inside].tolist(), self._leaf_seqs[rows].tolist()
+            ):
+                node_id = self._leaf_ids[row]
+                if node_id not in tombstones:
+                    hits.append((distance, seq, node_id))
         hits.sort()
         return [(node_id, distance) for distance, _, node_id in hits]
 
@@ -539,12 +588,7 @@ class VPTreeIndex(_SpatialIndex):
                 best_cost, best_seq, best_host = cost, seq, node_id
 
         if self._ov_ids:
-            # Endpoint by endpoint, the order sequential_sum adds them in.
-            costs = _costs_to(endpoints[0], self._ov_components, self._ov_heights)
-            for endpoint in endpoints[1:]:
-                costs = costs + _costs_to(
-                    endpoint, self._ov_components, self._ov_heights
-                )
+            costs = _total_costs(endpoints, self._ov_components, self._ov_heights)
             cheapest = np.flatnonzero(costs == costs.min())
             row = int(cheapest[np.argmin(self._ov_seqs[cheapest])])
             offer(float(costs[row]), int(self._ov_seqs[row]), self._ov_ids[row])
@@ -553,33 +597,29 @@ class VPTreeIndex(_SpatialIndex):
             node, bound = stack.pop()
             if bound > best_cost:
                 continue
-            if node.bucket is not None:
-                for seq, node_id, coordinate in node.bucket:
-                    if node_id in tombstones:
-                        continue
-                    offer(
-                        sequential_sum(
-                            [coordinate.distance(endpoint) for endpoint in endpoints]
-                        ),
-                        seq,
-                        node_id,
-                    )
+            if node.coordinate is None:
+                lo, hi = node.lo, node.hi
+                costs = _total_costs(
+                    endpoints, self._leaf_components[lo:hi], self._leaf_heights[lo:hi]
+                )
+                for cost, seq, node_id in zip(
+                    costs.tolist(), self._leaf_seqs[lo:hi].tolist(), self._leaf_ids[lo:hi]
+                ):
+                    if cost <= best_cost and node_id not in tombstones:
+                        offer(cost, seq, node_id)
                 continue
-            assert node.coordinate is not None
             per_endpoint = [node.coordinate.distance(endpoint) for endpoint in endpoints]
             if node.node_id not in tombstones:
                 offer(sequential_sum(per_endpoint), node.seq, node.node_id)
             near, far = node.children
-            if near is not None:
-                near_bound = _loosen(sum(max(0.0, d - node.mu) for d in per_endpoint))
-                if near_bound <= best_cost:
-                    stack.append((near, near_bound))
-            if far is not None:
-                far_bound = _loosen(
-                    sum(max(0.0, node.mu - d, d - node.radius) for d in per_endpoint)
-                )
-                if far_bound <= best_cost:
-                    stack.append((far, far_bound))
+            near_bound = _loosen(sum(max(0.0, d - node.mu) for d in per_endpoint))
+            if near_bound <= best_cost:
+                stack.append((near, near_bound))
+            far_bound = _loosen(
+                sum(max(0.0, node.mu - d, d - node.radius) for d in per_endpoint)
+            )
+            if far_bound <= best_cost:
+                stack.append((far, far_bound))
         if best_host is None:
             # Every tree entry tombstoned and no overlay survivors: the
             # live population is empty, same failure as the oracle's.
@@ -624,19 +664,11 @@ class GridIndex(_SpatialIndex):
         self._cells.clear()
         self._cell_min_height.clear()
         self._delta_moved = 0
-        entries = self._entries()
+        entries, matrix, heights = self._entry_arrays()
         if not entries:
             self._dims = 0
             return
-        dims = entries[0][2].dimensions
-        for _, node_id, coordinate in entries:
-            if coordinate.dimensions != dims:
-                raise ValueError(
-                    f"GridIndex needs uniform dimensionality; {node_id!r} has "
-                    f"{coordinate.dimensions}, expected {dims}"
-                )
-        matrix = np.asarray([c.components for _, _, c in entries], dtype=np.float64)
-        heights = np.asarray([c.height for _, _, c in entries], dtype=np.float64)
+        dims = matrix.shape[1]
         lows = matrix.min(axis=0)
         extent = float((matrix.max(axis=0) - lows).max())
         cells_per_dim = max(1, math.ceil(len(entries) ** (1.0 / dims) / 2.0))
@@ -1099,38 +1131,19 @@ class DenseIndex(_SpatialIndex):
         return clone
 
     def _hydrate_objects(self) -> None:
-        """Materialise the object-based maintenance state from the arrays."""
+        """Materialise the object-based maintenance state from the arrays.
+
+        Overlay rows keep their original seqs; the flat arrays go stale.
+        """
         if not self._array_only:
             return
-        if self._overlay_active:
-            # Fold overlay/masked state into the object maps (original
-            # seqs preserved) and mark the flat arrays stale.
-            for node_id in self.node_ids():
-                row = self._row_index[node_id]
-                if row >= self._n_base:
-                    position = row - self._n_base
-                    coordinate = Coordinate(
-                        self._ov_components[position].tolist(),
-                        float(self._ov_heights[position]),
-                    )
-                else:
-                    coordinate = Coordinate(
-                        self._components[row].tolist(), float(self._heights[row])
-                    )
-                self._seq[node_id] = int(self._row_seq[row])
-                self._coordinates[node_id] = coordinate
-            self._next_seq = (max(self._seq.values()) + 1) if self._seq else 0
-            self._clear_overlay()
-            self._array_only = False
-            self._dirty = True
-            return
-        for row, node_id in enumerate(self._ids):
-            self._seq[node_id] = row
-            self._coordinates[node_id] = Coordinate(
-                self._components[row].tolist(), float(self._heights[row])
-            )
-        self._next_seq = len(self._ids)
+        for node_id in self.node_ids():
+            self._seq[node_id] = int(self._row_seq[self._row_index[node_id]])
+            self._coordinates[node_id] = self.coordinate_of(node_id)
+        self._next_seq = (max(self._seq.values()) + 1) if self._seq else 0
+        self._clear_overlay()
         self._array_only = False
+        self._dirty = True
 
     # -- maintenance ---------------------------------------------------
     def update(self, node_id: str, coordinate: Coordinate) -> None:
@@ -1142,29 +1155,12 @@ class DenseIndex(_SpatialIndex):
         super().remove(node_id)
 
     def _rebuild(self) -> None:
-        entries = self._entries()
+        entries, self._components, self._heights = self._entry_arrays()
         self._ids = [node_id for _, node_id, _ in entries]
-        self._prune = None
-        self._clear_overlay()
-        if not entries:
-            self._components = np.empty((0, 0), dtype=np.float64)
-            self._heights = np.empty(0, dtype=np.float64)
-            self._row_seq = np.empty(0, dtype=np.int64)
-            self._row_of = None
-            return
-        dims = entries[0][2].dimensions
-        for _, node_id, coordinate in entries:
-            if coordinate.dimensions != dims:
-                raise ValueError(
-                    f"DenseIndex needs uniform dimensionality; {node_id!r} has "
-                    f"{coordinate.dimensions}, expected {dims}"
-                )
-        self._components = np.asarray(
-            [c.components for _, _, c in entries], dtype=np.float64
-        )
-        self._heights = np.asarray([c.height for _, _, c in entries], dtype=np.float64)
         self._row_seq = np.asarray([seq for seq, _, _ in entries], dtype=np.int64)
         self._row_of = None
+        self._prune = None
+        self._clear_overlay()
 
     @property
     def _row_index(self) -> Dict[str, int]:
@@ -1238,14 +1234,6 @@ class DenseIndex(_SpatialIndex):
             distances = np.concatenate([distances, overlay])
         return distances
 
-    def _query_costs(self, endpoint: Coordinate) -> np.ndarray:
-        """Predicted RTTs row->endpoint over all combined rows (no masking)."""
-        cost = _costs_to(endpoint, self._components, self._heights)
-        if self._ov_ids:
-            overlay = _costs_to(endpoint, self._ov_components, self._ov_heights)
-            cost = np.concatenate([cost, overlay])
-        return cost
-
     def _top_k(self, distances: np.ndarray, k: int) -> List[Tuple[str, float]]:
         """Best-k rows by ``(distance, insertion seq)``; +inf rows excluded."""
         return [
@@ -1293,9 +1281,10 @@ class DenseIndex(_SpatialIndex):
         self._ensure_built()
         if not self._ids or len(self) == 0:
             raise ValueError("cannot run min_cost_host on an empty index")
-        cost = self._query_costs(endpoints[0])
-        for endpoint in endpoints[1:]:
-            cost = cost + self._query_costs(endpoint)
+        cost = _total_costs(endpoints, self._components, self._heights)
+        if self._ov_ids:
+            overlay = _total_costs(endpoints, self._ov_components, self._ov_heights)
+            cost = np.concatenate([cost, overlay])
         if self._masked_rows.size:
             cost[self._masked_rows] = np.inf
         best = cost.min()

@@ -45,7 +45,6 @@ exact percentiles are the load harness's job (``repro load``).
 
 from __future__ import annotations
 
-import copy
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -125,7 +124,11 @@ class Query:
 
 @dataclass(frozen=True, slots=True)
 class QueryResult:
-    """The answer to one query, tagged with its provenance."""
+    """The answer to one query, tagged with its provenance.
+
+    ``payload`` is shared and read-only: a miss caches the very object it
+    returns and every later hit returns it again, uncopied.
+    """
 
     query: Query
     #: JSON-safe answer payload; shape depends on the query kind.  None
@@ -499,7 +502,7 @@ class QueryPlanner:
             if found:
                 stats.cache_hits.inc()
                 slots[position] = QueryResult(
-                    query, copy.deepcopy(payload), snapshot.version, cached=True
+                    query, payload, snapshot.version, cached=True
                 )
                 continue
             scheduled.add(key)
@@ -537,7 +540,7 @@ class QueryPlanner:
             stats = self._stats[query.kind]
             stats.latency_ms.observe(per_query_ms)
             stats.executed.inc()
-            self.cache.put((snapshot.version, query), copy.deepcopy(payload))
+            self.cache.put((snapshot.version, query), payload)
             slots[position] = QueryResult(
                 query, payload, snapshot.version, cached=False
             )
@@ -583,9 +586,7 @@ class QueryPlanner:
         found, payload = self.cache.get(key)
         if found:
             stats.cache_hits.inc()
-            # Deep-copied so a consumer mutating its result can never
-            # corrupt the cached pristine answer.
-            return QueryResult(query, copy.deepcopy(payload), snapshot.version, cached=True)
+            return QueryResult(query, payload, snapshot.version, cached=True)
         started = self._timer()
         try:
             with self.registry.span("planner.serve", kind=query.kind):
@@ -597,5 +598,5 @@ class QueryPlanner:
             raise
         stats.latency_ms.observe((self._timer() - started) * 1e3)
         stats.executed.inc()
-        self.cache.put(key, copy.deepcopy(payload))
+        self.cache.put(key, payload)
         return QueryResult(query, payload, snapshot.version, cached=False)

@@ -11,11 +11,14 @@ hold the collapse in place:
   one builder;
 * the dense batch path shapes the same payloads as the per-query path;
 * ``stats()`` percentiles are the registry histogram's read-out;
+* a served payload is one shared read-only value: the miss returns the
+  object the cache keeps and every hit returns it again, uncopied;
 * structurally, there is one of each under ``src/``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import re
 from pathlib import Path
 
@@ -24,8 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coordinate import Coordinate, centroid
+from repro.server.daemon import CoordinateServer
+from repro.server.protocol import HEADER, decode_frame, encode_frame, frame_length
 from repro.server.sharding import ShardedCoordinateStore, shard_of
-from repro.service.index import INDEX_KINDS
+from repro.service.index import INDEX_KINDS, _VPNode
 from repro.service.planner import Query, QueryPlanner
 from repro.service.snapshot import SnapshotStore
 
@@ -212,6 +217,54 @@ class TestOnePercentileOwner:
         assert "expirations" not in planner.stats()["cache"]
 
 
+class TestSharedPayloads:
+    COORDINATES = {f"n{i:02d}": Coordinate([float(i % 5), float(i // 5)]) for i in range(40)}
+    QUERIES = (Query.range("n07", 2.0), Query.knn("n07", k=4))
+
+    def test_store_hit_returns_the_miss_payload_object(self):
+        store = ShardedCoordinateStore.from_coordinates(self.COORDINATES, shards=2)
+        for query in self.QUERIES:
+            miss, hit = store.serve(query), store.serve(query)
+            assert not miss.cached and hit.cached
+            assert hit.payload is miss.payload
+
+    def test_planner_hit_returns_the_miss_payload_object(self):
+        for kind in ("vptree", "dense"):  # dense also takes the batched flush
+            planner = QueryPlanner(
+                SnapshotStore.from_coordinates(self.COORDINATES, index_kind=kind)
+            )
+            for query in self.QUERIES:
+                miss, hit = planner.execute(query), planner.execute(query)
+                assert not miss.cached and hit.cached
+                assert hit.payload is miss.payload
+            flushed = planner.execute_batch([Query.knn("n08", k=2), Query.range("n08", 1.0)])
+            again = planner.execute_batch([Query.knn("n08", k=2), Query.range("n08", 1.0)])
+            for first, second in zip(flushed, again):
+                assert not first.cached and second.cached
+                assert second.payload is first.payload
+
+    def test_tcp_hit_frame_equals_the_miss_frame_but_for_cached(self):
+        store = ShardedCoordinateStore.from_coordinates(self.COORDINATES, shards=2)
+        request = {"id": 1, "op": "range", "target": "n07", "radius_ms": 2.0}
+
+        async def two_bodies(address):
+            reader, writer = await asyncio.open_connection(*address)
+            bodies = []
+            for _ in range(2):
+                writer.write(encode_frame(request))
+                await writer.drain()
+                header = await reader.readexactly(HEADER.size)
+                bodies.append(await reader.readexactly(frame_length(header)))
+            writer.close()
+            return bodies
+
+        with CoordinateServer(store).run_in_thread() as handle:
+            miss, hit = asyncio.run(two_bodies(handle.address))
+        assert decode_frame(miss)["payload"]["hits"]
+        assert b'"cached":false' in miss and b'"cached":true' in hit
+        assert miss.replace(b'"cached":false', b'"cached":true') == hit
+
+
 class TestOneOfEachInTheSourceTree:
     def _modules(self, *packages):
         for package in packages:
@@ -248,6 +301,12 @@ class TestOneOfEachInTheSourceTree:
             if "acc = acc + delta" in line
         ]
         assert len(lines) == 1 and lines[0].startswith("service/index.py:"), lines
+
+    def test_no_deepcopy_on_a_serve_path_and_no_vp_tree_buckets(self):
+        for module in ("server/sharding.py", "service/planner.py"):
+            assert "deepcopy" not in (SRC / module).read_text(), module
+        # vp-tree leaves are slices of flat arrays, not per-row lists.
+        assert "bucket" not in _VPNode.__slots__
 
     def test_no_shims_and_no_warnings_under_src(self):
         for path in self._modules(""):

@@ -15,6 +15,8 @@ import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.coordinate import Coordinate
 from repro.netsim.batch import run_batch_simulation
@@ -354,6 +356,89 @@ class TestVPTreeArrayOverlay:
                 assert index.within(probe, radius) == oracle.within(probe, radius)
         for endpoints in (probes[:1], probes[:2], probes[:4], probes[4:5]):
             assert index.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
+
+
+def _same_answer(index_call, oracle_call):
+    """Both calls return equal values, or both raise ``ValueError``."""
+    try:
+        expected = oracle_call()
+    except ValueError:
+        with pytest.raises(ValueError):
+            index_call()
+        return
+    assert index_call() == expected
+
+
+class TestVPTreeFlatLeavesProperty:
+    """Flat-leaf vp-tree queries against the linear oracle, tie order included."""
+
+    @given(
+        dims=st.integers(1, 4),
+        with_heights=st.booleans(),
+        n=st.integers(1, 150),
+        overlay=st.sampled_from(["none", "one", "leaf", "budget"]),
+        removals=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_queries_equal_linear_oracle(self, dims, with_heights, n, overlay, removals, seed):
+        rng = np.random.default_rng(seed)
+
+        def point():
+            # A 7-wide integer lattice: equal distances and duplicates abound.
+            height = float(rng.choice([0.0, 0.5, 1.0])) if with_heights else 0.0
+            return Coordinate(rng.integers(-3, 4, size=dims).astype(float).tolist(), height)
+
+        oracle, index = CoordinateIndex(), VPTreeIndex()
+        node_ids = [f"n{i:03d}" for i in range(n)]
+        for node_id in node_ids:
+            coordinate = point()
+            oracle.update(node_id, coordinate)
+            index.update(node_id, coordinate)
+        budget = _overlay_budget(n)
+        rows = {"none": 0, "one": 1, "leaf": _LEAF_SIZE, "budget": budget - 1}[overlay]
+        # Overlay members: some existing nodes (stale tree entries), the
+        # rest late joiners; removals hit other existing nodes.
+        existing = [str(i) for i in rng.permutation(node_ids)]
+        moved = existing[: int(rng.integers(0, min(rows, n) + 1))]
+        members = moved + [f"new{i:03d}" for i in range(rows - len(moved))]
+        removed = existing[len(moved) :][: min(removals, budget - rows)]
+        # Two deltas: the second overwrites an overlay row in place and
+        # carries the removals.
+        for chunk, gone in ((members[: rows // 2], ()), (members[rows // 2 :] + members[:1], removed)):
+            changed = {node_id: point() for node_id in chunk}
+            ids = list(changed)
+            derived = index.delta_applied(
+                ids,
+                np.asarray([changed[i].components for i in ids]).reshape(len(ids), dims),
+                np.asarray([changed[i].height for i in ids]),
+                tuple(gone),
+            )
+            assert derived is not None, "sized to stay inside the overlay budget"
+            index = derived
+            for node_id, coordinate in changed.items():
+                oracle.update(node_id, coordinate)
+            for node_id in gone:
+                oracle.remove(node_id)
+        assert len(index._ov_ids) == rows
+        assert index.node_ids() == oracle.node_ids()
+
+        live = oracle.node_ids()
+        probes = [point() for _ in range(3)] + [oracle.coordinate_of(i) for i in live[:2]]
+        for probe in probes:
+            closest = [node_id for node_id, _ in oracle.nearest(probe, k=2)]
+            for exclude in ((), closest + list(removed[:1]) + members[:1]):
+                for k in (1, 4, n + rows + 1):
+                    assert index.nearest(probe, k, exclude=exclude) == oracle.nearest(
+                        probe, k, exclude=exclude
+                    )
+            for radius in (0.0, 1.0, 2.5):
+                assert index.within(probe, radius) == oracle.within(probe, radius)
+        for endpoints in (probes[:1], probes[:3], probes[2:]):
+            _same_answer(
+                lambda: index.min_cost_host(endpoints),
+                lambda: oracle.min_cost_host(endpoints),
+            )
 
 
 class TestSharedRowMaps:

@@ -486,6 +486,42 @@ class TestTelemetryWire:
         assert 'span="query.scatter"' in text
 
 
+class TestOpenLoopArrivalClock:
+    def test_queueing_behind_a_stalled_loop_is_measured(self):
+        # The first request blocks the event loop; every later request
+        # was due while it was stalled, so its latency must include the
+        # wait from its scheduled send time, not from when it got to run.
+        stall_s, interval_s = 0.2, 0.01
+
+        class StallingClient:
+            calls = 0
+
+            async def request(self, request, *, timeout=None):
+                StallingClient.calls += 1
+                if StallingClient.calls == 1:
+                    time.sleep(stall_s)
+                return {"ok": True, "payload": {}, "version": 1}
+
+            async def close(self):
+                pass
+
+        async def connect():
+            return StallingClient()
+
+        report = run_load(
+            ("127.0.0.1", 0),
+            [Query.knn(f"n{i}", k=1) for i in range(5)],
+            mode="open",
+            rate_qps=1.0 / interval_s,
+            collect_health=False,
+            connect=connect,
+        )
+        assert report.errors == 0
+        for position, latency_ms in enumerate(report.latencies_ms):
+            queued_ms = (stall_s - position * interval_s) * 1e3
+            assert latency_ms >= queued_ms - 5.0, (position, latency_ms)
+
+
 # ----------------------------------------------------------------------
 # Load-harness telemetry: determinism and schema stability (satellites)
 # ----------------------------------------------------------------------

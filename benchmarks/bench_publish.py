@@ -14,8 +14,8 @@ index kinds and churn fractions, and records:
   headline: delta publish >=10x faster than the full rebuild at 50k
   nodes and <=5% churn for the ``vptree`` serving default
   (hard-enforced on full runs).  All index kinds are measured and
-  reported, but only vptree is gated: dense and grid full rebuilds are
-  already near-free array adoptions, so their ratios say nothing about
+  reported, but only vptree is gated: a dense full rebuild is already
+  a near-free array adoption, so its ratio says nothing about
   the rollover cost the delta path exists to remove;
 * equivalence booleans -- after every epoch the delta-built generation
   must be byte-identical to the full rebuild (coordinates, sampled
@@ -55,7 +55,7 @@ ARTIFACT = REPO_ROOT / "BENCH_publish.json"
 
 FULL_NODES = 50_000
 SMOKE_NODES = 2_000
-INDEX_KINDS = ("vptree", "grid", "dense")
+INDEX_KINDS = ("vptree", "dense")
 CHURN_FRACTIONS = (0.005, 0.05, 0.2)
 SHARDS = 2
 #: The full-run win condition: delta >= this many times faster than the

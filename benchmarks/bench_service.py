@@ -2,7 +2,8 @@
 
 Builds synthetic clustered coordinate snapshots at 1k / 10k / 100k nodes,
 serves identical k-nearest query streams through the linear oracle, the
-vp-tree and the grid index, and records queries/sec plus exact p50/p99
+vp-tree and the dense index (one query at a time: a batch of one through
+its kernel), and records queries/sec plus exact p50/p99
 per-query latency (the ``StreamingPercentile`` capacity is sized above the
 query count, so the reported tails are exact, not reservoir estimates)
 into ``BENCH_service.json`` at the repo root.  A second section reports
@@ -120,7 +121,7 @@ def bench_size(nodes: int, *, smoke: bool) -> Dict[str, object]:
     linear_results = linear_bench.pop("results")
     kinds_report["linear"] = linear_bench
 
-    for kind in ("vptree", "grid"):
+    for kind in ("vptree", "dense"):
         index = build_index(kind)
         index.update_many(coords)
         build_start = time.perf_counter()

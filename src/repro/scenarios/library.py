@@ -161,17 +161,17 @@ def _query_service_mixed() -> ScenarioSpec:
 
 @scenario("query-service-knn")
 def _query_service_knn() -> ScenarioSpec:
-    """The query service under pure k-nearest-neighbor load (grid index)."""
+    """The query service under pure k-nearest-neighbor load (vp-tree index)."""
     return ScenarioSpec(
         name="query-service-knn",
-        description="Snapshot + grid-index query service serving pure kNN load",
+        description="Snapshot + vp-tree-index query service serving pure kNN load",
         mode="replay",
         network=NetworkSpec(nodes=64),
         preset="mp_energy",
         duration_s=900.0,
         workload=WorkloadSpec(
             kind="queries",
-            params={"count": 512, "mix": "knn", "k": 5, "index": "grid"},
+            params={"count": 512, "mix": "knn", "k": 5, "index": "vptree"},
         ),
         seed=0,
     )

@@ -18,7 +18,7 @@ results, which the property tests and ``benchmarks/bench_service.py``
 enforce.
 """
 
-from repro.service.index import INDEX_KINDS, GridIndex, VPTreeIndex, build_index
+from repro.service.index import INDEX_KINDS, VPTreeIndex, build_index
 from repro.service.publish import EpochDelta, EpochPublisher
 from repro.service.planner import (
     LRUTTLCache,
@@ -42,7 +42,6 @@ __all__ = [
     "CoordinateSnapshot",
     "EpochDelta",
     "EpochPublisher",
-    "GridIndex",
     "INDEX_KINDS",
     "LRUTTLCache",
     "QUERY_KINDS",

@@ -9,16 +9,13 @@ placement 1-median -- without touching every node:
   satisfies the triangle inequality even with Vivaldi height terms, which
   is all the vp-tree's pruning bounds require.  Queries inspect
   ``O(log n)``-ish nodes on the paper's low-dimensional embeddings.
-* :class:`GridIndex` -- a uniform grid over the Euclidean components with
-  per-cell minimum-height bounds, searched in expanding shells.  Cheaper
-  to rebuild than the tree; best for dense, frequently refreshed
-  snapshots.
-* :class:`DenseIndex` -- batched brute-force over flat NumPy arrays.  Every
-  query touches every node, but as one array expression; it is the only
-  kind with *batch* entry points (``knn_batch_by_id`` / ``range_batch_by_id``,
-  used by the planner to answer a whole same-version batch in one NumPy
-  call) and the only kind that ingests an array-backed snapshot without
-  materialising per-node objects.
+* :class:`DenseIndex` -- batched brute-force over flat NumPy arrays, for
+  batch access.  Every query runs one pruned-and-certified kernel: a
+  single query is a batch of one, and the *batch* entry points
+  (``knn_batch_by_id`` / ``range_batch_by_id``, used by the planner to
+  answer a whole same-version batch in one NumPy call) feed it many
+  targets at once.  It is the only kind that ingests an array-backed
+  snapshot without materialising per-node objects.
 
 Exactness contract: every query returns *identical* results to the linear
 oracle -- same node sets, same predicted RTTs (the exact same
@@ -34,8 +31,6 @@ rebuilds it, so bulk ``update_many`` loads cost one build, not n.
 
 from __future__ import annotations
 
-import itertools
-import math
 from heapq import heappush, heapreplace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,12 +39,12 @@ import numpy as np
 from repro.core.coordinate import Coordinate, sequential_sum
 from repro.overlay.knn import CoordinateIndex
 
-__all__ = ["INDEX_KINDS", "build_index", "VPTreeIndex", "GridIndex", "DenseIndex"]
+__all__ = ["INDEX_KINDS", "build_index", "VPTreeIndex", "DenseIndex"]
 
 #: Registered index kinds, resolvable through :func:`build_index`.
-INDEX_KINDS = ("linear", "vptree", "grid", "dense")
+INDEX_KINDS = ("linear", "vptree", "dense")
 
-#: Rows per vp-tree leaf slice / target entries per grid cell.
+#: Rows per vp-tree leaf slice.
 _LEAF_SIZE = 12
 
 #: Overlay/compaction policy for delta-derived indexes (see
@@ -124,13 +119,23 @@ def _check_dimensions(point: Coordinate, components: np.ndarray) -> None:
         )
 
 
+def _rtts(
+    origin: np.ndarray, height, components: np.ndarray, heights: np.ndarray
+) -> np.ndarray:
+    """``(euclid + origin height) + row height``: ``Coordinate.distance``'s float.
+
+    ``origin`` / ``height`` broadcast like :func:`_euclidean`'s origin.
+    """
+    return (_euclidean(components, origin) + height) + heights
+
+
 def _distances_from(
     target: Coordinate, components: np.ndarray, heights: np.ndarray
 ) -> np.ndarray:
-    """``target.distance(row)`` for every row: ``(euclid + target.height) + row height``."""
+    """``target.distance(row)`` for every row."""
     _check_dimensions(target, components)
     origin = np.asarray(target.components, dtype=np.float64)
-    return (_euclidean(components, origin) + target.height) + heights
+    return _rtts(origin, target.height, components, heights)
 
 
 def _total_costs(
@@ -174,8 +179,6 @@ def build_index(kind: str = "vptree") -> CoordinateIndex:
         return CoordinateIndex()
     if kind == "vptree":
         return VPTreeIndex()
-    if kind == "grid":
-        return GridIndex()
     if kind == "dense":
         return DenseIndex()
     raise ValueError(f"unknown index kind {kind!r}; known: {list(INDEX_KINDS)}")
@@ -628,277 +631,19 @@ class VPTreeIndex(_SpatialIndex):
 
 
 # ----------------------------------------------------------------------
-# Uniform grid
-# ----------------------------------------------------------------------
-class GridIndex(_SpatialIndex):
-    """Uniform grid over the Euclidean components, searched shell by shell.
-
-    Cell size targets ``n ** (1/d)`` cells per dimension over the bounding
-    box.  Candidate cells are pruned with an exact axis-aligned-box lower
-    bound plus the query height and the cell's minimum stored height, so
-    results remain identical to the oracle even in height-augmented
-    spaces.  The placement 1-median query falls back to the inherited
-    linear scan -- use :class:`VPTreeIndex` to accelerate placement.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cells: Dict[Tuple[int, ...], List[Tuple[int, str, Coordinate]]] = {}
-        self._cell_min_height: Dict[Tuple[int, ...], float] = {}
-        self._origin: Tuple[float, ...] = ()
-        self._cell_size = 1.0
-        self._dims = 0
-        self._cells_per_dim = 1
-        self._min_height = 0.0
-        #: Per-axis bounds over the occupied cell keys.  The shell search
-        #: clamps its center into this box; the pruning bounds' validity
-        #: needs the box to contain every occupied key, which delta
-        #: derivations maintain by expanding it for out-of-box inserts.
-        self._key_low: Tuple[int, ...] = ()
-        self._key_high: Tuple[int, ...] = ()
-        #: Cumulative rows moved by delta derivations since the last full
-        #: rebuild; past the overlay budget the geometry is refreshed.
-        self._delta_moved = 0
-
-    def _rebuild(self) -> None:
-        self._cells.clear()
-        self._cell_min_height.clear()
-        self._delta_moved = 0
-        entries, matrix, heights = self._entry_arrays()
-        if not entries:
-            self._dims = 0
-            return
-        dims = matrix.shape[1]
-        lows = matrix.min(axis=0)
-        extent = float((matrix.max(axis=0) - lows).max())
-        cells_per_dim = max(1, math.ceil(len(entries) ** (1.0 / dims) / 2.0))
-        self._dims = dims
-        self._origin = tuple(lows.tolist())
-        self._cell_size = (extent / cells_per_dim) if extent > 0.0 else 1.0
-        self._cells_per_dim = cells_per_dim
-        self._min_height = float(heights.min())
-        # Cell assignment for the whole population in one array expression
-        # (bit-identical to the scalar _cell_key: same subtraction, same
-        # division, same floor).
-        cell_keys = np.floor((matrix - lows[None, :]) / self._cell_size).astype(np.int64)
-        for entry, key_row, height in zip(entries, cell_keys, heights):
-            key = tuple(key_row.tolist())
-            self._cells.setdefault(key, []).append(entry)
-            held = self._cell_min_height.get(key)
-            if held is None or height < held:
-                self._cell_min_height[key] = float(height)
-        self._key_low = tuple(cell_keys.min(axis=0).tolist())
-        self._key_high = tuple(cell_keys.max(axis=0).tolist())
-
-    # -- incremental epochs --------------------------------------------
-    def delta_applied(
-        self,
-        changed_ids: Sequence[str],
-        changed_components: np.ndarray,
-        changed_heights: np.ndarray,
-        removed_ids: Sequence[str] = (),
-    ) -> Optional["GridIndex"]:
-        """A new index with the delta applied, or ``None`` to compact.
-
-        Cell moves are O(changed): the clone shares every untouched cell
-        bucket with this index (copy-on-write per bucket) and keeps the
-        base geometry.  A stale bounding box only costs pruning
-        efficiency, never correctness -- cell bounds stay exact and the
-        shell search reaches out-of-box cells -- so the geometry is only
-        refreshed when the cumulative churn exceeds the overlay budget.
-        """
-        self._ensure_built()
-        if not changed_ids and not removed_ids:
-            return self
-        if not self._cells:
-            return None
-        moved = self._delta_moved + len(changed_ids) + len(removed_ids)
-        if moved > _overlay_budget(len(self._coordinates)):
-            return None
-        changed = _changed_coordinates(changed_ids, changed_components, changed_heights)
-        if any(coordinate.dimensions != self._dims for _, coordinate in changed):
-            return None
-        clone = GridIndex()
-        clone._coordinates = dict(self._coordinates)
-        clone._seq = dict(self._seq)
-        clone._next_seq = self._next_seq
-        clone._origin = self._origin
-        clone._cell_size = self._cell_size
-        clone._dims = self._dims
-        clone._cells_per_dim = self._cells_per_dim
-        clone._cells = dict(self._cells)
-        clone._cell_min_height = dict(self._cell_min_height)
-        clone._key_low = self._key_low
-        clone._key_high = self._key_high
-        clone._delta_moved = moved
-        clone._dirty = False
-        writable: set = set()
-        touched: set = set()
-
-        def bucket_for(key: Tuple[int, ...]) -> List[Tuple[int, str, Coordinate]]:
-            bucket = clone._cells.get(key)
-            if bucket is None:
-                bucket = []
-                clone._cells[key] = bucket
-                writable.add(key)
-            elif key not in writable:
-                bucket = list(bucket)
-                clone._cells[key] = bucket
-                writable.add(key)
-            return bucket
-
-        def drop_entry(key: Tuple[int, ...], node_id: str) -> None:
-            bucket = bucket_for(key)
-            for position, (_, entry_id, _) in enumerate(bucket):
-                if entry_id == node_id:
-                    del bucket[position]
-                    break
-            touched.add(key)
-
-        for node_id, coordinate in changed:
-            previous = clone._coordinates.get(node_id)
-            if previous is not None:
-                drop_entry(clone._cell_key(previous.components), node_id)
-                seq = clone._seq[node_id]
-            else:
-                seq = clone._next_seq
-                clone._next_seq += 1
-            key = clone._cell_key(coordinate.components)
-            bucket_for(key).append((seq, node_id, coordinate))
-            touched.add(key)
-            clone._key_low = tuple(min(a, b) for a, b in zip(clone._key_low, key))
-            clone._key_high = tuple(max(a, b) for a, b in zip(clone._key_high, key))
-            clone._coordinates[node_id] = coordinate
-            clone._seq[node_id] = seq
-        for node_id in removed_ids:
-            previous = clone._coordinates.pop(node_id, None)
-            if previous is None:
-                continue
-            clone._seq.pop(node_id, None)
-            drop_entry(clone._cell_key(previous.components), node_id)
-        for key in touched:
-            bucket = clone._cells.get(key)
-            if not bucket:
-                clone._cells.pop(key, None)
-                clone._cell_min_height.pop(key, None)
-            else:
-                clone._cell_min_height[key] = min(
-                    coordinate.height for _, _, coordinate in bucket
-                )
-        clone._min_height = (
-            min(clone._cell_min_height.values()) if clone._cell_min_height else 0.0
-        )
-        return clone
-
-    def _cell_key(self, components: Sequence[float]) -> Tuple[int, ...]:
-        return tuple(
-            int(math.floor((value - origin) / self._cell_size))
-            for value, origin in zip(components, self._origin)
-        )
-
-    def _box_lower_bound(self, target: Coordinate, key: Tuple[int, ...]) -> float:
-        """Exact lower bound on predicted RTT to any point stored in ``key``."""
-        gap_sq = 0.0
-        for axis, cell in enumerate(key):
-            low = self._origin[axis] + cell * self._cell_size
-            high = low + self._cell_size
-            value = target.components[axis]
-            if value < low:
-                gap_sq += (low - value) ** 2
-            elif value > high:
-                gap_sq += (value - high) ** 2
-        return _loosen(math.sqrt(gap_sq) + target.height + self._cell_min_height[key])
-
-    def _shells(self, target: Coordinate):
-        """Yield (shell_rank, cell_keys) rings around the target, nearest first."""
-        center = tuple(
-            min(max(index, low), high)
-            for index, low, high in zip(
-                self._cell_key(target.components), self._key_low, self._key_high
-            )
-        )
-        occupied = set(self._cells)
-        remaining = len(occupied)
-        shell = 0
-        while remaining > 0:
-            keys = []
-            if shell == 0:
-                candidates: Iterable[Tuple[int, ...]] = (center,)
-            else:
-                candidates = (
-                    tuple(c + o for c, o in zip(center, offsets))
-                    for offsets in itertools.product(
-                        range(-shell, shell + 1), repeat=self._dims
-                    )
-                    if max(abs(o) for o in offsets) == shell
-                )
-            for key in candidates:
-                if key in occupied:
-                    keys.append(key)
-            remaining -= len(keys)
-            yield shell, keys
-            shell += 1
-
-    def _shell_lower_bound(self, target: Coordinate, shell: int) -> float:
-        """Lower bound on predicted RTT to anything in shell ``shell`` or beyond."""
-        return _loosen(
-            max(0.0, (shell - 1) * self._cell_size) + target.height + self._min_height
-        )
-
-    def nearest(
-        self,
-        target: Coordinate,
-        k: int = 1,
-        *,
-        exclude: Iterable[str] = (),
-    ) -> List[Tuple[str, float]]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self._ensure_built()
-        if not self._cells:
-            return []
-        excluded = set(exclude)
-        best = _KBest(k)
-        for shell, keys in self._shells(target):
-            if self._shell_lower_bound(target, shell) > best.threshold:
-                break
-            for key in keys:
-                if self._box_lower_bound(target, key) > best.threshold:
-                    continue
-                for seq, node_id, coordinate in self._cells[key]:
-                    if node_id in excluded:
-                        continue
-                    best.offer(target.distance(coordinate), seq, node_id)
-        return best.sorted_results()
-
-    def within(self, target: Coordinate, radius_ms: float) -> List[Tuple[str, float]]:
-        if radius_ms < 0.0:
-            raise ValueError("radius_ms must be non-negative")
-        self._ensure_built()
-        if not self._cells:
-            return []
-        hits: List[Tuple[float, int, str]] = []
-        for shell, keys in self._shells(target):
-            if self._shell_lower_bound(target, shell) > radius_ms:
-                break
-            for key in keys:
-                if self._box_lower_bound(target, key) > radius_ms:
-                    continue
-                for seq, node_id, coordinate in self._cells[key]:
-                    distance = target.distance(coordinate)
-                    if distance <= radius_ms:
-                        hits.append((distance, seq, node_id))
-        hits.sort()
-        return [(node_id, distance) for distance, _, node_id in hits]
-
-
-# ----------------------------------------------------------------------
 # Dense (batched brute-force) index
 # ----------------------------------------------------------------------
-#: Queries per chunk of the batched pruning matrix.  Small enough that the
-#: ``chunk * n`` float32 working set (32 x 100k = 12.8 MB) stays cache-
-#: resident across the kernel's passes; larger chunks measurably regress.
+#: Queries per chunk of the pruning matrix: at most 32 (a cache-resident
+#: working set; larger chunks measurably regress) and at most 2**17 cells,
+#: which keeps each sgemm under OpenBLAS's multithreading cut-over -- on a
+#: shared 2-vCPU host a threaded call stalls ~15 ms waking its workers.
 _BATCH_CHUNK = 32
+_BATCH_CELLS = 1 << 17
+
+
+def _chunk_rows(columns: int) -> int:
+    """Queries per kernel chunk against ``columns`` base rows."""
+    return max(1, min(_BATCH_CHUNK, _BATCH_CELLS // max(columns, 1)))
 
 
 class DenseIndex(_SpatialIndex):
@@ -906,20 +651,21 @@ class DenseIndex(_SpatialIndex):
 
     The whole snapshot lives in three aligned arrays -- node ids, ``(n, d)``
     components and ``(n,)`` heights -- so a query is a handful of NumPy
-    expressions over contiguous memory instead of a tree walk.  On the
-    paper's low-dimensional embeddings that loses asymptotically to the
-    vp-tree for *single* queries but wins decisively for *batches*:
+    expressions over contiguous memory instead of a tree walk.
+
+    One kernel answers every query: :meth:`nearest`, :meth:`within` and
+    :meth:`nearest_to_node` are a batch of one, and
     :meth:`knn_batch_by_id` / :meth:`range_batch_by_id` answer q queries
-    against one snapshot version with chunked ``(q, n)`` distance matrices,
-    amortising all per-query Python overhead.
+    against one snapshot version with chunked ``(q, n)`` matrices,
+    amortising all per-query Python overhead.  On the paper's
+    low-dimensional embeddings a single query still loses asymptotically
+    to the vp-tree; batches are where the kind wins.
 
     Tie-order guarantee: results are ordered by ``(predicted RTT,
     insertion sequence)``, with the insertion sequence of an array-ingested
     snapshot being its row order -- exactly the linear oracle's stable sort
     over its insertion-ordered dict, so dense results (batched or not) are
-    byte-identical to the oracle, ties included.  The selection uses
-    ``argpartition`` for the k-th-distance cut and only sorts the candidate
-    set at the boundary.
+    byte-identical to the oracle, ties included.
 
     :meth:`ingest_arrays` adopts snapshot arrays directly (no per-node
     object materialisation); later ``update``/``remove`` calls hydrate the
@@ -954,14 +700,10 @@ class DenseIndex(_SpatialIndex):
         #: derived clones (the base section never changes between them).
         self._base_rows: Optional[Dict[str, int]] = None
 
-    @property
-    def _overlay_active(self) -> bool:
-        return bool(self._ov_ids) or bool(self._removed)
-
     def _clear_overlay(self) -> None:
         self._n_base = len(self._ids)
         self._ov_ids = []
-        self._ov_components = np.empty((0, 0), dtype=np.float64)
+        self._ov_components = np.empty((0, self._components.shape[1]), dtype=np.float64)
         self._ov_heights = np.empty(0, dtype=np.float64)
         self._ov_added = ()
         self._removed = frozenset()
@@ -1040,9 +782,8 @@ class DenseIndex(_SpatialIndex):
         cache) untouched; the changed rows live in small overlay arrays
         merged exactly at query time.  Compaction is near-free for the
         dense kind -- :meth:`ingest_arrays` adopts the new snapshot's
-        arrays without copying -- so the overlay budget mainly protects
-        the batched kernels, which fall back to per-target exact scans
-        while an overlay is active.
+        arrays without copying -- so the overlay budget mainly bounds the
+        kernel's exact per-target overlay scoring.
         """
         self._ensure_built()
         if not changed_ids and not removed_ids:
@@ -1199,49 +940,68 @@ class DenseIndex(_SpatialIndex):
 
     def node_ids(self) -> List[str]:
         if self._array_only:
-            if not self._overlay_active:
+            if not (self._ov_ids or self._removed):
                 return list(self._ids)
             # Overridden ids keep their base position (matching what a
             # from-scratch rebuild of the snapshot would hold); only
-            # genuinely new ids append at the end.
-            removed = self._removed
+            # genuinely new ids append at the end -- a base id removed and
+            # re-added among them, so it is listed there and not at its
+            # base position.
+            hidden = self._removed.union(self._ov_added)
             live = [
                 node_id
                 for node_id in self._ids[: self._n_base]
-                if node_id not in removed
+                if node_id not in hidden
             ]
             live.extend(self._ov_added)
             return live
         return list(self._coordinates)
 
-    def nearest_to_node(self, node_id: str, k: int = 1) -> List[Tuple[str, float]]:
+    def _targets_at(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Components and heights of combined rows (base or overlay)."""
+        components = np.empty((rows.size, self._components.shape[1]), dtype=np.float64)
+        heights = np.empty(rows.size, dtype=np.float64)
+        base = rows < self._n_base
+        components[base] = self._components[rows[base]]
+        heights[base] = self._heights[rows[base]]
+        overlay = rows[~base] - self._n_base
+        components[~base] = self._ov_components[overlay]
+        heights[~base] = self._ov_heights[overlay]
+        return components, heights
+
+    def _by_id(self, target_ids: Sequence[str], kernel):
+        """``kernel(components, heights, rows)`` over the live targets' rows.
+
+        Element ``i`` answers ``target_ids[i]``; ``None`` marks an unknown
+        target (the caller decides how to fail it).
+        """
         self._ensure_built()
-        coordinate = self.coordinate_of(node_id)
-        if coordinate is None:
-            raise KeyError(f"{node_id!r} is not in the index")
-        return self.nearest(coordinate, k, exclude=[node_id])
+        results: List[Optional[List[Tuple[str, float]]]] = [None] * len(target_ids)
+        row_of = self._row_index
+        known = [
+            (position, row_of[node_id])
+            for position, node_id in enumerate(target_ids)
+            if node_id in row_of and node_id not in self._removed
+        ]
+        rows = np.asarray([row for _, row in known], dtype=np.int64)
+        components, heights = self._targets_at(rows)
+        for (position, _), answer in zip(known, kernel(components, heights, rows)):
+            results[position] = answer
+        return results
 
-    # -- distance kernels ----------------------------------------------
-    def _query_distances(self, target: Coordinate) -> np.ndarray:
-        """Predicted RTTs over all combined rows; stale rows forced to +inf."""
-        distances = _distances_from(target, self._components, self._heights)
-        if not self._overlay_active:
-            return distances
-        if self._masked_rows.size:
-            distances[self._masked_rows] = np.inf
-        if self._ov_ids:
-            overlay = _distances_from(target, self._ov_components, self._ov_heights)
-            distances = np.concatenate([distances, overlay])
-        return distances
-
-    def _top_k(self, distances: np.ndarray, k: int) -> List[Tuple[str, float]]:
-        """Best-k rows by ``(distance, insertion seq)``; +inf rows excluded."""
+    def _ranked(self, rows: np.ndarray, distances: np.ndarray) -> List[Tuple[str, float]]:
+        """``(node_id, rtt)`` pairs for parallel row / distance arrays."""
         return [
-            (self._ids[int(row)], float(distances[row]))
-            for row in _best_rows(distances, self._row_seq, k)
+            (self._ids[row], distance)
+            for row, distance in zip(rows.tolist(), distances.tolist())
         ]
 
-    # -- queries -------------------------------------------------------
+    # -- queries: a batch of one ---------------------------------------
+    def _one(self, target: Coordinate) -> Tuple[np.ndarray, np.ndarray]:
+        """``target`` as a one-row batch of components and heights."""
+        _check_dimensions(target, self._components)
+        return np.asarray([target.components], dtype=np.float64), np.asarray([target.height])
+
     def nearest(
         self,
         target: Coordinate,
@@ -1254,15 +1014,10 @@ class DenseIndex(_SpatialIndex):
         self._ensure_built()
         if not self._ids:
             return []
-        distances = self._query_distances(target)
-        excluded_rows = [
-            row
-            for row in (self._row_index.get(node_id) for node_id in exclude)
-            if row is not None
-        ]
-        if excluded_rows:
-            distances[excluded_rows] = np.inf
-        return self._top_k(distances, k)
+        row_of = self._row_index
+        excluded = [row_of[node_id] for node_id in exclude if node_id in row_of]
+        (answer,) = self._knn(*self._one(target), [excluded], k)
+        return answer
 
     def within(self, target: Coordinate, radius_ms: float) -> List[Tuple[str, float]]:
         if radius_ms < 0.0:
@@ -1270,10 +1025,14 @@ class DenseIndex(_SpatialIndex):
         self._ensure_built()
         if not self._ids:
             return []
-        distances = self._query_distances(target)
-        hits = np.nonzero(distances <= radius_ms)[0]
-        order = np.lexsort((self._row_seq[hits], distances[hits]))
-        return [(self._ids[int(row)], float(distances[row])) for row in hits[order]]
+        (answer,) = self._range(*self._one(target), radius_ms)
+        return answer
+
+    def nearest_to_node(self, node_id: str, k: int = 1) -> List[Tuple[str, float]]:
+        (answer,) = self.knn_batch_by_id([node_id], k)
+        if answer is None:
+            raise KeyError(f"{node_id!r} is not in the index")
+        return answer
 
     def min_cost_host(self, endpoints: Sequence[Coordinate]) -> Tuple[str, float]:
         if not endpoints:
@@ -1292,190 +1051,24 @@ class DenseIndex(_SpatialIndex):
         row = int(ties[np.argmin(self._row_seq[ties])])
         return self._ids[row], float(best)
 
-    # -- batch entry points (the planner's one-NumPy-call path) --------
-    #
-    # The batched kernels run in two stages.  Stage one PRUNES in a
-    # *shifted squared* space: ``g(x) = |x|^2 - 2 t.x`` (the norms
-    # identity minus the per-row constant ``|t|^2``) comes out of one
-    # float32 sgemm against a cached augmented matrix ``[X^T; |x|^2]``,
-    # and a deterministic column sample estimates a per-row threshold
-    # that keeps roughly ``4 * (k + pad)`` candidates -- no per-row
-    # argpartition over all n columns.  Stage two RESCORES only the
-    # surviving candidates with the exact float64 expression of
-    # :func:`_distances_from`, so every emitted float is bit-identical to
-    # the single-query (and linear oracle) answer.
-    #
-    # Exactness of the *selection* is certified per row, not assumed:
-    # with ``err2`` a conservative bound on the float32 error of g, an
-    # excluded row provably has Euclidean distance above
-    # ``cut = sqrt(tau + |t|^2 - err2)`` -- and heights only add on top.
-    # A row's batch answer is only kept when ``cut`` strictly exceeds its
-    # k-th exact candidate distance; otherwise (too few candidates, tie
-    # within the error bound, height-dominated neighborhoods) that row
-    # falls back to an exact full scan.  Range queries need no fallback:
-    # the threshold over-approximates and the exact rescore filters.
-
-    #: Candidate padding beyond k for the pruning stage.
-    _PRUNE_PAD = 32
-    #: float32 machine epsilon with a generous safety factor for the
-    #: handful of roundings in the norms identity (input rounding, the
-    #: dot product, the sum, the cancellation-exposed subtraction).
-    _PRUNE_EPS = 64.0 * 1.1920929e-07
-    #: Columns sampled (deterministic stride) for the threshold estimate.
-    _PRUNE_SAMPLE = 1024
-
-    def _pruning_cache(self):
-        """Cached float32 ``[X^T; |x|^2]`` augmented matrix and norms."""
-        if self._prune is None:
-            components32 = self._components.astype(np.float32)
-            norms32 = (components32 * components32).sum(axis=1)
-            augmented = np.vstack([components32.T, norms32[None, :]])
-            norms64 = (self._components * self._components).sum(axis=1)
-            self._prune = (
-                components32,
-                augmented,
-                norms64,
-                float(norms32.max()) if norms32.size else 0.0,
-            )
-        return self._prune
-
-    def _shifted_squared(
-        self, rows: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """``g = |x|^2 - 2 t.x`` per (row, column), plus ``|t|^2`` and err2.
-
-        ``|g - g_true| <= err2`` for every entry: each term of the norms
-        identity is bounded by ``m2`` and the whole evaluation takes a
-        handful of float32 roundings, covered by the safety factor in
-        ``_PRUNE_EPS``.  ``out`` (a ``(>= q, n)`` float32 scratch buffer)
-        lets chunked callers reuse one allocation.
-        """
-        components32, augmented, norms64, norm_max = self._pruning_cache()
-        q = rows.shape[0]
-        d = components32.shape[1]
-        lhs = np.empty((q, d + 1), dtype=np.float32)
-        np.multiply(components32[rows], np.float32(-2.0), out=lhs[:, :d])
-        lhs[:, d] = 1.0
-        if out is not None:
-            shifted = np.matmul(lhs, augmented, out=out[:q])
-        else:
-            shifted = lhs @ augmented
-        target_norms = norms64[rows]
-        m2 = 2.0 * (float(target_norms.max()) if target_norms.size else 0.0) + 2.0 * norm_max
-        err2 = self._PRUNE_EPS * max(m2, 1.0)
-        return shifted, target_norms, err2
-
-    def _exact_candidate_distances(
-        self, rows: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Exact predicted RTTs row->candidate, same floats as the oracle."""
-        comps = self._components
-        euclid = _euclidean(comps[candidates], comps[rows][:, None, :])
-        return (euclid + self._heights[rows][:, None]) + self._heights[candidates]
-
-    def _exact_row_distances(self, row: int) -> np.ndarray:
-        """Exact predicted RTTs from one row to every row (fallback path)."""
-        euclid = _euclidean(self._components, self._components[row])
-        return (euclid + self._heights[row]) + self._heights
-
-    def _resolve_rows(self, target_ids: Sequence[str]) -> List[Tuple[int, int]]:
-        return [
-            (position, row)
-            for position, row in (
-                (position, self._row_index.get(node_id))
-                for position, node_id in enumerate(target_ids)
-            )
-            if row is not None
-        ]
-
+    # -- queries: many indexed targets (the planner's batch path) ------
     def knn_batch_by_id(
         self, target_ids: Sequence[str], k: int
     ) -> List[Optional[List[Tuple[str, float]]]]:
         """k-nearest for many indexed targets, self-excluded, in one sweep.
 
-        Element ``i`` answers ``target_ids[i]``; ``None`` marks an unknown
-        target (the caller decides how to fail it).  Answers are identical
-        -- floats, ordering, ties -- to ``nearest(coord, k, exclude=[id])``
-        per target.
+        Answers are identical -- floats, ordering, ties -- to
+        ``nearest(coord, k, exclude=[id])`` per target; ``None`` marks an
+        unknown one.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        self._ensure_built()
-        results: List[Optional[List[Tuple[str, float]]]] = [None] * len(target_ids)
-        if not self._ids:
-            return results
-        if self._overlay_active:
-            # Overlay generations answer per target through the exact
-            # single-query path (contract-identical); the pruned batch
-            # kernel returns after the next compaction.
-            for position, node_id in enumerate(target_ids):
-                coordinate = self.coordinate_of(node_id)
-                if coordinate is not None:
-                    results[position] = self.nearest(coordinate, k, exclude=[node_id])
-            return results
-        known = self._resolve_rows(target_ids)
-        n = len(self._ids)
-        target_count = max(2 * (k + self._PRUNE_PAD), 96)
-        if target_count * 2 >= n:
-            # Too small for pruning to exclude much: exact scans.
-            for position, row in known:
-                distances = self._exact_row_distances(row)
-                distances[row] = np.inf
-                results[position] = self._top_k(distances, k)
-            return results
-        row_ids = self._row_seq
-        sample_cols = np.arange(0, n, max(1, n // self._PRUNE_SAMPLE), dtype=np.int64)
-        rank = min(
-            sample_cols.size - 1,
-            max(1, (target_count * sample_cols.size) // n),
+        return self._by_id(
+            target_ids,
+            lambda components, heights, rows: self._knn(
+                components, heights, [[row] for row in rows.tolist()], k
+            ),
         )
-        scratch = np.empty((min(_BATCH_CHUNK, len(known)), n), dtype=np.float32)
-        for offset in range(0, len(known), _BATCH_CHUNK):
-            chunk = known[offset : offset + _BATCH_CHUNK]
-            rows = np.asarray([row for _, row in chunk], dtype=np.int64)
-            q = rows.shape[0]
-            shifted, target_norms, err2 = self._shifted_squared(rows, out=scratch)
-            shifted[np.arange(q), rows] = np.inf  # self-exclusion
-            # Per-row candidate threshold from a strided column sample:
-            # the rank is chosen so roughly target_count columns survive.
-            tau = np.partition(shifted[:, sample_cols], rank, axis=1)[:, rank]
-            # flatnonzero + divmod is an order of magnitude faster than
-            # 2-D nonzero on a sparse (q, n) mask.
-            flat = np.flatnonzero((shifted <= tau[:, None]).ravel())
-            local_rows, cols = np.divmod(flat, n)
-            exact = (
-                self._exact_candidate_distances(rows[local_rows], cols[:, None]).ravel()
-                if cols.size
-                else np.empty(0)
-            )
-            order = np.lexsort((row_ids[cols], exact, local_rows))
-            local_rows = local_rows[order]
-            cols = cols[order]
-            exact = exact[order]
-            boundaries = np.searchsorted(local_rows, np.arange(q + 1))
-            # An excluded column's Euclidean distance provably exceeds
-            # cut = sqrt(tau + |t|^2 - err2); heights only add to it.
-            cut = np.sqrt(
-                np.maximum(tau.astype(np.float64) + target_norms - err2, 0.0)
-            )
-            for local, (position, row) in enumerate(chunk):
-                begin, end = boundaries[local], boundaries[local + 1]
-                count = end - begin
-                certified = (
-                    count >= k and cut[local] > exact[begin + k - 1]
-                )
-                if certified:
-                    results[position] = [
-                        (self._ids[int(node_row)], float(distance))
-                        for node_row, distance in zip(
-                            cols[begin : begin + k], exact[begin : begin + k]
-                        )
-                    ]
-                else:
-                    distances = self._exact_row_distances(row)
-                    distances[row] = np.inf
-                    results[position] = self._top_k(distances, k)
-        return results
 
     def range_batch_by_id(
         self, target_ids: Sequence[str], radius_ms: float
@@ -1488,54 +1081,199 @@ class DenseIndex(_SpatialIndex):
         """
         if radius_ms < 0.0:
             raise ValueError("radius_ms must be non-negative")
-        self._ensure_built()
-        results: List[Optional[List[Tuple[str, float]]]] = [None] * len(target_ids)
-        if not self._ids:
-            return results
-        if self._overlay_active:
-            for position, node_id in enumerate(target_ids):
-                coordinate = self.coordinate_of(node_id)
-                if coordinate is not None:
-                    results[position] = self.within(coordinate, radius_ms)
-            return results
-        known = self._resolve_rows(target_ids)
-        row_ids = self._row_seq
-        for offset in range(0, len(known), _BATCH_CHUNK):
-            chunk = known[offset : offset + _BATCH_CHUNK]
-            rows = np.asarray([row for _, row in chunk], dtype=np.int64)
-            shifted, target_norms, err2 = self._shifted_squared(rows)
-            # Every true hit has euclid <= dist <= radius, hence
-            # g <= radius^2 - |t|^2 + err2; the exact rescore below
-            # discards the over-approximation, so no fallback is needed.
+        return self._by_id(
+            target_ids,
+            lambda components, heights, _: self._range(components, heights, radius_ms),
+        )
+
+    # -- the kernel ----------------------------------------------------
+    #
+    # Stage one PRUNES the base rows in a *shifted squared* space:
+    # ``g(x) = |x|^2 - 2 t.x`` (the norms identity minus the per-target
+    # ``|t|^2``) comes out of one float32 sgemm against a cached
+    # ``[X^T; |x|^2]``, with masked and excluded base rows forced to +inf
+    # before any threshold.  For kNN a strided column sample estimates a
+    # per-target threshold keeping roughly ``4 * (k + pad)`` candidates.
+    # Stage two RESCORES only those candidates, plus the overlay rows,
+    # with :func:`_rtts`, so every emitted float is the linear oracle's.
+    #
+    # The kNN *selection* is certified per target: with ``err2`` bounding
+    # the float32 error of g, a base row left out has Euclidean distance
+    # above ``sqrt(tau + |t|^2 - err2)``, and heights (never negative)
+    # add the target's and the row's on top.  Every live row left out is
+    # such a base row -- overlay rows are all scored -- so an answer
+    # stands only when that cut strictly exceeds its k-th candidate;
+    # otherwise (too few candidates, a tie within the error bound) the
+    # target falls back to :meth:`_scan`.  Range queries need no
+    # certificate: the threshold over-approximates and the rescore
+    # filters.  A target whose threshold overflowed float32 is scanned.
+
+    #: Candidate padding beyond k for the pruning stage.
+    _PRUNE_PAD = 32
+    #: float32 machine epsilon with a generous safety factor for the
+    #: handful of roundings in the norms identity (input rounding, the
+    #: dot product, the sum, the cancellation-exposed subtraction).
+    _PRUNE_EPS = 64.0 * 1.1920929e-07
+    #: Columns sampled (deterministic stride) for the threshold estimate.
+    _PRUNE_SAMPLE = 1024
+    #: Base rows up to which :meth:`_scan` beats the pruning stage's fixed
+    #: per-chunk cost, single queries and batches alike (crossover 2-5k, 3-d).
+    _SCAN_ROWS = 3072
+
+    def _scan(self, origin: np.ndarray, height: float, excluded=()) -> np.ndarray:
+        """Exact RTTs to every combined row, stale and excluded rows +inf.
+
+        The one exact full scan: small indexes and uncertified targets.
+        """
+        distances = _rtts(origin, height, self._components, self._heights)
+        if self._ov_ids:
+            overlay = _rtts(origin, height, self._ov_components, self._ov_heights)
+            distances = np.concatenate([distances, overlay])
+        distances[self._masked_rows] = np.inf
+        if excluded:
+            distances[list(excluded)] = np.inf
+        return distances
+
+    def _pruning_cache(self):
+        """Cached float32 ``[X^T; |x|^2]`` augmented matrix and max norm."""
+        if self._prune is None:
+            components32 = self._components.astype(np.float32)
+            norms32 = (components32 * components32).sum(axis=1)
+            # C order: the sgemm against vstack's Fortran-ordered result
+            # measured ~500x slower (32 x 5000 rows, 2-vCPU host).
+            augmented = np.ascontiguousarray(np.vstack([components32.T, norms32[None, :]]))
+            self._prune = (augmented, float(norms32.max()) if norms32.size else 0.0)
+        return self._prune
+
+    def _shifted_squared(
+        self, targets: np.ndarray, excluded=(), out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        """``g = |x|^2 - 2 t.x`` per (target, base row), plus ``|t|^2`` and err2.
+
+        ``|g - g_true| <= err2`` for every entry: each term of the norms
+        identity is bounded by ``m2`` and the whole evaluation takes a
+        handful of float32 roundings, covered by the safety factor in
+        ``_PRUNE_EPS``.  Masked base rows, and each target's ``excluded``
+        base rows, come out +inf.  ``out`` (a ``(>= q, n)`` float32
+        scratch buffer) lets chunked callers reuse one allocation.
+        """
+        augmented, norm_max = self._pruning_cache()
+        q, d = targets.shape
+        lhs = np.empty((q, d + 1), dtype=np.float32)
+        lhs[:, :d] = -2.0 * targets
+        lhs[:, d] = 1.0
+        shifted = np.matmul(lhs, augmented, out=None if out is None else out[:q])
+        if self._masked_rows.size:
+            shifted[:, self._masked_rows] = np.inf
+        for local, rows in enumerate(excluded):
+            shifted[local, [row for row in rows if row < self._n_base]] = np.inf
+        target_norms = (targets * targets).sum(axis=1)
+        m2 = 2.0 * (float(target_norms.max()) if q else 0.0) + 2.0 * norm_max
+        err2 = self._PRUNE_EPS * max(m2, 1.0)
+        return shifted, target_norms, err2
+
+    def _candidates(self, shifted, tau, targets, heights, excluded, keep_overlay):
+        """Candidate rows and exact RTTs, grouped by target, best first.
+
+        The base rows with ``shifted <= tau`` plus the overlay rows
+        ``keep_overlay`` selects from each target's exact overlay RTTs
+        (``excluded`` ones at +inf).  Returns combined rows and RTTs,
+        ordered by (target, RTT, insertion seq), and the per-target
+        ``[begin, end)`` bounds into them.
+        """
+        # flatnonzero + divmod is an order of magnitude faster than
+        # 2-D nonzero on a sparse (q, n) mask.
+        flat = np.flatnonzero((shifted <= tau[:, None]).ravel())
+        local_rows, cols = np.divmod(flat, shifted.shape[1])
+        exact = _rtts(
+            targets[local_rows], heights[local_rows],
+            self._components[cols], self._heights[cols],
+        )
+        if self._ov_ids:
+            overlay = _rtts(
+                targets[:, None, :], heights[:, None],
+                self._ov_components, self._ov_heights,
+            )
+            for local, rows in enumerate(excluded):
+                overlay[local, [row - self._n_base for row in rows if row >= self._n_base]] = np.inf
+            ov_locals, ov_cols = np.nonzero(keep_overlay(overlay))
+            local_rows = np.concatenate([local_rows, ov_locals])
+            cols = np.concatenate([cols, ov_cols + self._n_base])
+            exact = np.concatenate([exact, overlay[ov_locals, ov_cols]])
+        order = np.lexsort((self._row_seq[cols], exact, local_rows))
+        bounds = np.searchsorted(local_rows[order], np.arange(len(targets) + 1))
+        return cols[order], exact[order], bounds
+
+    def _knn(self, targets, heights, excluded, k: int):
+        """The best k rows per target row; ``excluded[i]`` lists rows it skips."""
+        answers: List[Optional[List[Tuple[str, float]]]] = [None] * len(targets)
+        n = self._n_base
+        target_count = max(2 * (k + self._PRUNE_PAD), 96)
+        step = _chunk_rows(n)
+        chunks = range(0, len(targets), step) if n > max(self._SCAN_ROWS, 2 * target_count) else ()
+        if chunks:
+            sample = slice(0, n, max(1, n // self._PRUNE_SAMPLE))
+            sampled = len(range(n)[sample])
+            rank = min(sampled - 1, max(1, (target_count * sampled) // n))
+            scratch = np.empty((min(step, len(targets)), n), dtype=np.float32)
+
+        def k_best_overlay(rtts):
+            # Each target's k best overlay rows, k-th ties kept; the rest lose k times.
+            kth = np.partition(rtts, k - 1, axis=1)[:, k - 1 : k] if rtts.shape[1] > k else np.inf
+            return (rtts <= kth) & (rtts < np.inf)
+
+        for offset in chunks:
+            span = slice(offset, offset + step)
+            shifted, target_norms, err2 = self._shifted_squared(
+                targets[span], excluded[span], out=scratch
+            )
+            # Per-target candidate threshold from a strided column sample:
+            # the rank is chosen so roughly target_count columns survive.
+            tau = np.partition(shifted[:, sample], rank, axis=1)[:, rank]
+            cols, exact, bounds = self._candidates(
+                shifted, tau, targets[span], heights[span], excluded[span], k_best_overlay
+            )
+            cut = _loosen(
+                np.sqrt(np.maximum(tau.astype(np.float64) + target_norms - err2, 0.0))
+                + heights[span]
+            )
+            for local, (begin, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+                top = slice(begin, begin + k)
+                if end - begin >= k and tau[local] < np.inf and cut[local] > exact[begin + k - 1]:
+                    answers[offset + local] = self._ranked(cols[top], exact[top])
+        for position, answer in enumerate(answers):
+            if answer is None:
+                distances = self._scan(targets[position], heights[position], excluded[position])
+                best = _best_rows(distances, self._row_seq, k)
+                answers[position] = self._ranked(best, distances[best])
+        return answers
+
+    def _range(self, targets, heights, radius_ms: float):
+        """Every row within ``radius_ms`` of each target row, ranked."""
+        answers: List[Optional[List[Tuple[str, float]]]] = [None] * len(targets)
+        step = _chunk_rows(self._n_base)
+        for offset in range(0, len(targets), step) if self._n_base > self._SCAN_ROWS else ():
+            span = slice(offset, offset + step)
+            shifted, target_norms, err2 = self._shifted_squared(targets[span])
+            # Every true hit has euclid <= dist <= radius, hence g <=
+            # radius^2 - |t|^2 + err2; the rescore drops the excess.  Rounded
+            # *up* to float32, the comparison stays in float32 (no (q, n)
+            # float64 temporary) without ever tightening it.
             tau = (radius_ms * radius_ms - target_norms) + err2
-            # Rounded *up* to float32 so the comparison stays in float32
-            # (no (q, n) float64 temporary) without ever tightening the
-            # over-approximation.
-            tau32 = np.nextafter(
-                tau.astype(np.float32), np.float32(np.inf)
+            tau32 = np.nextafter(tau.astype(np.float32), np.float32(np.inf))
+            cols, exact, bounds = self._candidates(
+                shifted, tau32, targets[span], heights[span], (),
+                lambda rtts: rtts <= radius_ms,
             )
-            flat = np.flatnonzero((shifted <= tau32[:, None]).ravel())
-            local_rows, cols = np.divmod(flat, shifted.shape[1])
-            exact = (
-                self._exact_candidate_distances(
-                    rows[local_rows], cols[:, None]
-                ).ravel()
-                if cols.size
-                else np.empty(0)
-            )
-            keep = exact <= radius_ms
-            local_rows, cols, exact = local_rows[keep], cols[keep], exact[keep]
-            order = np.lexsort((row_ids[cols], exact, local_rows))
-            local_rows, cols, exact = (
-                local_rows[order],
-                cols[order],
-                exact[order],
-            )
-            boundaries = np.searchsorted(local_rows, np.arange(rows.shape[0] + 1))
-            for local, (position, _) in enumerate(chunk):
-                begin, end = boundaries[local], boundaries[local + 1]
-                results[position] = [
-                    (self._ids[int(node_row)], float(distance))
-                    for node_row, distance in zip(cols[begin:end], exact[begin:end])
-                ]
-        return results
+            for local, (begin, end) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if tau32[local] < np.inf:
+                    # Ranked by RTT, so the hits are a prefix of the slice.
+                    stop = begin + int(np.searchsorted(exact[begin:end], radius_ms, side="right"))
+                    answers[offset + local] = self._ranked(cols[begin:stop], exact[begin:stop])
+        for position, answer in enumerate(answers):
+            if answer is None:
+                distances = self._scan(targets[position], heights[position])
+                hits = np.flatnonzero(distances <= radius_ms)
+                hits = hits[np.lexsort((self._row_seq[hits], distances[hits]))]
+                answers[position] = self._ranked(hits, distances[hits])
+        return answers

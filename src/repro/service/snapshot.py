@@ -342,7 +342,7 @@ class SnapshotStore:
     ----------
     index_kind:
         Spatial index built for published versions (``linear``,
-        ``vptree``, ``grid`` or ``dense``; see :mod:`repro.service.index`).
+        ``vptree`` or ``dense``; see :mod:`repro.service.index`).
     history:
         How many published versions stay addressable through :meth:`at`
         (older versions are forgotten; their snapshots remain valid for

@@ -187,6 +187,10 @@ class TestGatewayConfig:
             ),
             (lambda raw: raw["tenants"][0].update(index="btree"), "unknown index"),
             (
+                lambda raw: raw["tenants"][0].update(index="grid"),
+                "tenant 'acme': unknown index 'grid'",
+            ),
+            (
                 lambda raw: raw["tenants"][0].update(quota={"capacity": 0}),
                 "'capacity' must be >= 1",
             ),

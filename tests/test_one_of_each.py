@@ -19,10 +19,12 @@ hold the collapse in place:
 from __future__ import annotations
 
 import asyncio
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,7 @@ from repro.core.coordinate import Coordinate, centroid
 from repro.server.daemon import CoordinateServer
 from repro.server.protocol import HEADER, decode_frame, encode_frame, frame_length
 from repro.server.sharding import ShardedCoordinateStore, shard_of
-from repro.service.index import INDEX_KINDS, _VPNode
+from repro.service.index import INDEX_KINDS, DenseIndex, _VPNode
 from repro.service.planner import Query, QueryPlanner
 from repro.service.snapshot import SnapshotStore
 
@@ -292,8 +294,7 @@ class TestOneOfEachInTheSourceTree:
     def test_one_oracle_exact_distance_kernel(self):
         # The left-to-right accumulate-squares loop that makes an array
         # distance the same float as ``Coordinate.distance`` is written
-        # once; the dense index's four kernels and the vp-tree overlay
-        # all call it.
+        # once; the dense kernel, its full scan and the vp-tree all call it.
         lines = [
             f"{path.relative_to(SRC).as_posix()}:{number}"
             for path in self._modules("service")
@@ -301,6 +302,22 @@ class TestOneOfEachInTheSourceTree:
             if "acc = acc + delta" in line
         ]
         assert len(lines) == 1 and lines[0].startswith("service/index.py:"), lines
+
+    def test_two_index_kinds_beside_the_linear_oracle(self):
+        assert INDEX_KINDS == ("linear", "vptree", "dense")
+        with pytest.raises(ImportError):
+            from repro.service import GridIndex  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.service.index import GridIndex  # noqa: F401,F811
+
+    def test_dense_batch_methods_run_the_kernel_not_the_single_queries(self):
+        # A batch method that loops over ``self.nearest`` / ``self.within``
+        # would be a second query path; both go straight to the kernel.
+        for method in (
+            DenseIndex.knn_batch_by_id, DenseIndex.range_batch_by_id, DenseIndex._by_id
+        ):
+            source = inspect.getsource(method)
+            assert not re.search(r"self\.(nearest|within)\b", source), method.__name__
 
     def test_no_deepcopy_on_a_serve_path_and_no_vp_tree_buckets(self):
         for module in ("server/sharding.py", "service/planner.py"):

@@ -238,7 +238,7 @@ class TestUpdateTriggerAccountant:
 class TestPlacementWithSpatialIndexes:
     """The pluggable spatial indexes must not change placement behaviour."""
 
-    @pytest.mark.parametrize("kind", ["vptree", "grid"])
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
     def test_decisions_identical_to_linear_oracle(self, kind):
         rng = np.random.default_rng(17)
         coordinates = {

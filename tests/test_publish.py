@@ -12,6 +12,7 @@ boundary cases (0 changed rows, all rows changed, removals, additions).
 from __future__ import annotations
 
 import asyncio
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.overlay.knn import CoordinateIndex
 from repro.service.index import (
     INDEX_KINDS,
     _LEAF_SIZE,
+    DenseIndex,
     VPTreeIndex,
     _overlay_budget,
 )
@@ -183,7 +185,7 @@ class TestDeltaEquivalenceSweep:
             rebuilt = full_store.index_for(full_snapshot)
             _assert_index_identical(derived, rebuilt, d_ids, dims, rng)
 
-    @pytest.mark.parametrize("index_kind", ["vptree", "grid", "dense"])
+    @pytest.mark.parametrize("index_kind", ["vptree", "dense"])
     def test_sharded_store_equivalence_with_health(self, index_kind):
         n, dims = 120, 2
         node_ids, components, heights = _initial_population(n, dims, seed=3)
@@ -439,6 +441,142 @@ class TestVPTreeFlatLeavesProperty:
                 lambda: index.min_cost_host(endpoints),
                 lambda: oracle.min_cost_host(endpoints),
             )
+
+
+class TestDenseOneKernelProperty:
+    """Dense queries for targets *outside* the index, overlay generations
+    included, against the linear oracle -- tie order included.
+
+    Every dense query runs the one pruned-and-certified kernel (a single
+    query is a batch of one), so foreign targets, exclusions and overlay
+    rows all pass through it.  Populations up to ``_SCAN_ROWS`` take the
+    exact scan; ``pruned`` lowers that threshold to zero so the pruning
+    stage runs on universes small enough for the oracle to check quickly.
+    """
+
+    @given(
+        dims=st.integers(1, 4),
+        with_heights=st.booleans(),
+        n=st.one_of(st.integers(1, 60), st.integers(200, 420)),
+        overlay=st.sampled_from(["none", "one", "budget"]),
+        removals=st.integers(0, 3),
+        pruned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_queries_equal_linear_oracle(
+        self, dims, with_heights, n, overlay, removals, pruned, seed
+    ):
+        scan_rows = 0 if pruned else DenseIndex._SCAN_ROWS
+        with mock.patch.object(DenseIndex, "_SCAN_ROWS", scan_rows):
+            self._check(dims, with_heights, n, overlay, removals, seed)
+
+    def test_above_the_scan_threshold_equals_linear_oracle(self):
+        # The shipped threshold, crossed: both kernels prune for real.
+        self._check(3, True, DenseIndex._SCAN_ROWS + 64, "one", 1, seed=11)
+
+    def test_height_dominated_neighbourhood_is_not_certified(self):
+        # Pruning ranks by Euclidean distance alone.  Nine rows in ten sit
+        # at Euclid 1 with height 10, the rest at Euclid 3 with height 0:
+        # the pruned candidates are all beaten by rows left out, and only
+        # the certificate -- which must fail -- keeps the answer exact.
+        n = DenseIndex._SCAN_ROWS + 500
+        rng = np.random.default_rng(3)
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        near = np.arange(n) % 10 != 0
+        radii = np.where(near, 1.0, 3.0)
+        components = np.column_stack([np.cos(angles), np.sin(angles)]) * radii[:, None]
+        heights = np.where(near, 10.0, 0.0)
+        node_ids = [f"h{i:05d}" for i in range(n)]
+        index = DenseIndex.from_arrays(node_ids, components, heights)
+        oracle = CoordinateIndex()
+        for node_id, row, height in zip(node_ids, components, heights):
+            oracle.update(node_id, Coordinate(row.tolist(), float(height)))
+        for probe in (Coordinate([0.0, 0.0]), Coordinate([0.5, 0.0], 0.5)):
+            assert index.nearest(probe, 5) == oracle.nearest(probe, 5)
+        targets = node_ids[:4]
+        assert index.knn_batch_by_id(targets, 5) == [
+            oracle.nearest_to_node(node_id, 5) for node_id in targets
+        ]
+
+    def _check(self, dims, with_heights, n, overlay, removals, seed):
+        rng = np.random.default_rng(seed)
+
+        def point():
+            # A 7-wide integer lattice: equal distances and duplicates abound.
+            height = float(rng.choice([0.0, 0.5, 1.0])) if with_heights else 0.0
+            return Coordinate(rng.integers(-3, 4, size=dims).astype(float).tolist(), height)
+
+        node_ids = [f"n{i:03d}" for i in range(n)]
+        base = [point() for _ in node_ids]
+        oracle = CoordinateIndex()
+        oracle.update_many(dict(zip(node_ids, base)))
+        index = DenseIndex.from_arrays(
+            node_ids,
+            np.asarray([c.components for c in base]).reshape(n, dims),
+            np.asarray([c.height for c in base]),
+        )
+        budget = _overlay_budget(n)
+        rows = {"none": 0, "one": 1, "budget": budget - 1}[overlay]
+        existing = [str(i) for i in rng.permutation(node_ids)]
+        moved = existing[: int(rng.integers(0, min(rows, n) + 1))]
+        members = moved + [f"new{i:03d}" for i in range(rows - len(moved))]
+        removed = existing[len(moved) :][: min(removals, budget - rows)]
+        # Two deltas (the second overwrites an overlay row in place and
+        # carries the removals), then an overlay member leaves and comes
+        # back: it re-enters at the end, as the oracle's dict re-appends it.
+        deltas = [
+            ({node_id: point() for node_id in members[: rows // 2]}, ()),
+            ({node_id: point() for node_id in members[rows // 2 :] + members[:1]}, removed),
+        ]
+        if rows > 2:
+            deltas += [({}, (members[1],)), ({members[1]: point()}, ())]
+        for changed, gone in deltas:
+            ids = list(changed)
+            derived = index.delta_applied(
+                ids,
+                np.asarray([changed[i].components for i in ids]).reshape(len(ids), dims),
+                np.asarray([changed[i].height for i in ids]),
+                tuple(gone),
+            )
+            assert derived is not None, "sized to stay inside the overlay budget"
+            index = derived
+            for node_id, coordinate in changed.items():
+                oracle.update(node_id, coordinate)
+            for node_id in gone:
+                oracle.remove(node_id)
+        assert len(index._ov_ids) == rows
+        assert index.node_ids() == oracle.node_ids()
+
+        live = oracle.node_ids()
+        # Foreign targets (fresh lattice points, also off-lattice), plus
+        # two members' own coordinates.
+        probes = [point() for _ in range(3)]
+        probes.append(Coordinate((rng.normal(size=dims) * 2.0).tolist(), 0.25))
+        probes += [oracle.coordinate_of(i) for i in live[:2]]
+        for probe in probes:
+            closest = [node_id for node_id, _ in oracle.nearest(probe, k=2)]
+            for exclude in ((), closest + list(removed[:1]) + members[:1]):
+                for k in (1, 4, n + rows + 1):
+                    assert index.nearest(probe, k, exclude=exclude) == oracle.nearest(
+                        probe, k, exclude=exclude
+                    )
+            for radius in (0.0, 1.0, 2.5):
+                assert index.within(probe, radius) == oracle.within(probe, radius)
+
+        # The batch entry points on the same (overlay) generation.
+        targets = live[:3] + members[:2] + list(removed[:1]) + ["ghost"]
+        for k in (1, 4):
+            for target, answer in zip(targets, index.knn_batch_by_id(targets, k)):
+                if target in oracle:
+                    assert answer == oracle.nearest_to_node(target, k)
+                else:
+                    assert answer is None
+        for target, answer in zip(targets, index.range_batch_by_id(targets, 2.5)):
+            if target in oracle:
+                assert answer == oracle.within(oracle.coordinate_of(target), 2.5)
+            else:
+                assert answer is None
 
 
 class TestSharedRowMaps:

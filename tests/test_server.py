@@ -39,13 +39,13 @@ from repro.server.protocol import (
     split_frames,
 )
 from repro.server.sharding import ShardGeneration, ShardedCoordinateStore, shard_of
+from repro.service.index import INDEX_KINDS
 from repro.service.planner import Query, QueryError, QueryPlanner
 from repro.service.publish import EpochDelta
 from repro.service.snapshot import SnapshotStore
 from repro.service.workload import generate_queries, payload_checksum, run_workload
 
 SHARD_COUNTS = (1, 2, 3, 5)
-INDEX_KINDS = ("linear", "vptree", "grid", "dense")
 
 
 def oracle_payloads(coords, queries):
@@ -919,6 +919,14 @@ class TestQueriesLiveScenario:
 # CLI: serve-daemon + load
 # ----------------------------------------------------------------------
 class TestServerCli:
+    def test_serve_daemon_rejects_the_deleted_grid_index(self, capsys):
+        from repro.server.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["serve-daemon", "--synthetic", "8", "--index", "grid"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'grid'" in capsys.readouterr().err
+
     def test_serve_daemon_and_load_roundtrip(self, tmp_path, capsys):
         from repro.server.cli import main
 

@@ -14,7 +14,6 @@ from repro.service.index import (
     _LEAF_SIZE,
     INDEX_KINDS,
     DenseIndex,
-    GridIndex,
     VPTreeIndex,
     build_index,
 )
@@ -57,7 +56,7 @@ class TestIndexesMatchOracle:
     UNIVERSES = ((100, False), (250, True), (400, False))
     TRIALS_PER_UNIVERSE = 334  # x3 universes > 1k trials per kind
 
-    @pytest.mark.parametrize("kind", ["vptree", "grid", "dense"])
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
     def test_knn_identical_over_1k_random_trials(self, kind):
         rng = np.random.default_rng(42)
         for nodes, with_heights in self.UNIVERSES:
@@ -71,7 +70,7 @@ class TestIndexesMatchOracle:
                 k = int(rng.integers(1, 10))
                 assert index.nearest(target, k) == oracle.nearest(target, k)
 
-    @pytest.mark.parametrize("kind", ["vptree", "grid", "dense"])
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
     def test_within_identical(self, kind):
         rng = np.random.default_rng(43)
         coordinates = _random_coordinates(rng, 300, with_heights=True)
@@ -97,7 +96,7 @@ class TestIndexesMatchOracle:
             endpoints = [coordinates[names[int(i)]] for i in picked]
             assert index.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
 
-    @pytest.mark.parametrize("kind", ["vptree", "grid", "dense"])
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
     def test_lattice_ties_identical_to_oracle(self, kind):
         # Regression: integer-lattice coordinates create many exact
         # distance ties, and pruning bounds computed from rounded floats
@@ -128,7 +127,7 @@ class TestIndexesMatchOracle:
                 endpoints = [coordinates[names[int(i)]] for i in picked]
                 assert index.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
 
-    @pytest.mark.parametrize("kind", ["vptree", "grid", "dense"])
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
     def test_duplicate_coordinates_tie_break_matches_oracle(self, kind):
         # Exact ties must resolve by insertion order, like the oracle's
         # stable sort over its insertion-ordered dict.
@@ -144,7 +143,7 @@ class TestIndexesMatchOracle:
             assert index.nearest(target, k) == oracle.nearest(target, k)
         assert index.within(target, 10.0) == oracle.within(target, 10.0)
 
-    @pytest.mark.parametrize("kind", ["vptree", "grid", "dense"])
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
     def test_exclusions_and_updates(self, kind):
         rng = np.random.default_rng(45)
         coordinates = _random_coordinates(rng, 120)
@@ -166,7 +165,7 @@ class TestIndexesMatchOracle:
         assert len(index) == len(oracle) == 119
 
     def test_empty_index_queries(self):
-        for kind in ("vptree", "grid", "dense"):
+        for kind in ("vptree", "dense"):
             index = build_index(kind)
             assert index.nearest(Coordinate([0.0, 0.0, 0.0]), 3) == []
             assert index.within(Coordinate([0.0, 0.0, 0.0]), 10.0) == []
@@ -188,8 +187,10 @@ class TestIndexesMatchOracle:
         with pytest.raises(ValueError, match="unknown index kind"):
             build_index("btree")
 
-    def test_grid_rejects_mixed_dimensionality(self):
-        index = GridIndex()
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
+    def test_rejects_mixed_dimensionality(self, kind):
+        # The check lives in the shared _SpatialIndex._entry_arrays.
+        index = build_index(kind)
         index.update("a", Coordinate([1.0, 2.0, 3.0]))
         index.update("b", Coordinate([1.0, 2.0]))
         with pytest.raises(ValueError, match="uniform dimensionality"):
@@ -379,7 +380,7 @@ class TestDenseBatchAndArrays:
             components[1].tolist(), float(heights[1])
         )
 
-    @pytest.mark.parametrize("kind", ["dense", "vptree", "grid"])
+    @pytest.mark.parametrize("kind", ["dense", "vptree"])
     def test_batched_flush_identical_to_single_queries(self, kind):
         """Batch-vs-single identity: one flushed batch must answer exactly
         like per-query execution -- results, tie order and cache behaviour
@@ -420,27 +421,6 @@ class TestDenseBatchAndArrays:
         )
         assert linear.checksum == batched.checksum
         assert linear.stats["kinds"] == dict(batched.stats["kinds"])
-
-    def test_grid_cell_assignment_matches_scalar_loop(self):
-        """The vectorized build-time bucketing must bucket exactly like
-        the per-node _cell_key loop it replaced."""
-        _, _, _, coordinates, _ = self._universe(n=350, seed=51)
-        index = GridIndex()
-        index.update_many(coordinates)
-        index._ensure_built()
-        looped = {}
-        for node_id, coordinate in coordinates.items():
-            key = index._cell_key(coordinate.components)
-            looped.setdefault(key, []).append(node_id)
-        vectorized = {
-            key: [node_id for _, node_id, _ in entries]
-            for key, entries in index._cells.items()
-        }
-        assert vectorized == looped
-        for key, entries in index._cells.items():
-            assert index._cell_min_height[key] == min(
-                coordinate.height for _, _, coordinate in entries
-            )
 
 
 # ----------------------------------------------------------------------
@@ -895,6 +875,15 @@ class TestQueriesScenarioWorkload:
             ScenarioSpec(
                 name="bad-index",
                 workload=WorkloadSpec(kind="queries", params={"index": "btree"}),
+            )
+        # The deleted grid kind is rejected by name, with the known kinds.
+        with pytest.raises(
+            ScenarioError,
+            match=r"workload.index must be one of \['linear', 'vptree', 'dense'\], got 'grid'",
+        ):
+            ScenarioSpec(
+                name="grid-index",
+                workload=WorkloadSpec(kind="queries", params={"index": "grid"}),
             )
 
 

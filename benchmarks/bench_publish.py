@@ -134,9 +134,8 @@ def bench_cell(
         ):
             arrays_identical = False
         for query in queries:
-            d_payload, d_version, _ = delta_store.serve(query)
-            f_payload, f_version, _ = full_store.serve(query)
-            if d_payload != f_payload or d_version != f_version:
+            d_result, f_result = delta_store.serve(query), full_store.serve(query)
+            if d_result.payload != f_result.payload or d_result.version != f_result.version:
                 queries_identical = False
     health_identical = delta_store.health(DETERMINISTIC_HEALTH) == full_store.health(
         DETERMINISTIC_HEALTH

@@ -31,9 +31,13 @@ length-prefixed JSON protocol (:mod:`repro.server.protocol`) over TCP:
   value as a retry-after hint which
   :meth:`~repro.server.client.AsyncCoordinateClient.request_with_retry`
   honors in place of its exponential backoff schedule.
-* **Non-blocking serving** -- query execution runs on a small thread
-  pool, so a long scatter-gather at 50k nodes never stalls the event
-  loop's frame reading, and NumPy-backed shard kernels can overlap.
+* **Non-blocking serving** -- a cache hit is answered on the event loop
+  (:meth:`~repro.server.sharding.ShardedCoordinateStore.serve_cached`
+  takes one short lock and does no index work), so the common case of a
+  read-mostly service never pays a thread hop.  Misses, publishes and
+  snapshot dumps run on a small thread pool, so a long scatter-gather at
+  50k nodes never stalls the loop's frame reading, and NumPy-backed
+  shard kernels can overlap.
 * **Zero-downtime ingest** -- the store's publish methods are plain
   thread-safe calls; a simulation thread streams epochs straight into
   the serving store (``run_batch_simulation(publish_store=...)``) while
@@ -72,7 +76,7 @@ from repro.server.protocol import (
     request_to_query,
     request_version,
 )
-from repro.server.sharding import ShardedCoordinateStore
+from repro.server.sharding import ServeResult, ShardedCoordinateStore
 from repro.service.planner import QueryError
 
 __all__ = ["CoordinateServer", "RequestEngine", "ServerThread"]
@@ -83,10 +87,13 @@ class RequestEngine:
 
     Everything between "a protocol request object arrived" and "here is
     its response object" lives here: the atomic admission decision, the
-    deterministic chaos schedule hooks, thread-pool query execution, and
-    the per-op handlers.  The TCP daemon and the HTTP gateway are both
-    thin shells over :meth:`process`, so their answers for the same
-    store state are byte-identical by construction.
+    deterministic chaos schedule hooks, query execution, and the per-op
+    handlers.  An admitted query probes the result cache on the event
+    loop and is answered there on a hit; misses, publishes and snapshot
+    dumps go to the thread pool.  Both paths build the same envelope.
+    The TCP daemon and the HTTP gateway are both thin shells over
+    :meth:`process`, so their answers for the same store state are
+    byte-identical by construction.
     """
 
     def __init__(
@@ -309,6 +316,9 @@ class RequestEngine:
             except (ProtocolError, QueryError) as exc:
                 return {"id": request_id, "ok": False, "error": str(exc)}
             if query is not None:
+                hit = self.store.serve_cached(query, trace=trace)
+                if hit is not None:
+                    return self._query_response(request_id, hit)
                 loop = asyncio.get_running_loop()
                 return await loop.run_in_executor(
                     self._executor, self._serve_query, request_id, query, trace
@@ -548,6 +558,11 @@ class RequestEngine:
             if events is not None:
                 events.emit("shard_error", query_kind=query.kind, error=str(exc))
             return {"id": request_id, "ok": False, "error": str(exc)}
+        return self._query_response(request_id, result)
+
+    @staticmethod
+    def _query_response(request_id: Any, result: ServeResult) -> Dict[str, Any]:
+        """The wire envelope of one served query, hit or miss alike."""
         response = {
             "id": request_id,
             "ok": True,
@@ -555,7 +570,7 @@ class RequestEngine:
             "version": result.version,
             "cached": result.cached,
         }
-        if getattr(result, "partial", False):
+        if result.partial:
             # Degraded contract: still ok, but the client is told exactly
             # which shards' candidates are missing from the answer.
             response["partial"] = True
@@ -679,7 +694,13 @@ class CoordinateServer:
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     break
                 length = frame_length(header)
-                body = await reader.readexactly(length)
+                try:
+                    body = await reader.readexactly(length)
+                except asyncio.IncompleteReadError:
+                    # The peer closed mid-frame: nothing to answer, but
+                    # the cut frame is counted like a corrupt one.
+                    self.engine._count_error(None)
+                    break
                 request = decode_frame(body)
                 # Backpressure: once this connection's window is full we
                 # stop reading its socket until a response drains.

@@ -44,7 +44,9 @@ incremental object commits are therefore *definitionally* the oracle's.
 Thread-safety: publishes are serialised by an ingest lock; serving reads
 one volatile reference and immutable data plus a small stats lock, so any
 number of threads (or event-loop executors) can query concurrently with
-ingest.
+ingest.  :meth:`ShardedCoordinateStore.serve_cached` is the part of
+serving that never sleeps and does no index work -- a cache hit -- so
+the daemon runs it on its event loop and sends only misses to its pool.
 """
 
 from __future__ import annotations
@@ -118,12 +120,10 @@ class _DeadShardIndex:
 class ServeResult:
     """:meth:`ShardedCoordinateStore.serve`'s return value.
 
-    Unpacks as the historical ``(payload, version, cached)`` 3-tuple so
-    every existing caller keeps working, while the degraded-response
-    attributes (``partial``, ``missing_shards``) ride along for callers
-    that understand them (the daemon's wire envelope).
-    ``payload`` is shared and read-only: a miss caches the very object it
-    returns and every later hit returns it again, uncopied.
+    ``partial`` and ``missing_shards`` describe a degraded answer (the
+    daemon's wire envelope carries them).  ``payload`` is shared and
+    read-only: a miss caches the very object it returns and every later
+    hit returns it again, uncopied.
     """
 
     __slots__ = ("payload", "version", "cached", "partial", "missing_shards")
@@ -142,15 +142,6 @@ class ServeResult:
         self.cached = cached
         self.partial = partial
         self.missing_shards = missing_shards
-
-    def __iter__(self):
-        return iter((self.payload, self.version, self.cached))
-
-    def __len__(self) -> int:
-        return 3
-
-    def __getitem__(self, item):
-        return (self.payload, self.version, self.cached)[item]
 
 
 def shard_of(node_id: str, shards: int) -> int:
@@ -796,6 +787,57 @@ class ShardedCoordinateStore:
     def version(self) -> int:
         return self._generation.version
 
+    def serve_cached(
+        self, query: Query, *, trace: Optional[TraceRecorder] = None
+    ) -> Optional[ServeResult]:
+        """The current generation's cached answer to ``query``, or None.
+
+        Safe to call on an event loop: it takes only the short stats lock
+        and does no index work.  A hit is counted exactly as
+        :meth:`serve` counts one; a miss is not counted, because the
+        caller's next step is :meth:`serve`, which probes again and counts
+        what it finds.  Returns None without probing while a chaos
+        schedule is installed (the gray-failure delay sleeps inside
+        :meth:`serve`) or any shard is down (degraded answers bypass the
+        cache).
+        """
+        if self.chaos is not None or self._down_shards:
+            return None
+        pinned = self._generation
+        hit = self._cached(pinned, query, trace, count_miss=False)
+        if hit is not None:
+            self._observe_age(pinned)
+        return hit
+
+    def _cached(
+        self,
+        pinned: ShardGeneration,
+        query: Query,
+        trace: Optional[TraceRecorder],
+        *,
+        count_miss: bool,
+    ) -> Optional[ServeResult]:
+        """The one cache-hit branch: probe ``(version, query)``, count a hit."""
+        with make_span(self.registry, "store.cache", trace, {"kind": query.kind}):
+            with self._stats_lock:
+                found, payload = self.cache.get(
+                    (pinned.version, query), count_miss=count_miss
+                )
+        if not found:
+            return None
+        stats = self._serve_stats[query.kind]
+        stats.served.inc()
+        stats.cache_hits.inc()
+        return ServeResult(payload, pinned.version, True)
+
+    def _observe_age(self, pinned: ShardGeneration) -> None:
+        """Record the publish-to-serve age of the generation answering."""
+        installed = self._publish_walls.get(pinned.version)
+        if installed is not None:
+            age_s = self._timer() - installed
+            self._h_serve_age_ms.observe(age_s * 1e3)
+            self._g_generation_age_s.set(age_s)
+
     def serve(
         self,
         query: Query,
@@ -803,8 +845,7 @@ class ShardedCoordinateStore:
         generation: Optional[ShardGeneration] = None,
         trace: Optional[TraceRecorder] = None,
     ) -> ServeResult:
-        """Answer one query: a :class:`ServeResult` (unpacks as the
-        historical ``(payload, snapshot_version, cached)`` 3-tuple).
+        """Answer one query as a :class:`ServeResult`.
 
         The whole answer is computed from one pinned generation.  Results
         are cached keyed on ``(version, query)`` -- an answer can never
@@ -824,12 +865,7 @@ class ShardedCoordinateStore:
         when the registry's spans are globally disabled.
         """
         pinned = generation if generation is not None else self._generation
-        stats = self._serve_stats[query.kind]
-        installed = self._publish_walls.get(pinned.version)
-        if installed is not None:
-            age_s = self._timer() - installed
-            self._h_serve_age_ms.observe(age_s * 1e3)
-            self._g_generation_age_s.set(age_s)
+        self._observe_age(pinned)
         chaos = self.chaos
         if chaos is not None:
             delay_ms = chaos.serve_delay_ms()
@@ -839,15 +875,11 @@ class ShardedCoordinateStore:
                 time.sleep(delay_ms / 1e3)
         down = self._down_shards
         degraded = bool(down) and query.kind != "pairwise"
-        key = (pinned.version, query)
         if not degraded:
-            with make_span(self.registry, "store.cache", trace, {"kind": query.kind}):
-                with self._stats_lock:
-                    found, payload = self.cache.get(key)
-            if found:
-                stats.served.inc()
-                stats.cache_hits.inc()
-                return ServeResult(payload, pinned.version, True)
+            hit = self._cached(pinned, query, trace, count_miss=True)
+            if hit is not None:
+                return hit
+        stats = self._serve_stats[query.kind]
         started = self._timer()
         try:
             with make_span(self.registry, "store.serve", trace, {"kind": query.kind}):
@@ -874,7 +906,7 @@ class ShardedCoordinateStore:
                 missing_shards=tuple(sorted(down)),
             )
         with self._stats_lock:
-            self.cache.put(key, payload)
+            self.cache.put((pinned.version, query), payload)
         stats.served.inc()
         stats.latency_ms.observe(elapsed_ms)
         return ServeResult(payload, pinned.version, False)

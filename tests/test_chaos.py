@@ -397,17 +397,17 @@ class TestDegradedServing:
         store.kill_shard(1)
         degraded = store.serve(scatter)
         assert degraded.partial and degraded.missing_shards == (1,)
-        assert degraded[1] == before[1]  # same pinned generation
+        assert degraded.version == before.version  # same pinned generation
         mirror = ShardedCoordinateStore.from_snapshot(
             store.generation().snapshot, shards=3, index_kind="linear"
         )
         expected = mirror.generation().answer(scatter, exclude_shards=frozenset({1}))
-        assert degraded[0] == expected
+        assert degraded.payload == expected
 
         store.restart_shard(1)
         after = store.serve(scatter)
         assert not after.partial
-        assert after[0] == before[0]
+        assert after.payload == before.payload
 
     def test_pairwise_unaffected_by_down_shard(self, population):
         coords, _ = population
@@ -424,7 +424,7 @@ class TestDegradedServing:
         store.kill_shard(1)
         result = store.serve(Query.knn(sorted(coords)[0], k=3))
         assert result.partial and result.missing_shards == (0, 1)
-        assert result[0]["neighbors"] == []
+        assert result.payload["neighbors"] == []
 
     def test_degraded_responses_bypass_the_cache(self, population):
         coords, _ = population
@@ -437,11 +437,11 @@ class TestDegradedServing:
         degraded = store.serve(query)
         assert degraded.partial  # not the cached full answer
         repeat = store.serve(query)
-        assert repeat.partial and not repeat[2]  # and never cached itself
+        assert repeat.partial and not repeat.cached  # and never cached itself
         store.restart_shard(1)
         after = store.serve(query)
-        assert not after.partial and after[2]  # old cache entry intact
-        assert after[0] == healthy[0]
+        assert not after.partial and after.cached  # old cache entry intact
+        assert after.payload == healthy.payload
 
     def test_kill_restart_validation_idempotence_and_events(self, population):
         coords, _ = population
@@ -480,10 +480,10 @@ class TestDegradedServing:
             if position % 20 == 15:
                 store.restart_shard(position // 20 % 2)
             result = store.serve(query)
-            expected = store.at(result[1]).answer(
+            expected = store.at(result.version).answer(
                 query, exclude_shards=frozenset(result.missing_shards)
             )
-            if expected != result[0]:
+            if expected != result.payload:
                 torn += 1
         assert torn == 0
 

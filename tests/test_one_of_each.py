@@ -29,6 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coordinate import Coordinate, centroid
+from repro.gateway.app import GatewayServer
+from repro.gateway.client import GatewayClient
+from repro.gateway.config import parse_gateway_config
+from repro.gateway.tenants import build_store
 from repro.server.daemon import CoordinateServer
 from repro.server.protocol import HEADER, decode_frame, encode_frame, frame_length
 from repro.server.sharding import ShardedCoordinateStore, shard_of
@@ -245,8 +249,23 @@ class TestSharedPayloads:
                 assert not first.cached and second.cached
                 assert second.payload is first.payload
 
-    def test_tcp_hit_frame_equals_the_miss_frame_but_for_cached(self):
-        store = ShardedCoordinateStore.from_coordinates(self.COORDINATES, shards=2)
+    def test_tcp_hit_frame_equals_the_miss_frame_but_for_cached(self, tmp_path):
+        # The gateway tenant and the TCP store load the same snapshot, so
+        # the HTTP bodies can be held against the TCP frame bodies too.
+        snapshot = tmp_path / "lattice.json"
+        SnapshotStore.from_coordinates(self.COORDINATES).latest().save(snapshot)
+        config = parse_gateway_config(
+            {
+                "tenants": [
+                    {
+                        "name": "acme",
+                        "api_key": "acme-secret-0001",
+                        "shards": 2,
+                        "data": {"snapshot": str(snapshot)},
+                    }
+                ]
+            }
+        )
         request = {"id": 1, "op": "range", "target": "n07", "radius_ms": 2.0}
 
         async def two_bodies(address):
@@ -260,11 +279,22 @@ class TestSharedPayloads:
             writer.close()
             return bodies
 
-        with CoordinateServer(store).run_in_thread() as handle:
+        async def two_http_bodies(address):
+            client = GatewayClient(*address, "acme", "acme-secret-0001")
+            try:
+                return [(await client.request_raw(dict(request)))[1] for _ in range(2)]
+            finally:
+                await client.close()
+
+        tcp_server = CoordinateServer(build_store(config.tenant("acme")))
+        with tcp_server.run_in_thread() as handle:
             miss, hit = asyncio.run(two_bodies(handle.address))
+        with GatewayServer(config).run_in_thread() as handle:
+            http_miss, http_hit = asyncio.run(two_http_bodies(handle.address))
         assert decode_frame(miss)["payload"]["hits"]
         assert b'"cached":false' in miss and b'"cached":true' in hit
         assert miss.replace(b'"cached":false', b'"cached":true') == hit
+        assert (http_miss, http_hit) == (miss, hit)
 
 
 class TestOneOfEachInTheSourceTree:

@@ -214,10 +214,10 @@ class TestDeltaEquivalenceSweep:
                 Query.pairwise(d_ids[0], d_ids[1]),
                 Query.centroid((d_ids[0], d_ids[2], d_ids[4])),
             ):
-                d_payload, d_version, _ = delta_store.serve(query)
-                f_payload, f_version, _ = full_store.serve(query)
-                assert d_payload == f_payload
-                assert d_version == f_version
+                d_result = delta_store.serve(query)
+                f_result = full_store.serve(query)
+                assert d_result.payload == f_result.payload
+                assert d_result.version == f_result.version
         deterministic = tuple(s for s in HEALTH_SECTIONS if s != "staleness")
         assert delta_store.health(deterministic) == full_store.health(deterministic)
 
@@ -868,6 +868,6 @@ class TestWireProtocolVersioning:
             final_comps[row] = changed_comps[position]
             final_hts[row] = changed_hts[position]
         oracle.publish_epoch(final_ids, final_comps, final_hts, source="e1")
-        expected, version, _ = oracle.serve(Query.knn(node_ids[0], k=5))
-        assert probe["ok"] and probe["payload"] == expected
-        assert probe["version"] == version == 2
+        expected = oracle.serve(Query.knn(node_ids[0], k=5))
+        assert probe["ok"] and probe["payload"] == expected.payload
+        assert probe["version"] == expected.version == 2

@@ -137,7 +137,7 @@ class TestSharding:
         store = ShardedCoordinateStore.from_coordinates(
             coords, shards=shards, index_kind=kind, source="t"
         )
-        served = [store.serve(query)[0] for query in queries]
+        served = [store.serve(query).payload for query in queries]
         assert served == payloads
 
     def test_tie_order_matches_oracle_on_lattice(self):
@@ -154,7 +154,7 @@ class TestSharding:
             store = ShardedCoordinateStore.from_coordinates(
                 coords, shards=shards, index_kind="vptree"
             )
-            assert [store.serve(query)[0] for query in queries] == payloads
+            assert [store.serve(query).payload for query in queries] == payloads
 
     def test_publish_arrays_identical_to_object_publish(self):
         coords = synthetic_coordinates(90, seed=5)
@@ -167,8 +167,8 @@ class TestSharding:
             coords, shards=3, index_kind="dense"
         )
         queries = generate_queries(node_ids, 150, mix="mixed", seed=2)
-        assert [by_arrays.serve(q)[0] for q in queries] == [
-            by_objects.serve(q)[0] for q in queries
+        assert [by_arrays.serve(q).payload for q in queries] == [
+            by_objects.serve(q).payload for q in queries
         ]
         assert by_arrays.version == 1
 
@@ -196,7 +196,7 @@ class TestSharding:
         planner = QueryPlanner(single, timer=lambda: 0.0)
         oracle = run_workload(planner, queries, timer=lambda: 0.0)
         assert sharded.version == 2
-        assert [sharded.serve(q)[0] for q in queries] == [
+        assert [sharded.serve(q).payload for q in queries] == [
             r.payload for r in oracle.results
         ]
 
@@ -235,15 +235,16 @@ class TestSharding:
         coords = {f"n{i}": Coordinate([float(i)]) for i in range(6)}
         store = ShardedCoordinateStore.from_coordinates(coords, shards=2)
         query = Query.knn("n0", k=2)
-        payload, version, cached = store.serve(query)
-        repeat, _, cached_again = store.serve(query)
-        assert not cached and cached_again and repeat == payload
+        first = store.serve(query)
+        repeat = store.serve(query)
+        assert not first.cached and repeat.cached
+        assert repeat.payload == first.payload
         # New generation: the cache key includes the version, so the
         # answer is recomputed against the new coordinates.
         store.publish_delta(EpochDelta.from_coordinates({"n0": Coordinate([10.0])}))
-        moved, version2, cached3 = store.serve(query)
-        assert version2 == version + 1 and not cached3
-        assert moved != payload
+        moved = store.serve(query)
+        assert moved.version == first.version + 1 and not moved.cached
+        assert moved.payload != first.payload
         stats = store.stats()
         assert stats["cache"]["hits"] == 1
         assert stats["kinds"]["knn"]["served"] == 3
@@ -812,15 +813,15 @@ class TestIngestWhileServing:
         coords = {f"n{i}": Coordinate([float(i)]) for i in range(8)}
         store = ShardedCoordinateStore.from_coordinates(coords, shards=2)
         query = Query.knn("n3", k=2)
-        before, v1, _ = store.serve(query)
+        before = store.serve(query)
         store.publish_delta(
             EpochDelta.from_coordinates(
                 {f"n{i}": Coordinate([float(i) * 3.0]) for i in range(8)}
             )
         )
-        after, v2, cached = store.serve(query)
-        assert v2 == v1 + 1 and not cached
-        assert before != after
+        after = store.serve(query)
+        assert after.version == before.version + 1 and not after.cached
+        assert before.payload != after.payload
 
 
 # ----------------------------------------------------------------------

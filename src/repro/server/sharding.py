@@ -41,6 +41,15 @@ The store keeps an internal single-store router
 version numbers and global insertion order; its merge semantics under
 incremental object commits are therefore *definitionally* the oracle's.
 
+**The cache across a publish.** Answers are cached under
+``(version, query)``.  A delta publish, before its swap, re-keys to the
+new version every cached answer of the base version that
+:func:`repro.service.planner.survivors` proves unchanged by the delta
+(same payload object, counted by ``store_cache_carried_total``) and
+frees the rest as ``rollover`` evictions; a full publish frees them all.
+The survival test reads only the router snapshot, so a shard that is
+down changes nothing about it.
+
 Thread-safety: publishes are serialised by an ingest lock; serving reads
 one volatile reference and immutable data plus a small stats lock, so any
 number of threads (or event-loop executors) can query concurrently with
@@ -72,6 +81,7 @@ from repro.service.planner import (
     QUERY_KINDS,
     answer_query,
     latency_percentiles_us,
+    survivors,
 )
 from repro.service.publish import EpochDelta
 from repro.service.snapshot import SnapshotStore
@@ -320,6 +330,10 @@ class ShardedCoordinateStore:
         self._c_nodes_ingested = self.registry.counter(
             "store_nodes_ingested_total", "Nodes ingested across all publishes."
         )
+        self._c_cache_carried = self.registry.counter(
+            "store_cache_carried_total",
+            "Cached answers re-keyed to the next version by a delta publish.",
+        )
         self._g_last_publish_s = self.registry.gauge(
             "store_last_publish_seconds", "Duration of the latest publish."
         )
@@ -434,7 +448,9 @@ class ShardedCoordinateStore:
         build.  The resulting generation is byte-identical (coordinates,
         query results including tie order, health snapshots) to
         publishing the same final population through
-        :meth:`publish_epoch`.
+        :meth:`publish_epoch`.  Cached answers the delta provably leaves
+        unchanged are carried to the new version (see the module
+        docstring).
         """
         if not isinstance(delta, EpochDelta):
             raise TypeError(
@@ -510,8 +526,26 @@ class ShardedCoordinateStore:
             self._install_locked(
                 generation, started, ids, comps, hts,
                 mode="delta", changed_count=delta.changed_count,
+                carried=self._survivors(base_generation, generation, delta),
             )
             return generation
+
+    def _survivors(
+        self, base: ShardGeneration, generation: ShardGeneration, delta: EpochDelta
+    ) -> List[Tuple[Query, Any]]:
+        """The base version's cached ``(query, payload)`` entries that
+        ``delta`` leaves unchanged, LRU first.
+
+        The entries are copied under the stats lock and tested outside
+        it, so serving keeps hitting the cache meanwhile; an entry a
+        reader adds after the copy is simply not carried.
+        """
+        with self._stats_lock:
+            entries = self.cache.entries_at(base.version)
+        if not entries:
+            return []
+        keep = survivors(entries, delta, generation.snapshot, generation.global_seq)
+        return [entry for entry, kept in zip(entries, keep) if kept]
 
     def _publish_mapping(
         self, coordinates: Mapping[str, Coordinate], *, source: str = ""
@@ -610,6 +644,7 @@ class ShardedCoordinateStore:
         *,
         mode: str = "full",
         changed_count: Optional[int] = None,
+        carried: Sequence[Tuple[Query, Any]] = (),
     ) -> None:
         if changed_count is None:
             changed_count = len(generation)
@@ -626,12 +661,16 @@ class ShardedCoordinateStore:
         for version in [v for v in self._generations if v < floor]:
             self._generations.pop(version, None)
             self._publish_walls.pop(version, None)
+        # Before the swap, so the new version's first reader already finds
+        # the carried answers; everything else is superseded and freed.
+        with self._stats_lock:
+            self.cache.rekey(generation.version, carried)
+            self.cache.current_version = generation.version
+        self._c_cache_carried.inc(len(carried))
         # The swap: a single reference assignment.  Readers see either the
         # whole old generation or the whole new one, never a mixture.
         self._generation = generation
         elapsed_s = self._timer() - started
-        with self._stats_lock:
-            self.cache.current_version = generation.version
         self._c_publishes.inc()
         self._c_nodes_ingested.inc(len(generation))
         self._g_last_publish_s.set(elapsed_s)
@@ -848,8 +887,10 @@ class ShardedCoordinateStore:
         """Answer one query as a :class:`ServeResult`.
 
         The whole answer is computed from one pinned generation.  Results
-        are cached keyed on ``(version, query)`` -- an answer can never
-        leak across generations -- and failures raise
+        are cached keyed on ``(version, query)``; an answer crosses into a
+        newer version only when :meth:`publish_delta` proved it identical
+        to that version's fresh answer (every other entry is dropped at
+        the publish).  Failures raise
         :class:`~repro.service.planner.QueryError` after being counted.
 
         While shards are down (fault injection) scatter queries are

@@ -33,11 +33,15 @@ centroid, unknown targets, duplicates served from the cache, non-dense
 indexes) goes through :func:`answer_query`.
 
 Results are **cached** in an LRU map whose key includes the snapshot
-version -- a cached answer can therefore never be stale or leak across
-coordinate generations; entries from superseded versions simply age out,
-and their capacity evictions are counted separately from live-version LRU
-evictions (see :class:`LRUTTLCache`) so serving hit rates stay
-interpretable under snapshot rollover.  Per-kind **stats** (counts, cache
+version, so an answer is only ever served under the version it was
+computed or proven for.  Under the planner, entries from superseded
+versions simply age out, and their capacity evictions are counted
+separately from live-version LRU evictions (see :class:`LRUTTLCache`) so
+serving hit rates stay interpretable under snapshot rollover.  The
+sharded store goes further on a delta publish: :func:`survivors` is the
+one exact test of which cached answers a delta provably leaves unchanged,
+and only those are re-keyed to the new version (the rest are freed at
+once).  Per-kind **stats** (counts, cache
 hits, and service-latency percentiles read from the registry's latency
 histogram, within one bucket of exact) make the serving layer observable;
 exact percentiles are the load harness's job (``repro load``).
@@ -45,14 +49,19 @@ exact percentiles are the load harness's job (``repro load``).
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.coordinate import Coordinate, centroid
 from repro.obs.registry import LatencyHistogram, TelemetryRegistry
 from repro.obs.tracing import TraceRecorder, make_span
+from repro.service.index import _rtts
+from repro.service.publish import EpochDelta
 from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
 
 __all__ = [
@@ -64,6 +73,7 @@ __all__ = [
     "QUERY_KINDS",
     "answer_query",
     "latency_percentiles_us",
+    "survivors",
 ]
 
 #: Recognised query kinds.
@@ -247,6 +257,139 @@ def answer_query(
     return _proximity_payload(query, ranked)
 
 
+#: Cells in any one temporary of :func:`survivors`' distance check.
+_SURVIVOR_CHUNK_CELLS = 2**15
+
+
+def survivors(
+    entries: Sequence[Tuple[Query, Any]],
+    delta: EpochDelta,
+    snapshot,
+    rows: Mapping[str, int],
+) -> List[bool]:
+    """Which cached ``(query, payload)`` answers ``delta`` leaves unchanged.
+
+    ``entries`` were answered at the delta's base version; ``snapshot``
+    is the array snapshot the delta produced and ``rows`` maps a node id
+    to its row in ``snapshot.arrays()``.  An entry marked True equals
+    :func:`answer_query`'s answer over ``snapshot``, byte for byte.  With
+    ``moved`` the delta's changed and removed ids (an added row counts as
+    a changed row at its new position):
+
+    * ``pairwise`` survives when neither endpoint moved;
+    * ``knn`` / ``nearest`` / ``range`` survive when neither the target
+      nor any member moved and no changed row's new position lies at
+      ``target.distance(row) <= r``, where ``r`` is the last neighbour's
+      rtt of a full kNN answer (+inf for a short one) or the range
+      radius.  Unmoved rows keep their distances and their relative
+      insertion order, so only a changed row could enter the answer or
+      reorder it, and ``<=`` makes a tie count as entering;
+    * ``centroid`` never survives.
+
+    The targets' coordinates are gathered as rows of ``snapshot`` (they
+    did not move) and the distance check is :func:`_reached`; no
+    ``Coordinate`` is built.
+    """
+    moved = set(delta.node_ids)
+    moved.update(delta.removed_ids)
+    keep = [False] * len(entries)
+    probes: List[int] = []  # entries left to the distance check
+    reach: List[float] = []
+    for position, (query, payload) in enumerate(entries):
+        kind = query.kind
+        if kind == "pairwise":
+            keep[position] = moved.isdisjoint(query.pair)
+            continue
+        if kind == "centroid" or query.target in moved:
+            continue
+        if kind == "range":
+            members = payload["hits"]
+            radius = query.radius_ms
+        else:
+            members = payload["neighbors"]
+            limit = query.k if kind == "knn" else 1
+            full = len(members) == limit
+            radius = members[-1]["predicted_rtt_ms"] if full else math.inf
+        if not moved.isdisjoint([member["node_id"] for member in members]):
+            continue
+        probes.append(position)
+        reach.append(radius)
+    if probes and delta.node_ids:
+        _, components, heights = snapshot.arrays()
+        targets = [rows[entries[position][0].target] for position in probes]
+        reached = _reached(
+            np.asarray(components)[targets],
+            np.asarray(heights)[targets],
+            np.asarray(reach),
+            delta.components,
+            delta.heights,
+        ).tolist()
+    else:
+        reached = [False] * len(probes)
+    for position, hit in zip(probes, reached):
+        keep[position] = not hit
+    return keep
+
+
+def _reached(
+    origins: np.ndarray,
+    origin_heights: np.ndarray,
+    limits: np.ndarray,
+    points: np.ndarray,
+    point_heights: np.ndarray,
+) -> np.ndarray:
+    """``out[i]``: some point lies at rtt ``<= limits[i]`` from origin ``i``.
+
+    ``origins`` / ``points`` are ``(n, d)`` rows, each with its height.
+    Heights are non-negative, so a point farther than ``r`` from an
+    origin along the first axis is farther than ``r`` in rtt.  Origins
+    are therefore swept in first-axis order and each meets only the
+    window of (sorted) points within its limit on that axis, widened far
+    beyond any rounding.  Consecutive origins share one kernel call while
+    their joint window fits ``_SURVIVOR_CHUNK_CELLS``; a lone origin
+    whose window does not fit takes it in blocks.  The kernel is the
+    oracle-exact :func:`repro.service.index._rtts`, fed both sides
+    dimension-major -- ``(d, n)``-contiguous arrays passed transposed --
+    so every per-axis slice it reads is contiguous.
+    """
+    sweep = np.argsort(origins[:, 0], kind="stable")
+    order = np.argsort(points[:, 0], kind="stable")
+    origins_dm = np.ascontiguousarray(origins[sweep].T)
+    origin_heights = origin_heights[sweep]
+    limits = limits[sweep]
+    points_dm = np.ascontiguousarray(points[order].T)
+    point_heights = point_heights[order]
+    axis, x = points_dm[0], origins_dm[0]
+    slack = 1e-9 * (1.0 + np.abs(x) + limits)
+    lows = np.searchsorted(axis, x - limits - slack, side="left").tolist()
+    highs = np.searchsorted(axis, x + limits + slack, side="right").tolist()
+    dims = points_dm.shape[0]
+    step = max(1, _SURVIVOR_CHUNK_CELLS // dims)  # points per lone-origin block
+    swept = np.zeros(len(limits), dtype=bool)
+    start, total = 0, len(lows)
+    while start < total:
+        low, high, stop = lows[start], highs[start], start + 1
+        while stop < total:
+            wider_low = low if low < lows[stop] else lows[stop]
+            wider_high = high if high > highs[stop] else highs[stop]
+            if (stop + 1 - start) * (wider_high - wider_low) * dims > _SURVIVOR_CHUNK_CELLS:
+                break
+            low, high, stop = wider_low, wider_high, stop + 1
+        for block in range(low, high, step):
+            end = min(block + step, high)
+            rtts = _rtts(
+                origins_dm[:, start:stop].T[:, np.newaxis],
+                origin_heights[start:stop, np.newaxis],
+                points_dm[:, block:end].T[np.newaxis],
+                point_heights[np.newaxis, block:end],
+            )
+            swept[start:stop] |= (rtts <= limits[start:stop, np.newaxis]).any(axis=1)
+        start = stop
+    out = np.empty_like(swept)
+    out[sweep] = swept
+    return out
+
+
 def latency_percentiles_us(histogram: LatencyHistogram) -> Dict[str, float]:
     """The ``p50_us`` / ``p99_us`` stats keys, read from a latency histogram.
 
@@ -268,9 +411,12 @@ _ABSENT = object()
 class LRUTTLCache:
     """A bounded LRU result cache.
 
-    Keys carry the snapshot version, so an entry can never be stale and
-    nothing expires by age.  (The name predates the removal of the TTL
-    it once had; the benchmark contract imports it.)
+    Keys carry the snapshot version, so an entry is only ever served
+    under the version it was keyed to, and nothing expires by age.  (The
+    name predates the removal of the TTL it once had; the benchmark
+    contract imports it.)  :meth:`rekey` is the one way an entry moves
+    to a newer version: the sharded store calls it on every publish with
+    the entries :func:`survivors` proved unchanged, and it frees the rest.
 
     Capacity evictions are classified: when the consumer keeps
     :attr:`current_version` up to date (the planner and the serving
@@ -347,6 +493,24 @@ class LRUTTLCache:
             self.evictions_rollover += 1
         else:
             self.evictions_lru += 1
+
+    def entries_at(self, version: int) -> List[Tuple[Any, Any]]:
+        """``(query, value)`` of every ``(version, query)`` key, LRU first."""
+        return [
+            (key[1], value) for key, value in self._entries.items() if key[0] == version
+        ]
+
+    def rekey(self, version: int, carried: Sequence[Tuple[Any, Any]]) -> None:
+        """Make ``carried`` -- ``(query, value)`` pairs, LRU first, as
+        :meth:`entries_at` lists them -- the whole cache, keyed to ``version``.
+
+        Every other entry is superseded once ``version`` is served, so it
+        is dropped now and counted as a ``rollover`` eviction instead of
+        holding its payload until capacity pressure.
+        """
+        kept = OrderedDict(((version, query), value) for query, value in carried)
+        self.evictions_rollover += max(0, len(self._entries) - len(kept))
+        self._entries = kept
 
     def clear(self) -> None:
         self._entries.clear()

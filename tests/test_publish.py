@@ -7,11 +7,17 @@ scratch.  The sweep drives both a delta-fed store and a full-rebuild
 store through the same epoch sequence and compares everything after
 every epoch, across all index kinds, including the overlay-compaction
 boundary cases (0 changed rows, all rows changed, removals, additions).
+The sharded store's cache carry is held to the same standard: every
+answer a delta carries to the new version equals the linear oracle's
+answer at that version.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -41,7 +47,8 @@ from repro.service.index import (
     VPTreeIndex,
     _overlay_budget,
 )
-from repro.service.planner import Query
+import repro.service.planner as planner_module
+from repro.service.planner import Query, QueryError, _reached, answer_query
 from repro.service.publish import EpochDelta, EpochPublisher
 from repro.service.snapshot import SnapshotStore
 
@@ -577,6 +584,301 @@ class TestDenseOneKernelProperty:
                 assert answer == oracle.within(oracle.coordinate_of(target), 2.5)
             else:
                 assert answer is None
+
+
+def _lattice_queries(rng, node_ids, count):
+    """Random queries of every kind over ``node_ids``, tie-prone radii and k."""
+    queries = []
+    n = len(node_ids)
+    for _ in range(count):
+        target = str(rng.choice(node_ids))
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            queries.append(Query.knn(target, k=int(rng.choice([1, 2, 3, n + 1]))))
+        elif kind == 1:
+            queries.append(Query.nearest(target))
+        elif kind == 2:
+            queries.append(Query.range(target, float(rng.choice([0.0, 1.0, 2.5, 4.0]))))
+        elif kind == 3:
+            queries.append(Query.pairwise(target, str(rng.choice(node_ids))))
+        else:
+            size = int(rng.integers(0, 4))
+            members = rng.choice(node_ids, size=min(size, n), replace=False)
+            queries.append(Query.centroid(tuple(str(m) for m in members)))
+    return queries
+
+
+def _oracle_answer(mirror: SnapshotStore, query: Query):
+    """``answer_query`` over the linear oracle at the mirror's latest version."""
+    snapshot = mirror.latest()
+    return answer_query(query, snapshot, (mirror.index_for(snapshot),))
+
+
+class TestCacheCarriedAcrossADelta:
+    """A delta publish re-keys the cached answers it provably leaves unchanged.
+
+    The load-bearing property: after every publish, every entry keyed to
+    the new version equals the linear oracle's answer at that version --
+    so a carried hit is exactly what a fresh miss would have computed.
+    """
+
+    @given(
+        dims=st.integers(1, 4),
+        with_heights=st.booleans(),
+        n=st.integers(1, 40),
+        shards=st.integers(1, 4),
+        index_kind=st.sampled_from(["vptree", "dense"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_carried_entry_equals_the_oracle(
+        self, dims, with_heights, n, shards, index_kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+
+        def points(count):
+            # A 7-wide integer lattice: equal distances and duplicates abound.
+            components = rng.integers(-3, 4, size=(count, dims)).astype(float)
+            if with_heights:
+                return components, rng.choice([0.0, 0.5, 1.0], size=count)
+            return components, np.zeros(count)
+
+        node_ids = [f"n{i:03d}" for i in range(n)]
+        components, heights = points(n)
+        store = ShardedCoordinateStore(shards, index_kind=index_kind)
+        mirror = SnapshotStore(index_kind="linear")
+        store.publish_epoch(node_ids, components, heights)
+        mirror.publish_epoch(node_ids, components, heights)
+        fresh = 0
+        for _ in range(4):
+            live = mirror.latest().node_ids()
+            queries = list(dict.fromkeys(_lattice_queries(rng, live, 12)))
+            for query in queries:
+                store.serve(query)
+            # Moves, removals and additions, each absent half the time:
+            # an addition-only delta is what a short kNN answer must miss.
+            moves = int(rng.choice([0, 0, 0, 1, 2, 3]))
+            moved = [str(i) for i in rng.permutation(live)[:moves]]
+            rest = [node_id for node_id in live if node_id not in moved]
+            # At most two removals, and never the whole population.
+            removals = int(rng.choice([0, 0, 1, 2]))
+            removals = min(removals, len(rest), len(live) - 1)
+            removed = tuple(str(i) for i in rng.permutation(rest)[:removals])
+            added = [f"late{fresh + i}" for i in range(int(rng.choice([0, 0, 1, 2])))]
+            fresh += len(added)
+            changed = moved + added
+            values, value_heights = points(len(changed))
+            delta = EpochDelta(changed, values, value_heights, removed_ids=removed)
+            base_entries = len(store.cache)
+            rollover = store.cache.evictions_rollover
+            carried_before = store.registry.counter("store_cache_carried_total").value
+            generation = store.publish_delta(delta)
+            mirror.publish_delta(delta)
+            assert generation.version == mirror.version
+            carried = store.cache.entries_at(generation.version)
+            # Nothing else is left behind, and the counts add up.
+            assert len(store.cache) == len(carried)
+            assert store.cache.evictions_rollover - rollover == base_entries - len(carried)
+            assert (
+                store.registry.counter("store_cache_carried_total").value - carried_before
+                == len(carried)
+            )
+            for query, payload in carried:
+                assert payload == _oracle_answer(mirror, query), query
+            # Served at the new version, a carried answer is a hit.
+            carried_queries = {query for query, _ in carried}
+            for query in queries:
+                try:
+                    result = store.serve(query)
+                except QueryError:
+                    continue  # an endpoint or target was removed
+                assert result.cached == (query in carried_queries)
+                assert result.payload == _oracle_answer(mirror, query)
+
+    @given(
+        dims=st.integers(1, 4),
+        origins=st.integers(1, 30),
+        points=st.integers(1, 40),
+        cells=st.sampled_from([1, 7, 64, 2**15]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_reach_sweep_equals_the_all_pairs_loop(self, dims, origins, points, cells, seed):
+        # The sweep and its chunking against ``Coordinate.distance`` over
+        # every pair, ties included; tiny cell budgets force lone-origin
+        # blocks and one-origin chunks.
+        rng = np.random.default_rng(seed)
+
+        def lattice(count):
+            return (
+                rng.integers(-3, 4, size=(count, dims)).astype(float),
+                rng.choice([0.0, 0.5, 1.0], size=count),
+            )
+
+        o_comps, o_heights = lattice(origins)
+        p_comps, p_heights = lattice(points)
+        limits = rng.choice([0.0, 1.0, 2.0, 3.5, np.inf], size=origins)
+        with mock.patch.object(planner_module, "_SURVIVOR_CHUNK_CELLS", cells):
+            reached = _reached(o_comps, o_heights, limits, p_comps, p_heights)
+        expected = [
+            any(
+                Coordinate(o_comps[i].tolist(), o_heights[i]).distance(
+                    Coordinate(p_comps[j].tolist(), p_heights[j])
+                )
+                <= limits[i]
+                for j in range(points)
+            )
+            for i in range(origins)
+        ]
+        assert reached.tolist() == expected
+
+    def test_readers_racing_delta_publishes_see_only_oracle_answers(self):
+        # Reader threads (more than cores, tiny switch interval) hammer a
+        # hot set while small deltas publish: every answer, carried or
+        # fresh, must equal its claimed version's own answer.
+        node_ids, components, heights = _initial_population(300, 2, seed=12)
+        deltas = 30
+        store = ShardedCoordinateStore(3, index_kind="vptree", history=deltas + 2)
+        store.publish_epoch(node_ids, components, heights)
+        hot = [Query.knn(node_id, k=3) for node_id in node_ids[:40]]
+        hot += [Query.range(node_id, 12.0) for node_id in node_ids[40:60]]
+        records = [[] for _ in range(4)]
+        done = threading.Event()
+
+        def read(sink):
+            while not done.is_set():
+                for query in hot:
+                    result = store.serve(query)
+                    sink.append((query, result.version, result.payload))
+
+        def publish():
+            rng = np.random.default_rng(12)
+            for _ in range(deltas):
+                rows = rng.choice(len(node_ids), size=3, replace=False)
+                store.publish_delta(
+                    EpochDelta(
+                        [node_ids[row] for row in rows],
+                        np.round(rng.normal(scale=20.0, size=(3, 2)) / 5.0) * 5.0,
+                        np.zeros(3),
+                    )
+                )
+                time.sleep(0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=read, args=(sink,)) for sink in records]
+            for reader in readers:
+                reader.start()
+            publisher = threading.Thread(target=publish)
+            publisher.start()
+            publisher.join(timeout=60)
+            done.set()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not publisher.is_alive() and not any(r.is_alive() for r in readers)
+        assert store.version == deltas + 1
+        assert store.registry.counter("store_cache_carried_total").value > 0
+        for sink in records:
+            for query, version, payload in sink:
+                assert payload == store.at(version).answer(query), (query, version)
+
+    # -- pinned cases on a 1-D line: node ``n{i}`` sits at x = i ----------
+    def _line(self, shards=2, n=10):
+        store = ShardedCoordinateStore(shards, index_kind="vptree")
+        node_ids = [f"n{i}" for i in range(n)]
+        store.publish_epoch(node_ids, np.arange(n, dtype=float).reshape(n, 1))
+        return store
+
+    def _move(self, store, node_id, x):
+        return store.publish_delta(EpochDelta([node_id], np.asarray([[x]])))
+
+    def test_a_far_move_still_hits_at_the_next_version(self):
+        store = self._line()
+        first = store.serve(Query.knn("n0", k=2))
+        generation = self._move(store, "n9", 100.0)
+        again = store.serve(Query.knn("n0", k=2))
+        assert again.cached and again.version == generation.version == first.version + 1
+        assert again.payload is first.payload
+        assert store.registry.counter("store_cache_carried_total").value == 1
+
+    def test_a_moved_member_misses(self):
+        store = self._line()
+        store.serve(Query.knn("n0", k=2))  # neighbours n1, n2
+        self._move(store, "n1", 50.0)
+        result = store.serve(Query.knn("n0", k=2))
+        assert not result.cached
+        assert [e["node_id"] for e in result.payload["neighbors"]] == ["n2", "n3"]
+
+    def test_a_changed_row_exactly_at_the_kth_distance_misses(self):
+        store = self._line()
+        store.serve(Query.knn("n0", k=2))  # the 2nd neighbour, n2, is at 2.0
+        self._move(store, "n9", -2.0)  # a tie at the k-th distance
+        assert not store.serve(Query.knn("n0", k=2)).cached
+
+    def test_a_changed_row_exactly_at_the_radius_misses(self):
+        store = self._line()
+        before = store.serve(Query.range("n0", 3.0))
+        self._move(store, "n9", -3.0)
+        after = store.serve(Query.range("n0", 3.0))
+        assert not after.cached
+        assert len(after.payload["hits"]) == len(before.payload["hits"]) + 1
+
+    def test_pairwise_with_unmoved_endpoints_is_carried(self):
+        store = self._line()
+        kept = store.serve(Query.pairwise("n2", "n5"))
+        lost = store.serve(Query.pairwise("n2", "n7"))
+        self._move(store, "n7", 40.0)
+        assert store.serve(Query.pairwise("n2", "n5")).payload is kept.payload
+        again = store.serve(Query.pairwise("n2", "n7"))
+        assert not again.cached and again.payload != lost.payload
+
+    def test_centroid_is_never_carried(self):
+        store = self._line()
+        store.serve(Query.centroid(("n0", "n1")))
+        store.serve(Query.centroid(()))
+        self._move(store, "n9", 9.0)  # listed, but does not even move
+        assert len(store.cache) == 0
+        assert not store.serve(Query.centroid(("n0", "n1"))).cached
+
+    def test_a_shard_down_across_the_publish_still_carries_the_oracle_answer(self):
+        store = self._line(shards=3)
+        store.serve(Query.knn("n4", k=3))
+        store.kill_shard(1)
+        generation = self._move(store, "n9", 90.0)
+        degraded = store.serve(Query.knn("n4", k=3))
+        assert degraded.partial and not degraded.cached
+        store.restart_shard(1)
+        restored = store.serve(Query.knn("n4", k=3))
+        assert restored.cached and restored.version == generation.version
+        mirror = SnapshotStore(index_kind="linear")
+        mirror.publish_epoch([f"n{i}" for i in range(10)], np.arange(10.0).reshape(10, 1))
+        mirror.publish_delta(EpochDelta(["n9"], np.asarray([[90.0]])))
+        assert restored.payload == _oracle_answer(mirror, Query.knn("n4", k=3))
+
+    def test_a_publish_frees_every_answer_it_does_not_carry(self):
+        # Range-heavy: wide radii, so one move in the middle drops most.
+        node_ids, components, heights = _initial_population(200, 2, seed=4)
+        store = ShardedCoordinateStore(2, index_kind="vptree")
+        store.publish_epoch(node_ids, components, heights)
+        for node_id in node_ids:
+            store.serve(Query.range(node_id, 40.0))
+        assert len(store.cache) == 200
+        generation = store.publish_delta(
+            EpochDelta([node_ids[0]], np.zeros((1, 2)), np.zeros(1))
+        )
+        carried = len(store.cache.entries_at(generation.version))
+        assert 0 < carried < 100
+        assert len(store.cache) == carried
+        assert store.cache.evictions_rollover == 200 - carried
+        assert store.registry.counter("store_cache_carried_total").value == carried
+        assert "store_cache_carried_total " + str(carried) in store.registry.render_prometheus()
+        # A full publish proves nothing, so it frees everything.
+        store.publish_epoch(node_ids, components, heights)
+        assert len(store.cache) == 0
+        assert store.cache.evictions_rollover == 200
 
 
 class TestSharedRowMaps:

@@ -14,7 +14,7 @@ Two legs:
 2. **Multi-tenant** -- one gateway serves four tenants with distinct
    synthetic universes; four closed-loop mixed workloads run
    concurrently, one per tenant, and each tenant's response checksum
-   must equal its own single-store linear oracle
+   must equal its own one-shard linear oracle
    (``oracle_identical_<tenant>``).  Per-tenant throughput and p99 are
    reported (not gated: four concurrent loops on a small CI host flap),
    along with the min-over-max fairness ratio.
@@ -48,8 +48,7 @@ from repro.server.client import AsyncCoordinateClient
 from repro.server.daemon import CoordinateServer
 from repro.server.load import run_load, run_load_async, synthetic_coordinates
 from repro.server.protocol import encode_body, query_to_request
-from repro.service.planner import QueryPlanner
-from repro.service.snapshot import SnapshotStore
+from repro.server.sharding import ShardedCoordinateStore
 from repro.service.workload import generate_queries, run_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -210,14 +209,10 @@ def bench_multi_tenant(nodes: int, query_count: int) -> Dict[str, Any]:
             list(coords), query_count, mix="mixed", seed=17 + seed
         )
         workloads[name] = queries
-        oracle_store = SnapshotStore.from_coordinates(
-            coords, index_kind="linear", source="bench"
+        oracle_store = ShardedCoordinateStore.from_coordinates(
+            coords, shards=1, index_kind="linear", source="bench", timer=lambda: 0.0
         )
-        oracles[name] = run_workload(
-            QueryPlanner(oracle_store, timer=lambda: 0.0),
-            queries,
-            timer=lambda: 0.0,
-        ).checksum
+        oracles[name] = run_workload(oracle_store, queries, timer=lambda: 0.0).checksum
 
     async def drive(address):
         async def one(name):

@@ -13,10 +13,11 @@ speedups into ``BENCH_pipeline.json`` at the repo root:
    :class:`~repro.service.snapshot.SnapshotStore` through the zero-copy
    array path (``publish_epoch``) vs the object path (materialise
    per-node ``Coordinate`` objects, then ``from_coordinates``).
-3. **Query serving** -- a 500-query same-version k-NN batch on the
-   ``dense`` index: one batched planner flush vs per-query planner
-   execution, with the results checked *identical* (floats, ordering,
-   ties) to both the per-query path and the linear-scan oracle.  Both
+3. **Query serving** -- a 500-query same-version k-NN batch on a
+   one-shard ``dense`` :class:`~repro.server.sharding.ShardedCoordinateStore`:
+   one grouped ``serve_batch`` call vs per-query ``serve``, with the
+   results checked *identical* (floats, ordering, ties) to both the
+   per-query path and a one-shard linear-scan oracle.  Both
    legs run the index's one pruned kernel -- a batch of 500 against 500
    batches of one -- so the ratio is what batching saves in per-query
    overhead.  The acceptance bar is >= 1x at 50,000 nodes.
@@ -51,7 +52,8 @@ from repro.core.vivaldi import VivaldiConfig
 from repro.latency.planetlab import PlanetLabDataset
 from repro.netsim.batch import BatchSimulationResult, run_batch_simulation
 from repro.netsim.runner import SimulationConfig
-from repro.service.planner import Query, QueryPlanner
+from repro.server.sharding import ShardedCoordinateStore
+from repro.service.planner import Query
 from repro.service.snapshot import SnapshotStore
 from repro.service.workload import payload_checksum
 
@@ -189,33 +191,31 @@ def bench_queries(nodes: int) -> Dict[str, object]:
     ]
     queries = [Query.knn(target, k=QUERY_K) for target in targets]
 
-    def dense_planner() -> QueryPlanner:
-        store = SnapshotStore.from_arrays(
-            node_ids, components.copy(), heights.copy(), index_kind="dense"
-        )
-        store.index_for()  # build outside the timed region
-        return QueryPlanner(store)
+    def dense_store() -> ShardedCoordinateStore:
+        # The index is built at publish, outside the timed region.
+        store = ShardedCoordinateStore(1, index_kind="dense")
+        store.publish_epoch(node_ids, components.copy(), heights.copy())
+        return store
 
-    planner = dense_planner()
+    store = dense_store()
     started = time.perf_counter()
-    for query in queries:
-        planner.submit(query)
-    batched_results = planner.flush()
+    batched_results = store.serve_batch(queries)
     batched_s = time.perf_counter() - started
 
-    planner = dense_planner()
+    store = dense_store()
     started = time.perf_counter()
-    single_results = [planner.execute(query) for query in queries]
+    single_results = [store.serve(query) for query in queries]
     single_s = time.perf_counter() - started
 
     coordinates = {
         node_id: Coordinate(row.tolist(), float(height))
         for node_id, row, height in zip(node_ids, components, heights)
     }
-    linear_store = SnapshotStore.from_coordinates(coordinates, index_kind="linear")
-    linear_planner = QueryPlanner(linear_store)
+    linear_store = ShardedCoordinateStore.from_coordinates(
+        coordinates, shards=1, index_kind="linear"
+    )
     started = time.perf_counter()
-    linear_results = [linear_planner.execute(query) for query in queries]
+    linear_results = [linear_store.serve(query) for query in queries]
     linear_s = time.perf_counter() - started
 
     batched_checksum = payload_checksum(batched_results)

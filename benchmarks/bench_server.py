@@ -10,7 +10,7 @@ Correctness is asserted two ways on every configuration:
 
 * the full response stream at every shard count is checksummed against
   the 1-shard stream (cross-shard scatter-gather identity);
-* a query prefix is checksummed against the in-process single-store
+* a query prefix is checksummed against the in-process one-shard
   *linear oracle* (end-to-end wire identity) -- the prefix keeps the
   linear scan tractable at 50k nodes.
 
@@ -50,8 +50,6 @@ import numpy as np
 from repro.server.daemon import CoordinateServer
 from repro.server.load import run_load, synthetic_arrays
 from repro.server.sharding import ShardedCoordinateStore
-from repro.service.planner import QueryPlanner
-from repro.service.snapshot import SnapshotStore
 from repro.service.workload import generate_queries, payload_checksum, run_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -65,12 +63,9 @@ ORACLE_PREFIX = 120
 
 
 def oracle_prefix_checksum(node_ids, components, heights, queries) -> str:
-    store = SnapshotStore.from_arrays(
-        node_ids, components.copy(), heights.copy(), index_kind="linear"
-    )
-    planner = QueryPlanner(store, timer=lambda: 0.0)
-    report = run_workload(planner, queries, timer=lambda: 0.0)
-    return report.checksum
+    store = ShardedCoordinateStore(1, index_kind="linear", timer=lambda: 0.0)
+    store.publish_epoch(node_ids, components.copy(), heights.copy())
+    return run_workload(store, queries, timer=lambda: 0.0).checksum
 
 
 def bench_shards(

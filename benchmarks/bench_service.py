@@ -7,9 +7,10 @@ its kernel), and records queries/sec plus exact p50/p99
 per-query latency (the ``StreamingPercentile`` capacity is sized above the
 query count, so the reported tails are exact, not reservoir estimates)
 into ``BENCH_service.json`` at the repo root.  A second section reports
-end-to-end serving throughput -- the batching planner with its
-snapshot-versioned cache on the vp-tree index under the ``mixed``
-workload.
+end-to-end serving throughput -- a one-shard
+:class:`~repro.server.sharding.ShardedCoordinateStore` answering batches
+through ``serve_batch`` with its version-keyed cache, on the vp-tree
+index under the ``mixed`` workload.
 
 Every spatial result is checked for equality against the linear oracle on
 the shared query prefix; the artifact records the check.  The acceptance
@@ -40,9 +41,8 @@ import numpy as np
 
 from repro.core.coordinate import Coordinate
 from repro.overlay.knn import CoordinateIndex
+from repro.server.sharding import ShardedCoordinateStore
 from repro.service.index import build_index
-from repro.service.planner import QueryPlanner
-from repro.service.snapshot import SnapshotStore
 from repro.service.workload import generate_queries, run_workload
 from repro.stats.percentile import StreamingPercentile
 
@@ -138,15 +138,16 @@ def bench_size(nodes: int, *, smoke: bool) -> Dict[str, object]:
 
 
 def bench_serving(nodes: int, *, smoke: bool) -> Dict[str, object]:
-    """End-to-end planner throughput: batching + cache on the vp-tree."""
+    """End-to-end store throughput: batching + cache on the vp-tree."""
     coords = synth_coordinates(nodes)
-    store = SnapshotStore.from_coordinates(coords, index_kind="vptree", source="bench")
-    store.index_for()  # pay the build before timing the serving path
+    # The index is built at publish, before the serving path is timed.
+    store = ShardedCoordinateStore.from_coordinates(
+        coords, shards=1, index_kind="vptree", source="bench"
+    )
     count = 2_000 if smoke else 20_000
+    batch_size = 128
     queries = generate_queries(list(coords), count, mix="mixed", seed=3, k=K)
-    planner = QueryPlanner(store)
-    report = run_workload(planner, queries, batch_size=128)
-    stats = dict(report.stats)
+    report = run_workload(store, queries, batch_size=batch_size)
     return {
         "nodes": nodes,
         "mix": "mixed",
@@ -154,7 +155,7 @@ def bench_serving(nodes: int, *, smoke: bool) -> Dict[str, object]:
         "elapsed_s": round(report.elapsed_s, 3),
         "qps": round(report.queries_per_s, 1),
         "cache_hit_rate": round(report.cache_hit_rate, 4),
-        "batches": stats["batches_flushed"],
+        "batches": len(range(0, len(queries), batch_size)),
     }
 
 
@@ -196,10 +197,10 @@ def main(argv: List[str] | None = None) -> int:
             )
 
     serving_nodes = sizes[-1]
-    print(f"serving benchmark (planner + cache, {serving_nodes} nodes)...", flush=True)
+    print(f"serving benchmark (store + cache, {serving_nodes} nodes)...", flush=True)
     artifact["serving"] = bench_serving(serving_nodes, smoke=args.smoke)
     print(
-        f"  planner {artifact['serving']['qps']:>10.1f} q/s  "
+        f"  store   {artifact['serving']['qps']:>10.1f} q/s  "
         f"cache hit rate {artifact['serving']['cache_hit_rate']:.1%}"
     )
 

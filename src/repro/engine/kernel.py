@@ -459,29 +459,28 @@ def _queries_workload(
 ) -> Dict[str, Optional[float]]:
     """Serve a deterministic query mix from the coordinate query service.
 
-    The final coordinates are committed into a
-    :class:`~repro.service.snapshot.SnapshotStore` and a seeded query
-    stream is driven through the batching planner twice -- once on the
+    The final coordinates are published into a one-shard
+    :class:`~repro.server.sharding.ShardedCoordinateStore` and a seeded
+    query stream is driven through its batch path twice -- once on the
     configured spatial index and once on the linear oracle -- so the cell
     reports both the service's behaviour (cache hit rate, per-kind counts)
-    and an end-to-end index/oracle agreement check.  The planner's clock
-    and timer are pinned to a logical zero so every reported number is a
-    pure function of the spec: engine results stay byte-identical across
-    worker counts and cache states.
+    and an end-to-end index/oracle agreement check.  The store's timer
+    and the workload clock are pinned to a logical zero so every reported
+    number is a pure function of the spec: engine results stay
+    byte-identical across worker counts and cache states.
 
     When the run produced its coordinates as arrays (vectorized backend),
-    the indexed leg publishes them through the zero-copy
-    ``SnapshotStore.from_arrays`` path -- with the ``dense`` index the
-    whole dataset -> simulation -> snapshot -> answered-workload pipeline
-    never materialises per-node objects.  The oracle leg always uses the
-    object-based ingest, so whenever the indexed leg served from arrays
-    the agreement check also guards the array bridge -- including the
-    ``index='linear'`` configuration, where the two legs differ only in
-    ingest path.  ``profile`` (when given) receives the snapshot-publish
-    and query-serving wall-clock phases.
+    the indexed leg publishes them through the array path
+    (``publish_epoch``) -- with the ``dense`` index the whole dataset ->
+    simulation -> snapshot -> answered-workload pipeline never
+    materialises per-node objects.  The oracle leg always uses the
+    object-based ingest (``from_coordinates``), so whenever the indexed
+    leg served from arrays the agreement check also guards the array
+    bridge -- including the ``index='linear'`` configuration, where the
+    two legs differ only in ingest path.  ``profile`` (when given)
+    receives the snapshot-publish and query-serving wall-clock phases.
     """
-    from repro.service.planner import QueryPlanner
-    from repro.service.snapshot import SnapshotStore
+    from repro.server.sharding import ShardedCoordinateStore
     from repro.service.workload import generate_queries, run_workload
 
     hosts = sorted(coordinates)
@@ -503,28 +502,23 @@ def _queries_workload(
 
     def serve(index_kind: str, *, use_arrays: bool):
         started = time.perf_counter()
+        options = {
+            "shards": 1,
+            "index_kind": index_kind,
+            "cache_entries": int(workload.param("cache_entries")),
+            "timer": lambda: 0.0,
+        }
         if use_arrays and coordinate_arrays is not None:
-            host_ids, components, heights = coordinate_arrays
-            store = SnapshotStore.from_arrays(
-                host_ids,
-                components,
-                heights,
-                index_kind=index_kind,
-                source=spec.name,
-            )
+            store = ShardedCoordinateStore(**options)
+            store.publish_epoch(*coordinate_arrays, source=spec.name)
         else:
-            store = SnapshotStore.from_coordinates(
-                coordinates, index_kind=index_kind, source=spec.name
+            store = ShardedCoordinateStore.from_coordinates(
+                coordinates, source=spec.name, **options
             )
         record_phase("snapshot_publish_s", time.perf_counter() - started)
-        planner = QueryPlanner(
-            store,
-            cache_entries=int(workload.param("cache_entries")),
-            timer=lambda: 0.0,
-        )
         started = time.perf_counter()
         report = run_workload(
-            planner,
+            store,
             queries,
             batch_size=int(workload.param("batch_size")),
             timer=lambda: 0.0,
@@ -552,8 +546,8 @@ def _queries_workload(
         profile["query_count"] = float(indexed.query_count)
     neighbor_rtts = [
         neighbor["predicted_rtt_ms"]
-        for result in indexed.results
-        if result.query.kind in ("knn", "nearest")
+        for query, result in zip(queries, indexed.results)
+        if query.kind in ("knn", "nearest")
         for neighbor in result.payload["neighbors"]
     ]
     workload_payload.update(

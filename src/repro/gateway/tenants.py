@@ -24,48 +24,20 @@ from typing import Dict, Optional
 from repro.gateway.config import GatewayConfig, TenantSpec
 from repro.gateway.ratelimit import TokenBucket
 from repro.server.daemon import RequestEngine
-from repro.server.load import synthetic_coordinates
 from repro.server.sharding import ShardedCoordinateStore
-from repro.service.publish import EpochDelta
 
 __all__ = ["Tenant", "TenantRegistry", "build_store"]
 
 
 def build_store(spec: TenantSpec) -> ShardedCoordinateStore:
     """One tenant's store, populated from its configured data source."""
-    store = ShardedCoordinateStore(
-        spec.shards,
+    return ShardedCoordinateStore.from_source(
+        spec.data,
+        shards=spec.shards,
         index_kind=spec.index,
         history=spec.history,
         cache_entries=spec.cache_entries,
     )
-    if spec.data is None:
-        return store  # empty generation; populated via the publish route
-    source, value = spec.data
-    if source == "synthetic":
-        n, seed = value
-        store.publish_delta(
-            EpochDelta.from_coordinates(
-                synthetic_coordinates(n, seed=seed), source=f"synthetic-{n}"
-            )
-        )
-    elif source == "snapshot":
-        from repro.service.snapshot import CoordinateSnapshot
-
-        snapshot = CoordinateSnapshot.load(value)
-        store.publish_delta(
-            EpochDelta.from_coordinates(
-                dict(snapshot.coordinates), source=snapshot.source or str(value)
-            )
-        )
-    else:
-        from repro.engine.kernel import run_scenario
-        from repro.scenarios.registry import get_scenario
-
-        scenario = get_scenario(value)
-        run = run_scenario(scenario)
-        store.ingest_collector(run.collector, source=scenario.name)
-    return store
 
 
 class Tenant:

@@ -10,7 +10,7 @@ snapshots (relative error, drift, neighbor churn), and
 
 The module-level helpers below operate on one process-wide default
 registry, used for coarse engine-level spans and counters; serving
-components (stores, daemons, planners, load runs) construct their own
+components (stores, daemons, gateways, load runs) construct their own
 :class:`~repro.obs.registry.TelemetryRegistry` so concurrent runs never
 share instruments.
 """

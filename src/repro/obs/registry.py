@@ -32,7 +32,7 @@ always produce byte-identical text.
 
 A process-wide default registry backs the module-level helpers in
 :mod:`repro.obs`; components that need isolation (one registry per store,
-per planner, per load run) construct their own.
+per daemon, per load run) construct their own.
 """
 
 from __future__ import annotations

@@ -140,9 +140,9 @@ def _query_service_mixed() -> ScenarioSpec:
 
     Runs a replay to convergence, snapshots the application coordinates
     into the service layer, and serves a deterministic Zipf-skewed mix of
-    knn / nearest / range / pairwise / centroid queries through the
-    batching planner on the vp-tree index, with the linear oracle run
-    side-by-side for an agreement check.
+    knn / nearest / range / pairwise / centroid queries through a
+    one-shard store's batch path on the vp-tree index, with the linear
+    oracle run side-by-side for an agreement check.
     """
     return ScenarioSpec(
         name="query-service-mixed",
@@ -285,9 +285,9 @@ def _query_service_dense() -> ScenarioSpec:
 
     A vectorized simulation publishes its final coordinates through the
     zero-copy array ingest, the ``dense`` index adopts the snapshot
-    arrays, and the planner answers the batch through the batched NumPy
-    path -- with the object-based linear oracle run side-by-side for the
-    agreement check.
+    arrays, and a one-shard store answers the batch through the grouped
+    NumPy path -- with the object-based linear oracle run side-by-side
+    for the agreement check.
     """
     return ScenarioSpec(
         name="query-service-dense",

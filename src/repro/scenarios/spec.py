@@ -77,7 +77,7 @@ WORKLOAD_KINDS: Dict[str, Dict[str, Any]] = {
     # Application-level operator placement over final coordinates.
     "placement": {"operators": 16, "endpoints": 3},
     # Coordinate query service: a deterministic query mix served from a
-    # snapshot of the final coordinates through the batching planner.
+    # snapshot of the final coordinates through a one-shard store.
     "queries": {
         "count": 256,
         "mix": "mixed",

@@ -9,7 +9,10 @@ this package turns them into a *served* concern:
   hash-partitioned shards (each a
   :class:`~repro.service.snapshot.SnapshotStore` plus pluggable index)
   behind a scatter-gather router whose answers are byte-identical to the
-  single-store oracle, with atomic zero-downtime snapshot rollover;
+  single-store oracle, with atomic zero-downtime snapshot rollover.  It is
+  the one serving front: the daemon, the gateway and every in-process
+  caller (``repro serve``/``query``, scenario workloads, benchmarks)
+  answer through it, in-process ones usually as a one-shard store;
 * :mod:`repro.server.daemon` -- :class:`CoordinateServer`, the asyncio
   daemon with per-connection backpressure and a bounded admission queue;
 * :mod:`repro.server.client` -- :class:`AsyncCoordinateClient`, a

@@ -75,19 +75,17 @@ import asyncio
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.chaos.schedule import FaultSchedule
 from repro.chaos.slo import SLOThresholds, evaluate as evaluate_slo
 from repro.obs.registry import TelemetryRegistry
 from repro.server.client import AsyncCoordinateClient
 from repro.server.daemon import CoordinateServer
-from repro.server.load import LOAD_MODES, run_load_async, synthetic_coordinates
+from repro.server.load import LOAD_MODES, run_load_async
 from repro.server.sharding import ShardedCoordinateStore
 from repro.service.index import INDEX_KINDS
-from repro.service.planner import QueryPlanner
-from repro.service.publish import EpochDelta
-from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
+from repro.service.snapshot import CoordinateSnapshot
 from repro.service.workload import QUERY_MIXES, generate_queries, run_workload
 
 __all__ = ["main"]
@@ -110,22 +108,9 @@ def _write_artifact(path: Path, text: str, label: str) -> None:
 # repro serve-daemon
 # ----------------------------------------------------------------------
 def _build_store(args: argparse.Namespace) -> ShardedCoordinateStore:
-    store = ShardedCoordinateStore(
-        args.shards,
-        index_kind=args.index,
-        history=args.history,
-        cache_entries=args.cache_entries,
-    )
     if args.snapshot is not None:
-        snapshot = CoordinateSnapshot.load(args.snapshot)
-        store.publish_delta(
-            EpochDelta.from_coordinates(
-                dict(snapshot.coordinates),
-                source=snapshot.source or str(args.snapshot),
-            )
-        )
+        data: Tuple[str, Any] = ("snapshot", args.snapshot)
     elif args.scenario is not None:
-        from repro.engine.kernel import run_scenario
         from repro.scenarios.registry import get_scenario
 
         spec = get_scenario(args.scenario)
@@ -134,16 +119,16 @@ def _build_store(args: argparse.Namespace) -> ShardedCoordinateStore:
             f"{spec.network.nodes} nodes)...",
             flush=True,
         )
-        run = run_scenario(spec)
-        store.ingest_collector(run.collector, source=spec.name)
+        data = ("scenario", spec)
     else:
-        store.publish_delta(
-            EpochDelta.from_coordinates(
-                synthetic_coordinates(args.synthetic, seed=args.seed),
-                source=f"synthetic-{args.synthetic}",
-            )
-        )
-    return store
+        data = ("synthetic", (args.synthetic, args.seed))
+    return ShardedCoordinateStore.from_source(
+        data,
+        shards=args.shards,
+        index_kind=args.index,
+        history=args.history,
+        cache_entries=args.cache_entries,
+    )
 
 
 def _cmd_serve_daemon(args: argparse.Namespace) -> int:
@@ -344,14 +329,10 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
                     )
                     exit_code = 1
             else:
-                oracle_store = SnapshotStore.from_snapshot(
-                    snapshot, index_kind="linear"
+                oracle_store = ShardedCoordinateStore.from_snapshot(
+                    snapshot, shards=1, index_kind="linear", timer=lambda: 0.0
                 )
-                oracle = run_workload(
-                    QueryPlanner(oracle_store, timer=lambda: 0.0),
-                    queries,
-                    timer=lambda: 0.0,
-                )
+                oracle = run_workload(oracle_store, queries, timer=lambda: 0.0)
                 identical = oracle.checksum == report.checksum
                 print(
                     f"linear oracle checksum {oracle.checksum[:12]}; "

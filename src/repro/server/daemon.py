@@ -719,9 +719,17 @@ class CoordinateServer:
             await responses.put(failed)
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # Server shutdown with this connection open: end the handler
+            # quietly, as the gateway does.  A connection task that ends
+            # cancelled makes Python 3.11's stream callback log an error.
+            pass
         finally:
             await responses.put(None)
-            await writer_task
+            try:
+                await writer_task
+            except asyncio.CancelledError:
+                pass  # the shutdown cancelled the writer too
             writer.close()
             try:
                 await writer.wait_closed()

@@ -36,9 +36,8 @@ from repro.chaos.slo import SLOThresholds, evaluate as evaluate_slo
 from repro.server.daemon import CoordinateServer, ServerThread
 from repro.server.load import LoadReport, run_load
 from repro.server.sharding import ShardedCoordinateStore
-from repro.service.planner import QueryError, QueryPlanner
+from repro.service.planner import QueryError
 from repro.service.publish import EpochDelta
-from repro.service.snapshot import SnapshotStore
 from repro.service.workload import generate_queries, run_workload
 
 __all__ = ["LiveServingHarness"]
@@ -257,17 +256,13 @@ class LiveServingHarness:
             concurrency=self.concurrency,
         )
 
-        # The single-store linear oracle over the same final snapshot;
+        # The one-shard linear oracle over the same final snapshot;
         # timer pinned so its behaviour is a pure function of the inputs
         # (mirrors the in-kernel queries workload).
-        oracle_store = SnapshotStore.from_snapshot(
-            generation.snapshot, index_kind="linear"
+        oracle_store = ShardedCoordinateStore.from_snapshot(
+            generation.snapshot, shards=1, index_kind="linear", timer=lambda: 0.0
         )
-        oracle = run_workload(
-            QueryPlanner(oracle_store, timer=lambda: 0.0),
-            queries,
-            timer=lambda: 0.0,
-        )
+        oracle = run_workload(oracle_store, queries, timer=lambda: 0.0)
         agreement = float(measured.checksum == oracle.checksum)
 
         live = self._driver_report

@@ -19,10 +19,10 @@ whole answer was served from -- every element of a payload is consistent
 with exactly that one published generation, across all shards.
 
 Query payloads are built by the one executor,
-:func:`repro.service.planner.answer_query` -- the function the in-process
-:class:`~repro.service.planner.QueryPlanner` calls too -- so keys, floats
-and ordering are the single-store oracle's by construction, and a
-replayed workload checksums against it byte for byte.
+:func:`repro.service.planner.answer_query` -- the function an in-process
+one-shard store calls too -- so keys, floats and ordering are the
+single-store oracle's by construction, and a replayed workload checksums
+against it byte for byte.
 
 Operations
 ----------

@@ -6,11 +6,15 @@ shards by a stable hash of the node id.  Each shard owns its own
 pluggable spatial index); cross-shard queries scatter to every shard and
 merge the partial answers.
 
-**One executor.** A generation answers a query by handing its shard
-indexes to :func:`repro.service.planner.answer_query` -- the same function
-the single-store :class:`~repro.service.planner.QueryPlanner` calls with
-one index.  This module owns partitioning, generations, the cache and the
-degraded path; it shapes no payload itself.
+**One serving front.** The daemon, the gateway and every in-process
+caller answer through this store; an in-process caller that wants a
+single store uses ``shards=1``.  A generation answers a query by handing
+its shard indexes to :func:`repro.service.planner.answer_query`, the one
+payload executor; :meth:`ShardedCoordinateStore.serve_batch` answers a
+whole batch from one generation, grouping a one-shard ``dense`` store's
+misses into the index's batch calls.  This module owns partitioning,
+generations, the cache, batching and the degraded path; it shapes no
+payload itself.
 
 **Oracle identity.** Merged answers are byte-identical -- same node sets,
 same ``Coordinate.distance`` floats, same ordering including ties -- to a
@@ -79,12 +83,13 @@ from repro.service.planner import (
     Query,
     QueryError,
     QUERY_KINDS,
+    _proximity_payload,
     answer_query,
     latency_percentiles_us,
     survivors,
 )
 from repro.service.publish import EpochDelta
-from repro.service.snapshot import SnapshotStore
+from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
 
 __all__ = [
     "HEALTH_SECTIONS",
@@ -133,10 +138,12 @@ class ServeResult:
     ``partial`` and ``missing_shards`` describe a degraded answer (the
     daemon's wire envelope carries them).  ``payload`` is shared and
     read-only: a miss caches the very object it returns and every later
-    hit returns it again, uncopied.
+    hit returns it again, uncopied.  ``error`` is set only in a
+    :meth:`~ShardedCoordinateStore.serve_batch` slot whose query failed;
+    its ``payload`` is then None.
     """
 
-    __slots__ = ("payload", "version", "cached", "partial", "missing_shards")
+    __slots__ = ("payload", "version", "cached", "partial", "missing_shards", "error")
 
     def __init__(
         self,
@@ -146,12 +153,14 @@ class ServeResult:
         *,
         partial: bool = False,
         missing_shards: Tuple[int, ...] = (),
+        error: Optional[str] = None,
     ) -> None:
         self.payload = payload
         self.version = version
         self.cached = cached
         self.partial = partial
         self.missing_shards = missing_shards
+        self.error = error
 
 
 def shard_of(node_id: str, shards: int) -> int:
@@ -952,6 +961,101 @@ class ShardedCoordinateStore:
         stats.latency_ms.observe(elapsed_ms)
         return ServeResult(payload, pinned.version, False)
 
+    def serve_batch(self, queries: Sequence[Query]) -> List[ServeResult]:
+        """Answer ``queries`` in order, all from one pinned generation.
+
+        Accounting is :meth:`serve`'s, query by query: the first
+        occurrence of a query misses and later ones in the batch hit.  A
+        query that fails yields a result carrying its ``error`` in its
+        slot instead of poisoning the rest of the batch.
+
+        On a one-shard store whose index has batch entry points (the
+        ``dense`` kind) and no chaos schedule, the batch's cache-missing
+        knn / nearest / range queries are answered in grouped NumPy calls
+        (by ``k`` / radius) -- same payloads, cache contents and stats as
+        per-query :meth:`serve`.  The grouped answers enter the cache
+        before the rest of the batch is served, so with a cache smaller
+        than the batch the *eviction* order within one call can differ.
+        """
+        pinned = self._generation
+        slots: List[Optional[ServeResult]] = [None] * len(queries)
+        index = pinned.shard_indexes[0]
+        if (
+            len(queries) > 1
+            and self.shards == 1
+            and self.chaos is None
+            and hasattr(index, "knn_batch_by_id")
+        ):
+            self._serve_grouped(pinned, index, queries, slots)
+        results: List[ServeResult] = []
+        for query, served in zip(queries, slots):
+            if served is None:
+                try:
+                    served = self.serve(query, generation=pinned)
+                except QueryError as exc:
+                    served = ServeResult(None, pinned.version, False, error=str(exc))
+            results.append(served)
+        return results
+
+    def _serve_grouped(
+        self,
+        pinned: ShardGeneration,
+        index,
+        queries: Sequence[Query],
+        slots: List[Optional[ServeResult]],
+    ) -> None:
+        """Fill ``slots`` for the batchable part of ``queries``.
+
+        Positions left None (other kinds, unknown targets, in-batch
+        duplicates awaiting the first occurrence's cache write) are
+        served per query by :meth:`serve_batch`.
+        """
+        knn_groups: Dict[int, List[int]] = {}
+        range_groups: Dict[float, List[int]] = {}
+        scheduled = set()
+        for position, query in enumerate(queries):
+            if query.kind in ("knn", "nearest"):
+                groups: Dict[Any, List[int]] = knn_groups
+                parameter: Any = query.k if query.kind == "knn" else 1
+            elif query.kind == "range":
+                groups, parameter = range_groups, query.radius_ms
+            else:
+                continue
+            if query.target not in index:
+                continue  # serve() raises the canonical error
+            if query in scheduled:
+                continue  # a duplicate: hits the cache in the per-query pass
+            hit = self._cached(pinned, query, None, count_miss=True)
+            if hit is not None:
+                self._observe_age(pinned)
+                slots[position] = hit
+                continue
+            scheduled.add(query)
+            groups.setdefault(parameter, []).append(position)
+        for shape, batch_by_id, grouped in (
+            ("knn", index.knn_batch_by_id, knn_groups),
+            ("range", index.range_batch_by_id, range_groups),
+        ):
+            for parameter, positions in grouped.items():
+                with make_span(self.registry, "store.batch", None, {"shape": shape}):
+                    started = self._timer()
+                    answers = batch_by_id(
+                        [queries[position].target for position in positions], parameter
+                    )
+                    per_query_ms = (self._timer() - started) * 1e3 / len(positions)
+                for position, answer in zip(positions, answers):
+                    if answer is None:  # unknown target: serve() reports it
+                        continue
+                    query = queries[position]
+                    payload = _proximity_payload(query, answer)
+                    with self._stats_lock:
+                        self.cache.put((pinned.version, query), payload)
+                    stats = self._serve_stats[query.kind]
+                    stats.served.inc()
+                    stats.latency_ms.observe(per_query_ms)
+                    self._observe_age(pinned)
+                    slots[position] = ServeResult(payload, pinned.version, False)
+
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
@@ -1059,4 +1163,58 @@ class ShardedCoordinateStore:
     ) -> "ShardedCoordinateStore":
         store = cls(shards, index_kind=index_kind, **kwargs)
         store._publish_mapping(coordinates, source=source)
+        return store
+
+    @classmethod
+    def from_source(
+        cls,
+        data: Optional[Tuple[str, Any]],
+        *,
+        shards: int = 2,
+        index_kind: str = "vptree",
+        level: str = "application",
+        **kwargs,
+    ) -> "ShardedCoordinateStore":
+        """A store populated from one data source.
+
+        ``data`` is None (an empty generation, populated later through
+        the publish methods) or one of:
+
+        * ``("synthetic", (n, seed))`` --
+          :func:`repro.server.load.synthetic_coordinates`;
+        * ``("snapshot", path)`` -- a saved coordinate snapshot (republished
+          from version 1);
+        * ``("scenario", name_or_spec)`` -- a registered scenario name or a
+          :class:`~repro.scenarios.spec.ScenarioSpec`, run through the
+          serial kernel; its final ``level`` coordinates are published.
+        """
+        store = cls(shards, index_kind=index_kind, **kwargs)
+        if data is None:
+            return store
+        kind, value = data
+        if kind == "synthetic":
+            from repro.server.load import synthetic_coordinates
+
+            n, seed = value
+            store.publish_delta(
+                EpochDelta.from_coordinates(
+                    synthetic_coordinates(n, seed=seed), source=f"synthetic-{n}"
+                )
+            )
+        elif kind == "snapshot":
+            snapshot = CoordinateSnapshot.load(value)
+            store.publish_delta(
+                EpochDelta.from_coordinates(
+                    dict(snapshot.coordinates), source=snapshot.source or str(value)
+                )
+            )
+        elif kind == "scenario":
+            from repro.engine.kernel import run_scenario
+            from repro.scenarios.registry import get_scenario
+
+            spec = get_scenario(value) if isinstance(value, str) else value
+            run = run_scenario(spec)
+            store.ingest_collector(run.collector, level=level, source=spec.name)
+        else:
+            raise ValueError(f"unknown data source {kind!r}")
         return store

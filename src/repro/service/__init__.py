@@ -6,8 +6,9 @@ immutable snapshots (:mod:`repro.service.snapshot`); the read path answers
 proximity queries -- k-nearest, range, pairwise latency, centroid --
 through sub-linear spatial indexes (:mod:`repro.service.index`); one
 executor (:func:`~repro.service.planner.answer_query`) builds every
-payload, behind a batching, caching, stats-keeping planner
-(:mod:`repro.service.planner`).
+payload.  Batching, caching and stats belong to the one serving front,
+:class:`repro.server.sharding.ShardedCoordinateStore`, which in-process
+callers use as a one-shard store.
 :mod:`repro.service.workload` generates deterministic query load for
 scenarios and benchmarks, and :mod:`repro.service.cli` exposes the
 ``repro serve`` / ``repro query`` commands.
@@ -24,8 +25,6 @@ from repro.service.planner import (
     LRUTTLCache,
     Query,
     QueryError,
-    QueryPlanner,
-    QueryResult,
     QUERY_KINDS,
     answer_query,
 )
@@ -48,8 +47,6 @@ __all__ = [
     "QUERY_MIXES",
     "Query",
     "QueryError",
-    "QueryPlanner",
-    "QueryResult",
     "SnapshotStore",
     "VPTreeIndex",
     "WorkloadReport",

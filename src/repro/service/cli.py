@@ -12,13 +12,14 @@ Usage::
     repro query --snapshot snapshot.json workload --count 2000 --mix mixed \
         --index vptree --compare-linear
 
-``serve`` runs a registered scenario through the serial kernel, ingests
-the final application-level coordinates into a versioned snapshot store,
-optionally writes the snapshot to disk, and (with ``--queries``) drives a
-deterministic workload through the batching planner, printing per-kind
-stats.  ``query`` answers one-off questions against a saved snapshot, or
-replays a whole workload with ``--compare-linear`` verifying the spatial
-index against the linear oracle.
+``serve`` runs a registered scenario through the serial kernel, publishes
+the final application-level coordinates into a one-shard
+:class:`~repro.server.sharding.ShardedCoordinateStore`, optionally writes
+the snapshot to disk, and (with ``--queries``) drives a deterministic
+workload through the store's batch path, printing per-kind stats.
+``query`` answers one-off questions against a saved snapshot, or replays
+a whole workload with ``--compare-linear`` verifying the spatial index
+against the linear oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
+from repro.server.sharding import ShardedCoordinateStore
 from repro.service.index import INDEX_KINDS
-from repro.service.planner import Query, QueryError, QueryPlanner
-from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
+from repro.service.planner import Query, QueryError
+from repro.service.snapshot import CoordinateSnapshot
 from repro.service.workload import QUERY_MIXES, generate_queries, run_workload
 
 __all__ = ["main"]
@@ -50,25 +52,23 @@ def _print_stats(stats: Dict[str, Any]) -> None:
         for kind, entry in sorted(kinds.items()):
             p50 = entry.get("p50_us")
             p99 = entry.get("p99_us")
+            latency = (
+                f"{p50:>9.1f}  {p99:>9.1f}" if p50 is not None else f"{'-':>9}  {'-':>9}"
+            )
             print(
-                f"{kind:<{width}}  {entry['executed'] + entry['cache_hits']:>7}  "
-                f"{entry['cache_hits']:>7}  "
-                f"{p50:>9.1f}  {p99:>9.1f}"
-                if p50 is not None
-                else f"{kind:<{width}}  {entry['executed'] + entry['cache_hits']:>7}  "
-                f"{entry['cache_hits']:>7}  {'-':>9}  {'-':>9}"
+                f"{kind:<{width}}  {entry['served']:>7}  {entry['cache_hits']:>7}  "
+                f"{latency}"
             )
     cache = stats.get("cache", {})
     print(
         f"cache: {cache.get('entries', 0)} entries, {cache.get('hits', 0)} hits, "
         f"{cache.get('misses', 0)} misses, {cache.get('evictions_lru', 0)} lru / "
-        f"{cache.get('evictions_rollover', 0)} rollover evictions; "
-        f"{stats.get('batches_flushed', 0)} batch(es)"
+        f"{cache.get('evictions_rollover', 0)} rollover evictions"
     )
 
 
 def _run_workload_against(
-    store: SnapshotStore,
+    store: ShardedCoordinateStore,
     *,
     count: int,
     mix: str,
@@ -78,12 +78,11 @@ def _run_workload_against(
     batch_size: int,
     compare_linear: bool,
 ) -> int:
-    snapshot = store.latest()
+    snapshot = store.generation().snapshot
     queries = generate_queries(
         snapshot.node_ids(), count, mix=mix, seed=seed, k=k, radius_ms=radius_ms
     )
-    planner = QueryPlanner(store)
-    report = run_workload(planner, queries, batch_size=batch_size)
+    report = run_workload(store, queries, batch_size=batch_size)
     print(
         f"{report.query_count} queries in {report.elapsed_s:.3f}s "
         f"({report.queries_per_s:,.0f} q/s, cache hit rate "
@@ -91,10 +90,10 @@ def _run_workload_against(
     )
     _print_stats(dict(report.stats))
     if compare_linear:
-        linear_store = SnapshotStore.from_snapshot(snapshot, index_kind="linear")
-        linear_report = run_workload(
-            QueryPlanner(linear_store), queries, batch_size=batch_size
+        linear_store = ShardedCoordinateStore.from_snapshot(
+            snapshot, shards=1, index_kind="linear"
         )
+        linear_report = run_workload(linear_store, queries, batch_size=batch_size)
         identical = linear_report.checksum == report.checksum
         speedup = (
             linear_report.elapsed_s / report.elapsed_s
@@ -115,7 +114,6 @@ def _run_workload_against(
 # repro serve
 # ----------------------------------------------------------------------
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.engine.kernel import run_scenario
     from repro.scenarios.registry import get_scenario
     from repro.scenarios.spec import ScenarioSpec
 
@@ -123,10 +121,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = ScenarioSpec.from_dict({**spec.to_dict(), "seed": args.seed})
     print(f"running scenario {spec.name!r} ({spec.mode}, {spec.network.nodes} nodes)...")
-    run = run_scenario(spec)
-    store = SnapshotStore(index_kind=args.index)
-    store.ingest_collector(run.collector, level=args.level)
-    snapshot = store.commit(source=spec.name)
+    store = ShardedCoordinateStore.from_source(
+        ("scenario", spec), shards=1, index_kind=args.index, level=args.level
+    )
+    snapshot = store.generation().snapshot
     print(
         f"snapshot v{snapshot.version}: {len(snapshot)} node coordinates "
         f"({args.level} level, {args.index} index)"
@@ -151,9 +149,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # repro query
 # ----------------------------------------------------------------------
-def _load_store(args: argparse.Namespace) -> SnapshotStore:
-    snapshot = CoordinateSnapshot.load(args.snapshot)
-    return SnapshotStore.from_snapshot(snapshot, index_kind=args.index)
+def _load_store(args: argparse.Namespace) -> ShardedCoordinateStore:
+    return ShardedCoordinateStore.from_source(
+        ("snapshot", args.snapshot), shards=1, index_kind=args.index
+    )
 
 
 def _print_payload(payload: Any) -> None:
@@ -173,9 +172,7 @@ def _cmd_query_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_query_single(args: argparse.Namespace, query: Query) -> int:
-    planner = QueryPlanner(_load_store(args))
-    result = planner.execute(query)
-    _print_payload(result.payload)
+    _print_payload(_load_store(args).serve(query).payload)
     return 0
 
 
@@ -206,7 +203,9 @@ def _add_workload_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--radius", type=float, default=50.0, help="radius (ms) for range queries"
     )
-    parser.add_argument("--batch-size", type=int, default=64, help="planner batch size")
+    parser.add_argument(
+        "--batch-size", type=int, default=64, help="queries per serve_batch call"
+    )
     parser.add_argument(
         "--compare-linear",
         action="store_true",

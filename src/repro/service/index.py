@@ -12,7 +12,7 @@ placement 1-median -- without touching every node:
 * :class:`DenseIndex` -- batched brute-force over flat NumPy arrays, for
   batch access.  Every query runs one pruned-and-certified kernel: a
   single query is a batch of one, and the *batch* entry points
-  (``knn_batch_by_id`` / ``range_batch_by_id``, used by the planner to
+  (``knn_batch_by_id`` / ``range_batch_by_id``, used by the store to
   answer a whole same-version batch in one NumPy call) feed it many
   targets at once.  It is the only kind that ingests an array-backed
   snapshot without materialising per-node objects.
@@ -1051,7 +1051,7 @@ class DenseIndex(_SpatialIndex):
         row = int(ties[np.argmin(self._row_seq[ties])])
         return self._ids[row], float(best)
 
-    # -- queries: many indexed targets (the planner's batch path) ------
+    # -- queries: many indexed targets (the store's batch path) --------
     def knn_batch_by_id(
         self, target_ids: Sequence[str], k: int
     ) -> List[Optional[List[Tuple[str, float]]]]:
@@ -1076,8 +1076,8 @@ class DenseIndex(_SpatialIndex):
         """Range query for many indexed targets in one sweep.
 
         Answers match ``within(coord, radius_ms)`` per target exactly;
-        note the planner (not the index) drops the target itself from
-        range payloads, mirroring the single-query code path.
+        note the payload builder (not the index) drops the target itself
+        from range payloads, mirroring the single-query code path.
         """
         if radius_ms < 0.0:
             raise ValueError("radius_ms must be non-negative")

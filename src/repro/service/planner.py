@@ -1,4 +1,4 @@
-"""Query execution and batched planning over coordinate snapshots: the read path.
+"""Query execution over coordinate snapshots: the read path's payload code.
 
 Coordinates make the application-level questions the paper cares about
 geometric:
@@ -12,48 +12,30 @@ geometric:
 
 **One executor.**  :func:`answer_query` is the only code that turns a
 :class:`Query` into its payload.  It scatters over a tuple of index
-partitions and merges by ``(rtt, insertion order)``; the sharded serving
-store (:class:`repro.server.sharding.ShardGeneration`) passes its shard
-indexes, and :class:`QueryPlanner` passes the single store's one index --
-a single store is the one-partition case, not a second implementation.
+partitions and merges by ``(rtt, insertion order)``.  The one serving
+front, :class:`repro.server.sharding.ShardedCoordinateStore`, passes its
+shard indexes; a single store is its one-shard case, not a second
+implementation.  The store's grouped batch path
+(:meth:`~repro.server.sharding.ShardedCoordinateStore.serve_batch` on a
+``dense`` index) shapes its payloads with this module's
+:func:`_proximity_payload` too, so both paths emit the same bytes.
 
-Queries are **batched**: :meth:`QueryPlanner.submit` stages work and
-:meth:`QueryPlanner.flush` executes the whole batch against a *single*
-pinned snapshot version, so one flush is internally consistent even while
-ingest keeps committing new versions, and the per-version spatial index is
-built once per generation rather than once per query.
-
-When the pinned index is the ``dense`` kind, flush goes further: all
-cache-missing knn / nearest / range queries in the batch are grouped (by
-``k`` / radius) and answered through the index's batch entry points --
-chunked ``(q, n)`` NumPy distance matrices instead of q separate scans --
-with byte-identical payloads (shaped by the executor's own helper), cache
-writes and per-kind stats.  Everything else in the batch (pairwise,
-centroid, unknown targets, duplicates served from the cache, non-dense
-indexes) goes through :func:`answer_query`.
-
-Results are **cached** in an LRU map whose key includes the snapshot
-version, so an answer is only ever served under the version it was
-computed or proven for.  Under the planner, entries from superseded
-versions simply age out, and their capacity evictions are counted
-separately from live-version LRU evictions (see :class:`LRUTTLCache`) so
-serving hit rates stay interpretable under snapshot rollover.  The
-sharded store goes further on a delta publish: :func:`survivors` is the
-one exact test of which cached answers a delta provably leaves unchanged,
-and only those are re-keyed to the new version (the rest are freed at
-once).  Per-kind **stats** (counts, cache
-hits, and service-latency percentiles read from the registry's latency
-histogram, within one bucket of exact) make the serving layer observable;
-exact percentiles are the load harness's job (``repro load``).
+Results are **cached** by the store in an :class:`LRUTTLCache` keyed on
+``(version, query)``, so an answer is only ever served under the version
+it was computed or proven for.  On a delta publish :func:`survivors` is
+the one exact test of which cached answers the delta provably leaves
+unchanged; only those are re-keyed to the new version and the rest are
+freed at once.  :func:`latency_percentiles_us` reads the ``stats()``
+percentiles from the registry's latency histogram (within one bucket of
+exact); exact percentiles are the load harness's job (``repro load``).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,13 +44,10 @@ from repro.obs.registry import LatencyHistogram, TelemetryRegistry
 from repro.obs.tracing import TraceRecorder, make_span
 from repro.service.index import _rtts
 from repro.service.publish import EpochDelta
-from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
 
 __all__ = [
     "Query",
     "QueryError",
-    "QueryResult",
-    "QueryPlanner",
     "LRUTTLCache",
     "QUERY_KINDS",
     "answer_query",
@@ -130,25 +109,6 @@ class Query:
     @classmethod
     def centroid(cls, members: Tuple[str, ...] = ()) -> "Query":
         return cls(kind="centroid", members=tuple(members))
-
-
-@dataclass(frozen=True, slots=True)
-class QueryResult:
-    """The answer to one query, tagged with its provenance.
-
-    ``payload`` is shared and read-only: a miss caches the very object it
-    returns and every later hit returns it again, uncopied.
-    """
-
-    query: Query
-    #: JSON-safe answer payload; shape depends on the query kind.  None
-    #: when the query failed (see ``error``).
-    payload: Any
-    snapshot_version: int
-    cached: bool
-    #: The failure message for a query that could not be answered inside
-    #: a batch (e.g. an unknown node); None on success.
-    error: Optional[str] = None
 
 
 def _coordinate_of(snapshot, node_id: str) -> Coordinate:
@@ -419,8 +379,8 @@ class LRUTTLCache:
     the entries :func:`survivors` proved unchanged, and it frees the rest.
 
     Capacity evictions are classified: when the consumer keeps
-    :attr:`current_version` up to date (the planner and the serving
-    daemon pin it to the snapshot version they serve from), an entry
+    :attr:`current_version` up to date (the sharded store pins it to the
+    version it serves from at every publish), an entry
     evicted while keyed to a *superseded* version counts as a
     ``rollover`` eviction -- it was dead weight the moment the store
     published a newer snapshot -- while an entry keyed to the live
@@ -516,7 +476,7 @@ class LRUTTLCache:
         self._entries.clear()
 
     def stats(self) -> Dict[str, int]:
-        """The ``cache`` section of a planner's or store's ``stats()``."""
+        """The ``cache`` section of the store's ``stats()``."""
         return {
             "entries": len(self._entries),
             "hits": self.hits,
@@ -524,248 +484,3 @@ class LRUTTLCache:
             "evictions_lru": self.evictions_lru,
             "evictions_rollover": self.evictions_rollover,
         }
-
-
-class _KindStats:
-    """Per-query-kind accounting, all of it in registry instruments.
-
-    Counts and served latency live in the telemetry registry (shared
-    with the Prometheus rendering); ``p50_us`` / ``p99_us`` are read from
-    the latency histogram.
-    """
-
-    __slots__ = ("submitted", "executed", "cache_hits", "errors", "latency_ms")
-
-    def __init__(self, kind: str, registry: TelemetryRegistry) -> None:
-        self.submitted = registry.counter(
-            "planner_submitted_total", "Queries staged or executed.", kind=kind
-        )
-        self.executed = registry.counter(
-            "planner_executed_total", "Queries answered by the index.", kind=kind
-        )
-        self.cache_hits = registry.counter(
-            "planner_cache_hits_total", "Result-cache hits.", kind=kind
-        )
-        self.errors = registry.counter(
-            "planner_errors_total", "Queries that raised QueryError.", kind=kind
-        )
-        self.latency_ms = registry.histogram(
-            "planner_serve_latency_ms", "Uncached planner serve latency.", kind=kind
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "submitted": self.submitted.value,
-            "executed": self.executed.value,
-            "cache_hits": self.cache_hits.value,
-            "errors": self.errors.value,
-            **latency_percentiles_us(self.latency_ms),
-        }
-
-
-class QueryPlanner:
-    """Plans, batches, caches and accounts proximity queries."""
-
-    def __init__(
-        self,
-        store: SnapshotStore,
-        *,
-        cache_entries: int = 4096,
-        timer: Callable[[], float] = time.perf_counter,
-        registry: Optional[TelemetryRegistry] = None,
-    ) -> None:
-        self.store = store
-        self.cache = LRUTTLCache(cache_entries)
-        self._timer = timer
-        self._pending: List[Query] = []
-        self.registry = registry if registry is not None else TelemetryRegistry()
-        self._stats: Dict[str, _KindStats] = {
-            kind: _KindStats(kind, self.registry) for kind in QUERY_KINDS
-        }
-        self._c_batches = self.registry.counter(
-            "planner_batches_flushed_total", "Non-empty batches flushed."
-        )
-
-    @property
-    def batches_flushed(self) -> int:
-        return self._c_batches.value
-
-    # -- batching ------------------------------------------------------
-    def submit(self, query: Query) -> None:
-        """Stage a query for the next :meth:`flush`."""
-        self._stats[query.kind].submitted.inc()
-        self._pending.append(query)
-
-    @property
-    def pending_queries(self) -> int:
-        return len(self._pending)
-
-    def flush(self) -> List[QueryResult]:
-        """Execute the staged batch against one pinned snapshot version.
-
-        Results come back in submission order; the whole batch sees the
-        same snapshot even if the store commits mid-flush.  A query that
-        fails (e.g. an unknown node) yields an error-carrying result in
-        its slot instead of poisoning the rest of the batch.
-
-        On a ``dense`` index the knn / nearest / range portion of the
-        batch executes through the index's batched NumPy entry points (see
-        the module docstring); payloads, cache contents and stats match
-        the per-query path exactly, with one documented difference: the
-        batched answers' cache insertions happen before the fallback
-        portion's, so with a cache smaller than the batch the *eviction*
-        order within one flush can differ.
-        """
-        batch, self._pending = self._pending, []
-        if not batch:
-            return []
-        self._c_batches.inc()
-        with self.registry.span("planner.flush"):
-            snapshot = self.store.latest()
-            self.cache.current_version = snapshot.version
-            index = self.store.index_for(snapshot)
-            slots: List[Optional[QueryResult]] = [None] * len(batch)
-            if len(batch) > 1 and hasattr(index, "knn_batch_by_id"):
-                self._flush_batched(batch, snapshot, index, slots)
-            results: List[QueryResult] = []
-            for position, query in enumerate(batch):
-                served = slots[position]
-                if served is None:
-                    try:
-                        served = self._serve(query, snapshot, index)
-                    except QueryError as exc:
-                        served = QueryResult(
-                            query, None, snapshot.version, cached=False, error=str(exc)
-                        )
-                results.append(served)
-            return results
-
-    def _flush_batched(self, batch, snapshot, index, slots) -> None:
-        """Answer the batchable portion of ``batch`` in grouped NumPy calls.
-
-        Fills ``slots`` in place; positions left as ``None`` (unbatchable
-        kinds, unknown targets, in-batch duplicates awaiting the first
-        occurrence's cache write) are served by the per-query fallback.
-        Cache-hit accounting mirrors the sequential path: a first
-        occurrence misses and executes, duplicates hit the cache.
-        """
-        knn_groups: Dict[int, List[int]] = {}
-        range_groups: Dict[float, List[int]] = {}
-        scheduled = set()
-        for position, query in enumerate(batch):
-            if query.kind in ("knn", "nearest"):
-                group_key: Any = query.k if query.kind == "knn" else 1
-                groups: Dict[Any, List[int]] = knn_groups
-            elif query.kind == "range":
-                group_key = query.radius_ms
-                groups = range_groups
-            else:
-                continue
-            if query.target not in index:
-                continue  # let the per-query path raise the canonical error
-            key = (snapshot.version, query)
-            if key in scheduled:
-                continue  # duplicate: hits the cache in the fallback pass
-            stats = self._stats[query.kind]
-            found, payload = self.cache.get(key)
-            if found:
-                stats.cache_hits.inc()
-                slots[position] = QueryResult(
-                    query, payload, snapshot.version, cached=True
-                )
-                continue
-            scheduled.add(key)
-            groups.setdefault(group_key, []).append(position)
-
-        for k, positions in knn_groups.items():
-            with self.registry.span("planner.batch", shape="knn"):
-                started = self._timer()
-                answers = index.knn_batch_by_id(
-                    [batch[position].target for position in positions], k
-                )
-                self._record_batch(
-                    batch, snapshot, slots, positions, answers, started
-                )
-        for radius_ms, positions in range_groups.items():
-            with self.registry.span("planner.batch", shape="range"):
-                started = self._timer()
-                answers = index.range_batch_by_id(
-                    [batch[position].target for position in positions], radius_ms
-                )
-                self._record_batch(
-                    batch, snapshot, slots, positions, answers, started
-                )
-
-    def _record_batch(
-        self, batch, snapshot, slots, positions, answers, started
-    ) -> None:
-        """Turn one group's batched answers into payloads, cache and stats."""
-        per_query_ms = (self._timer() - started) * 1e3 / max(len(positions), 1)
-        for position, answer in zip(positions, answers):
-            if answer is None:  # unknown target: per-query path reports it
-                continue
-            query = batch[position]
-            payload = _proximity_payload(query, answer)
-            stats = self._stats[query.kind]
-            stats.latency_ms.observe(per_query_ms)
-            stats.executed.inc()
-            self.cache.put((snapshot.version, query), payload)
-            slots[position] = QueryResult(
-                query, payload, snapshot.version, cached=False
-            )
-
-    def execute(self, query: Query) -> QueryResult:
-        """Serve one query immediately against the latest snapshot.
-
-        Unlike :meth:`flush`, a failing query raises :class:`QueryError`
-        here -- the caller asked exactly one question.
-        """
-        self._stats[query.kind].submitted.inc()
-        snapshot = self.store.latest()
-        self.cache.current_version = snapshot.version
-        return self._serve(query, snapshot, self.store.index_for(snapshot))
-
-    def execute_batch(self, queries: List[Query]) -> List[QueryResult]:
-        for query in queries:
-            self.submit(query)
-        return self.flush()
-
-    # -- stats ---------------------------------------------------------
-    def stats(self) -> Dict[str, Any]:
-        """Per-kind counters plus cache-level totals (JSON-safe)."""
-        per_kind = {
-            kind: stats.as_dict()
-            for kind, stats in self._stats.items()
-            if stats.submitted.value or stats.executed.value
-        }
-        return {
-            "kinds": per_kind,
-            "batches_flushed": self.batches_flushed,
-            "cache": self.cache.stats(),
-        }
-
-    def cache_hit_rate(self) -> float:
-        total = self.cache.hits + self.cache.misses
-        return self.cache.hits / total if total else 0.0
-
-    # -- execution ------------------------------------------------------
-    def _serve(self, query: Query, snapshot: CoordinateSnapshot, index) -> QueryResult:
-        stats = self._stats[query.kind]
-        key = (snapshot.version, query)
-        found, payload = self.cache.get(key)
-        if found:
-            stats.cache_hits.inc()
-            return QueryResult(query, payload, snapshot.version, cached=True)
-        started = self._timer()
-        try:
-            with self.registry.span("planner.serve", kind=query.kind):
-                payload = answer_query(
-                    query, snapshot, (index,), registry=self.registry
-                )
-        except QueryError:
-            stats.errors.inc()
-            raise
-        stats.latency_ms.observe((self._timer() - started) * 1e3)
-        stats.executed.inc()
-        self.cache.put(key, payload)
-        return QueryResult(query, payload, snapshot.version, cached=False)

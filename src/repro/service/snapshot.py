@@ -12,8 +12,8 @@ view:
   into it (readers hold a frozen mapping; writers build the next version
   on the side);
 * query results are attributable to a version, which is what makes the
-  planner's result cache sound (cache keys include the version, so serving
-  a cached result can never mix coordinate generations);
+  serving store's result cache sound (cache keys include the version, so
+  serving a cached result can never mix coordinate generations);
 * per-version spatial indexes are built lazily and memoised, so a batch of
   queries against one version pays one index build.
 

@@ -11,16 +11,19 @@ index alone.
 
 Targets are drawn Zipf-like (rank-skewed) rather than uniformly: a few
 popular nodes dominate, which is both closer to real lookup traffic and
-what gives the planner's snapshot-versioned cache realistic hit rates.
+what gives the store's version-keyed result cache realistic hit rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.service.planner import Query, QueryPlanner, QueryResult
+from repro.service.planner import Query
 from repro.stats.sampling import derive_rng
+
+if TYPE_CHECKING:  # importing the store here at run time would be a cycle
+    from repro.server.sharding import ServeResult, ShardedCoordinateStore
 
 __all__ = ["QUERY_MIXES", "generate_queries", "run_workload", "WorkloadReport", "payload_checksum"]
 
@@ -114,12 +117,13 @@ def generate_queries(
     return queries
 
 
-def payload_checksum(results: Sequence[QueryResult]) -> str:
-    """A canonical digest of the answers (order-sensitive).
+def payload_checksum(results: Sequence[Any]) -> str:
+    """A canonical digest of the results' payloads (order-sensitive).
 
-    Two planners serving the same stream over the same snapshot must
-    produce the same checksum regardless of index kind or cache state --
-    the cheap way to assert "the spatial index changed nothing".
+    Two stores serving the same stream over the same snapshot must
+    produce the same checksum regardless of index kind, shard count or
+    cache state -- the cheap way to assert "the spatial index changed
+    nothing".
     """
     import hashlib
     import json
@@ -134,10 +138,10 @@ def payload_checksum(results: Sequence[QueryResult]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class WorkloadReport:
-    """Outcome of driving one query stream through a planner."""
+    """Outcome of driving one query stream through a store."""
 
     query_count: int
-    results: Tuple[QueryResult, ...]
+    results: Tuple["ServeResult", ...]
     checksum: str
     cache_hit_rate: float
     stats: Mapping[str, Any]
@@ -151,35 +155,35 @@ class WorkloadReport:
 
 
 def run_workload(
-    planner: QueryPlanner,
+    store: "ShardedCoordinateStore",
     queries: Sequence[Query],
     *,
     batch_size: int = 64,
     timer=None,
 ) -> WorkloadReport:
-    """Drive ``queries`` through ``planner`` in batches and summarise.
+    """Drive ``queries`` through ``store.serve_batch`` in chunks and summarise.
 
     The checksum, hit rate and stats in the report are deterministic for a
-    deterministic stream; only ``elapsed_s`` (and thus ``queries_per_s``)
-    depends on the machine.
+    deterministic stream and a store with a deterministic timer; only
+    ``elapsed_s`` (and thus ``queries_per_s``) depends on the machine.
     """
     import time as _time
 
     clock = timer if timer is not None else _time.perf_counter
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    results: List[QueryResult] = []
+    results: List["ServeResult"] = []
     started = clock()
     for offset in range(0, len(queries), batch_size):
-        for query in queries[offset : offset + batch_size]:
-            planner.submit(query)
-        results.extend(planner.flush())
+        results.extend(store.serve_batch(queries[offset : offset + batch_size]))
     elapsed = clock() - started
+    stats = store.stats()
+    lookups = stats["cache"]["hits"] + stats["cache"]["misses"]
     return WorkloadReport(
         query_count=len(results),
         results=tuple(results),
         checksum=payload_checksum(results),
-        cache_hit_rate=planner.cache_hit_rate(),
-        stats=planner.stats(),
+        cache_hit_rate=stats["cache"]["hits"] / lookups if lookups else 0.0,
+        stats=stats,
         elapsed_s=elapsed,
     )

@@ -45,8 +45,8 @@ from repro.server.client import AsyncCoordinateClient
 from repro.server.daemon import CoordinateServer
 from repro.server.load import run_load_async, synthetic_coordinates
 from repro.server.protocol import PROTOCOL_VERSION, encode_body, query_to_request
-from repro.service.planner import Query, QueryPlanner
-from repro.service.snapshot import SnapshotStore
+from repro.server.sharding import ShardedCoordinateStore
+from repro.service.planner import Query
 from repro.service.workload import generate_queries, run_workload
 
 ACME_KEY = "acme-secret-0001"
@@ -826,14 +826,10 @@ class TestLoadAndCli:
         address, _ = gateway
         coords = synthetic_coordinates(64, seed=3)
         queries = generate_queries(list(coords), 200, mix="mixed", seed=11, k=4)
-        oracle_store = SnapshotStore.from_coordinates(
-            coords, index_kind="linear", source="t"
+        oracle_store = ShardedCoordinateStore.from_coordinates(
+            coords, shards=1, index_kind="linear", source="t", timer=lambda: 0.0
         )
-        oracle = run_workload(
-            QueryPlanner(oracle_store, timer=lambda: 0.0),
-            queries,
-            timer=lambda: 0.0,
-        )
+        oracle = run_workload(oracle_store, queries, timer=lambda: 0.0)
 
         async def connect():
             return await GatewayClient.connect(

@@ -13,20 +13,26 @@ The load-bearing guarantees:
   streams);
 * a traced hit shows only the cache probe, admission and the request;
 * a frame body cut short by the peer ends that connection cleanly and is
-  counted, and the daemon keeps serving.
+  counted, and the daemon keeps serving;
+* stopping the daemon or the gateway with an idle client connection open
+  logs no ``asyncio`` error.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import socket
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.schedule import FaultSchedule
 from repro.core.coordinate import Coordinate
+from repro.gateway.app import GatewayServer
+from repro.gateway.config import parse_gateway_config
 from repro.server.daemon import CoordinateServer, RequestEngine
 from repro.server.protocol import HEADER, decode_frame, encode_frame, frame_length
 from repro.server.sharding import ShardedCoordinateStore
@@ -211,4 +217,39 @@ class TestTruncatedFrame:
                 errors = server.engine.error_stats()
         assert response == {"id": 7, "ok": True, "payload": {"pong": True}}
         assert errors == {"by_op": {"invalid": 1}, "total": 1}
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
+class TestStopWithAnIdleConnection:
+    @staticmethod
+    def _round_trip(front, address):
+        """One complete exchange on a fresh connection."""
+        with socket.create_connection(address, timeout=5.0) as sock:
+            if front == "daemon":
+                sock.sendall(encode_frame({"id": 1, "op": "ping"}))
+                reply = sock.recv(HEADER.size)
+            else:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                reply = sock.recv(12)
+            assert reply
+
+    @pytest.mark.parametrize("front", ["daemon", "gateway"])
+    def test_stopping_logs_no_asyncio_error(self, front, caplog):
+        if front == "daemon":
+            server = CoordinateServer(_store())
+        else:
+            server = GatewayServer(
+                parse_gateway_config(
+                    {"tenants": [{"name": "acme", "api_key": "acme-secret-0001"}]}
+                )
+            )
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            handle = server.run_in_thread()
+            address = handle.start()
+            with socket.create_connection(address, timeout=5.0):
+                # Connections are accepted in order, so once a later one
+                # is answered the silent one's handler is parked on its
+                # first read -- where the stop cancels it.
+                self._round_trip(front, address)
+                handle.stop()
         assert [r for r in caplog.records if r.name == "asyncio"] == []

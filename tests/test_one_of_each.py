@@ -1,19 +1,22 @@
 """One query executor, one latency-percentile owner, no publish shims.
 
 The serving stack used to keep two hand-written copies of "turn a query
-into its payload" (the planner's and the sharded generation's) and two
-private percentile reservoirs beside the registry histogram.  These tests
-hold the collapse in place:
+into its payload", two private percentile reservoirs beside the registry
+histogram, and two serving fronts (an in-process planner beside the
+sharded store).  These tests hold the collapse in place:
 
 * the single executor (:func:`repro.service.planner.answer_query`),
-  reached through both fronts, equals a brute-force oracle written here
-  -- the independence the comparison lost when the fronts started sharing
-  one builder;
-* the dense batch path shapes the same payloads as the per-query path;
+  reached through a sharded generation and through a one-shard store's
+  batch path, equals a brute-force oracle written here -- the
+  independence the comparison lost when the paths started sharing one
+  builder;
+* the dense grouped batch path shapes the same payloads as per-query
+  ``serve``;
 * ``stats()`` percentiles are the registry histogram's read-out;
 * a served payload is one shared read-only value: the miss returns the
   object the cache keeps and every hit returns it again, uncopied;
-* structurally, there is one of each under ``src/``.
+* structurally, there is one of each under ``src/``, one serving front
+  included.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.server.daemon import CoordinateServer
 from repro.server.protocol import HEADER, decode_frame, encode_frame, frame_length
 from repro.server.sharding import ShardedCoordinateStore, shard_of
 from repro.service.index import INDEX_KINDS, DenseIndex, _VPNode
-from repro.service.planner import Query, QueryPlanner
+from repro.service.planner import Query, QueryError
 from repro.service.snapshot import SnapshotStore
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -128,16 +131,17 @@ class TestOneExecutor:
         }
         store = ShardedCoordinateStore(shards, index_kind=kind)
         generation = store.publish_epoch(node_ids, components, heights)
-        planner = QueryPlanner(
-            SnapshotStore.from_coordinates(coordinates, index_kind="linear")
-        )
+        # One shard: a dense store answers the batch through its grouped path.
+        single = ShardedCoordinateStore(1, index_kind=kind)
+        single.publish_epoch(node_ids, components, heights)
+        batched = single.serve_batch(queries)
         excluded_members = {
             node_id for node_id in node_ids if shard_of(node_id, shards) in excluded
         }
-        for query in queries:
+        for query, served in zip(queries, batched):
             whole = _brute_force(query, node_ids, coordinates, set())
             assert generation.answer(query) == whole
-            assert planner.execute(query).payload == whole
+            assert served.payload == whole
             partial = _brute_force(query, node_ids, coordinates, excluded_members)
             assert generation.answer(query, exclude_shards=excluded) == partial
 
@@ -148,11 +152,10 @@ class TestOneExecutor:
         components = rng.uniform(0.0, 6.0, size=(80, 2)).round()
         heights = np.zeros(80)
 
-        def planner():
-            return QueryPlanner(
-                SnapshotStore.from_arrays(node_ids, components, heights),
-                timer=lambda: 0.0,
-            )
+        def store():
+            served = ShardedCoordinateStore(1, index_kind="dense", timer=lambda: 0.0)
+            served.publish_epoch(node_ids, components, heights)
+            return served
 
         queries = []
         for position, node_id in enumerate(node_ids[:30]):
@@ -162,13 +165,34 @@ class TestOneExecutor:
             queries.append(Query.pairwise(node_id, node_ids[-1 - position]))
         queries.append(Query.centroid(tuple(node_ids[:5])))
         queries.append(Query.knn("ghost"))  # an error slot, not a poisoned batch
-        batched = planner().execute_batch(queries)
-        single = planner()
+        grouped = store()
+        index = grouped.generation().shard_indexes[0]
+        calls = []
+        for name in ("knn_batch_by_id", "range_batch_by_id"):
+            method = getattr(index, name)
+            setattr(
+                index,
+                name,
+                lambda targets, parameter, method=method, name=name: (
+                    calls.append((name, len(targets))) or method(targets, parameter)
+                ),
+            )
+        batched = grouped.serve_batch(queries)
+        # One call per distinct k (nearest is k=1) and per distinct radius.
+        assert sorted(name for name, _ in calls) == ["knn_batch_by_id"] * 4 + [
+            "range_batch_by_id"
+        ] * 3
+        assert sum(size for _, size in calls) == 90
+        single = store()
         for query, result in zip(queries, batched):
             if query.target == "ghost":
                 assert result.payload is None and "unknown node" in result.error
+                with pytest.raises(QueryError, match=result.error):
+                    single.serve(query)
             else:
-                assert result.payload == single.execute(query).payload
+                assert result.error is None
+                assert result.payload == single.serve(query).payload
+        assert grouped.stats() == single.stats()
 
 
 class TestOnePercentileOwner:
@@ -199,28 +223,24 @@ class TestOnePercentileOwner:
 
     def test_store_stats_percentiles_are_the_histogram_readout(self):
         coordinates = {f"n{i}": Coordinate([float(i), 0.0]) for i in range(12)}
+        queries = self._queries(list(coordinates))
         store = ShardedCoordinateStore.from_coordinates(
             coordinates, shards=2, timer=self._ticking_timer()
         )
-        for query in self._queries(list(coordinates)):
+        for query in queries:
             store.serve(query)
-        kinds = store.stats()["kinds"]
-        assert set(kinds) == {"knn", "pairwise"}
-        self._assert_histogram_readout(kinds, store.registry, "store_serve_latency_ms")
-        assert "expirations" not in store.stats()["cache"]
-
-    def test_planner_stats_percentiles_are_the_histogram_readout(self):
-        coordinates = {f"n{i}": Coordinate([float(i), 0.0]) for i in range(12)}
-        planner = QueryPlanner(
-            SnapshotStore.from_coordinates(coordinates), timer=self._ticking_timer()
+        # One dense shard: serve_batch records the grouped latencies too.
+        batched = ShardedCoordinateStore.from_coordinates(
+            coordinates, shards=1, index_kind="dense", timer=self._ticking_timer()
         )
-        planner.execute_batch(self._queries(list(coordinates)))
-        kinds = planner.stats()["kinds"]
-        assert set(kinds) == {"knn", "pairwise"}
-        self._assert_histogram_readout(
-            kinds, planner.registry, "planner_serve_latency_ms"
-        )
-        assert "expirations" not in planner.stats()["cache"]
+        batched.serve_batch(queries)
+        for served in (store, batched):
+            kinds = served.stats()["kinds"]
+            assert set(kinds) == {"knn", "pairwise"}
+            self._assert_histogram_readout(
+                kinds, served.registry, "store_serve_latency_ms"
+            )
+            assert "expirations" not in served.stats()["cache"]
 
 
 class TestSharedPayloads:
@@ -233,21 +253,14 @@ class TestSharedPayloads:
             miss, hit = store.serve(query), store.serve(query)
             assert not miss.cached and hit.cached
             assert hit.payload is miss.payload
-
-    def test_planner_hit_returns_the_miss_payload_object(self):
-        for kind in ("vptree", "dense"):  # dense also takes the batched flush
-            planner = QueryPlanner(
-                SnapshotStore.from_coordinates(self.COORDINATES, index_kind=kind)
-            )
-            for query in self.QUERIES:
-                miss, hit = planner.execute(query), planner.execute(query)
-                assert not miss.cached and hit.cached
-                assert hit.payload is miss.payload
-            flushed = planner.execute_batch([Query.knn("n08", k=2), Query.range("n08", 1.0)])
-            again = planner.execute_batch([Query.knn("n08", k=2), Query.range("n08", 1.0)])
-            for first, second in zip(flushed, again):
-                assert not first.cached and second.cached
-                assert second.payload is first.payload
+        # The grouped batch path of a one-shard dense store shares too.
+        dense = ShardedCoordinateStore.from_coordinates(
+            self.COORDINATES, shards=1, index_kind="dense"
+        )
+        batch = [Query.knn("n08", k=2), Query.range("n08", 1.0)]
+        for first, second in zip(dense.serve_batch(batch), dense.serve_batch(batch)):
+            assert not first.cached and second.cached
+            assert second.payload is first.payload
 
     def test_tcp_hit_frame_equals_the_miss_frame_but_for_cached(self, tmp_path):
         # The gateway tenant and the TCP store load the same snapshot, so
@@ -360,3 +373,34 @@ class TestOneOfEachInTheSourceTree:
             text = path.read_text()
             for gone in ("warnings.warn", "publish_arrays", "publish_coordinates"):
                 assert gone not in text, f"{gone} in {path.relative_to(SRC)}"
+
+    def test_one_serving_front(self):
+        # The planner module keeps the query type, the one executor and
+        # the cache class; batching, caching and per-kind stats belong to
+        # the store, and no other front exists anywhere under src/.
+        import repro.service.planner as planner
+
+        classes = sorted(
+            name
+            for name, value in vars(planner).items()
+            if inspect.isclass(value) and value.__module__ == planner.__name__
+        )
+        assert classes == ["LRUTTLCache", "Query", "QueryError"]
+        planners = [
+            path.relative_to(SRC).as_posix()
+            for path in self._modules("")
+            if re.search(r"^class \w*Planner\b", path.read_text(), re.M)
+        ]
+        assert planners == []
+        results = [
+            f"{path.relative_to(SRC).as_posix()}: {match}"
+            for path in self._modules("service", "server", "gateway")
+            for match in re.findall(r"^class (\w*Result)\b", path.read_text(), re.M)
+        ]
+        assert results == ["server/sharding.py: ServeResult"]
+        builders = [
+            path.relative_to(SRC).as_posix()
+            for path in self._modules("")
+            if "LRUTTLCache(" in path.read_text()
+        ]
+        assert builders == ["server/sharding.py"]

@@ -40,7 +40,7 @@ from repro.server.protocol import (
 )
 from repro.server.sharding import ShardGeneration, ShardedCoordinateStore, shard_of
 from repro.service.index import INDEX_KINDS
-from repro.service.planner import Query, QueryError, QueryPlanner
+from repro.service.planner import Query, QueryError
 from repro.service.publish import EpochDelta
 from repro.service.snapshot import SnapshotStore
 from repro.service.workload import generate_queries, payload_checksum, run_workload
@@ -49,10 +49,11 @@ SHARD_COUNTS = (1, 2, 3, 5)
 
 
 def oracle_payloads(coords, queries):
-    """The single-store linear oracle's payloads, in stream order."""
-    store = SnapshotStore.from_coordinates(coords, index_kind="linear", source="t")
-    planner = QueryPlanner(store, timer=lambda: 0.0)
-    report = run_workload(planner, queries, timer=lambda: 0.0)
+    """The one-shard linear oracle's payloads, in stream order."""
+    store = ShardedCoordinateStore.from_coordinates(
+        coords, shards=1, index_kind="linear", source="t", timer=lambda: 0.0
+    )
+    report = run_workload(store, queries, timer=lambda: 0.0)
     return [result.payload for result in report.results], report.checksum
 
 
@@ -193,8 +194,13 @@ class TestSharding:
         merged = dict(first)
         merged.update(moved)
         queries = generate_queries(list(merged), 200, mix="mixed", seed=9)
-        planner = QueryPlanner(single, timer=lambda: 0.0)
-        oracle = run_workload(planner, queries, timer=lambda: 0.0)
+        oracle = run_workload(
+            ShardedCoordinateStore.from_snapshot(
+                single.latest(), shards=1, index_kind="linear", timer=lambda: 0.0
+            ),
+            queries,
+            timer=lambda: 0.0,
+        )
         assert sharded.version == 2
         assert [sharded.serve(q).payload for q in queries] == [
             r.payload for r in oracle.results

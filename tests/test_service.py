@@ -1,4 +1,4 @@
-"""Tests for the coordinate query service (snapshot store, indexes, planner)."""
+"""Tests for the coordinate query service (snapshot store, indexes, serving)."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.coordinate import Coordinate
 from repro.overlay.knn import CoordinateIndex
+from repro.server.sharding import ShardedCoordinateStore
 from repro.service.index import (
     _LEAF_SIZE,
     INDEX_KINDS,
@@ -17,12 +18,8 @@ from repro.service.index import (
     VPTreeIndex,
     build_index,
 )
-from repro.service.planner import (
-    LRUTTLCache,
-    Query,
-    QueryError,
-    QueryPlanner,
-)
+from repro.service.planner import LRUTTLCache, Query, QueryError
+from repro.service.publish import EpochDelta
 from repro.service.snapshot import ArraySnapshot, CoordinateSnapshot, SnapshotStore
 from repro.service.workload import (
     QUERY_MIXES,
@@ -382,45 +379,38 @@ class TestDenseBatchAndArrays:
 
     @pytest.mark.parametrize("kind", ["dense", "vptree"])
     def test_batched_flush_identical_to_single_queries(self, kind):
-        """Batch-vs-single identity: one flushed batch must answer exactly
-        like per-query execution -- results, tie order and cache behaviour
-        -- for the batched dense path and the per-query fallback kinds."""
-        from repro.service.planner import QueryPlanner
-        from repro.service.workload import (
-            generate_queries,
-            payload_checksum,
-            run_workload,
-        )
-
+        """Batch-vs-single identity: one ``serve_batch`` call must answer
+        exactly like per-query ``serve`` -- results, tie order and cache
+        behaviour -- for the grouped dense path and the per-query kinds."""
         ids, components, heights, coordinates, _ = self._universe(n=250)
         queries = generate_queries(sorted(ids), 400, mix="mixed", seed=3)
 
-        def planner():
+        def store():
             if kind == "dense":
-                store = SnapshotStore.from_arrays(
-                    ids, components, heights, index_kind=kind
-                )
-            else:
-                store = SnapshotStore.from_coordinates(coordinates, index_kind=kind)
-            return QueryPlanner(store, timer=lambda: 0.0)
+                served = ShardedCoordinateStore(1, index_kind=kind, timer=lambda: 0.0)
+                served.publish_epoch(ids, components, heights)
+                return served
+            return ShardedCoordinateStore.from_coordinates(
+                coordinates, shards=1, index_kind=kind, timer=lambda: 0.0
+            )
 
-        batched = run_workload(planner(), queries, batch_size=64, timer=lambda: 0.0)
-        single_planner = planner()
-        singles = [single_planner.execute(query) for query in queries]
+        batched = run_workload(store(), queries, batch_size=64, timer=lambda: 0.0)
+        single_store = store()
+        singles = [single_store.serve(query) for query in queries]
         assert payload_checksum(singles) == batched.checksum
-        assert single_planner.cache_hit_rate() == batched.cache_hit_rate
+        cache = single_store.stats()["cache"]
+        assert cache["hits"] / (cache["hits"] + cache["misses"]) == batched.cache_hit_rate
         # The linear oracle agrees end to end as well.
         linear = run_workload(
-            QueryPlanner(
-                SnapshotStore.from_coordinates(coordinates, index_kind="linear"),
-                timer=lambda: 0.0,
+            ShardedCoordinateStore.from_coordinates(
+                coordinates, shards=1, index_kind="linear", timer=lambda: 0.0
             ),
             queries,
             batch_size=64,
             timer=lambda: 0.0,
         )
         assert linear.checksum == batched.checksum
-        assert linear.stats["kinds"] == dict(batched.stats["kinds"])
+        assert linear.stats["kinds"] == batched.stats["kinds"]
 
 
 # ----------------------------------------------------------------------
@@ -528,8 +518,8 @@ class TestSnapshotStore:
         )
         store = SnapshotStore.from_snapshot(snapshot)
         assert store.version == 5
-        planner = QueryPlanner(store)
-        assert planner.execute(Query.nearest("a")).snapshot_version == 5
+        assert store.latest().version == 5
+        assert store.index_for().nearest(Coordinate([1.0]), 1) == [("a", 0.0)]
         store.apply("c", Coordinate([3.0]))
         assert store.commit().version == 6
 
@@ -598,25 +588,58 @@ class TestConcurrentIngest:
         assert store.latest().version > held.version
 
     def test_flush_pins_one_version_per_batch(self):
-        store = SnapshotStore.from_coordinates(
-            {"a": Coordinate([0.0, 0.0]), "b": Coordinate([3.0, 0.0]), "c": Coordinate([9.0, 0.0])}
+        # dense takes serve_batch's grouped path, linear the per-query one.
+        for kind in ("linear", "dense"):
+            self._pins_one_version_per_batch(kind)
+
+    @staticmethod
+    def _pins_one_version_per_batch(kind):
+        # A writer publishes a delta before every per-query serve inside
+        # each batch, so every batch spans several published versions; it
+        # must still be answered from one generation, each answer exactly
+        # that generation's.
+        coordinates = _random_coordinates(np.random.default_rng(8), 60)
+        store = ShardedCoordinateStore.from_coordinates(
+            coordinates, shards=1, index_kind=kind, history=256
         )
-        planner = QueryPlanner(store)
-        for query in (Query.nearest("a"), Query.nearest("b"), Query.nearest("c")):
-            planner.submit(query)
-        results = planner.flush()
-        assert {result.snapshot_version for result in results} == {1}
-        # Stage an update mid-stream: the *next* flush sees the new version.
-        planner.submit(Query.nearest("a"))
-        store.apply("d", Coordinate([0.1, 0.0]))
-        store.commit()
-        (result,) = planner.flush()
-        assert result.snapshot_version == 2
-        assert result.payload["neighbors"][0]["node_id"] == "d"
+        generations = {store.version: store.generation()}
+        serve = store.serve
+
+        def publish_then_serve(query, **kwargs):
+            step = len(generations)
+            moved = {
+                f"n{i:05d}": Coordinate([float(step), float(i), 0.0])
+                for i in range(step % 3, 60, 7)
+            }
+            generation = store.publish_delta(EpochDelta.from_coordinates(moved))
+            generations[generation.version] = generation
+            return serve(query, **kwargs)
+
+        store.serve = publish_then_serve
+        queries = [Query.knn(f"n{i:05d}", k=3) for i in range(0, 60, 4)] + [
+            Query.range("n00001", 40.0),
+            Query.pairwise("n00002", "n00003"),
+            Query.centroid(("n00004", "n00005")),
+        ]
+        for _ in range(5):
+            results = store.serve_batch(queries)
+            (version,) = {result.version for result in results}
+            assert version < store.version  # the writer moved on meanwhile
+            pinned = generations[version]
+            assert [result.payload for result in results] == [
+                pinned.answer(query) for query in queries
+            ]
+        # The batch after a publish sees the new version.
+        del store.serve
+        store.publish_delta(
+            EpochDelta.from_coordinates({"n00099": Coordinate([0.0, 0.0, 0.0])})
+        )
+        (result,) = store.serve_batch([Query.nearest("n00099")])
+        assert result.version == store.version
 
 
 # ----------------------------------------------------------------------
-# Planner: cache, batching, stats
+# Serving: cache, batching, stats
 # ----------------------------------------------------------------------
 class TestLRUTTLCache:
     def test_entries_never_expire_and_the_ttl_knobs_are_gone(self):
@@ -674,105 +697,117 @@ class TestLRUTTLCache:
         assert cache.evictions_lru == 1 and cache.evictions_rollover == 0
 
 
-class TestQueryPlanner:
+class TestStoreServing:
+    """The one serving front as an in-process one-shard store."""
+
     @pytest.fixture()
-    def store(self):
-        rng = np.random.default_rng(9)
-        return SnapshotStore.from_coordinates(_random_coordinates(rng, 40))
+    def coordinates(self):
+        return _random_coordinates(np.random.default_rng(9), 40)
+
+    @pytest.fixture()
+    def store(self, coordinates):
+        return ShardedCoordinateStore.from_coordinates(coordinates, shards=1)
 
     def test_cache_key_includes_snapshot_version(self, store):
-        planner = QueryPlanner(store)
         query = Query.knn("n00001", k=3)
-        first = planner.execute(query)
-        second = planner.execute(query)
+        first = store.serve(query)
+        second = store.serve(query)
         assert not first.cached and second.cached
         assert first.payload == second.payload
-        # A new coordinate generation must miss the cache.
-        store.apply("n00001", Coordinate([999.0, 999.0, 999.0]))
-        store.commit()
-        third = planner.execute(query)
+        # A new generation that moves the target must miss the cache.
+        store.publish_delta(
+            EpochDelta.from_coordinates({"n00001": Coordinate([999.0, 999.0, 999.0])})
+        )
+        third = store.serve(query)
         assert not third.cached
         assert third.payload != first.payload
 
     def test_stats_account_per_kind(self, store):
-        planner = QueryPlanner(store)
-        planner.execute_batch(
+        store.serve_batch(
             [Query.knn("n00001", k=2), Query.knn("n00001", k=2), Query.pairwise("n00001", "n00002")]
         )
-        stats = planner.stats()
-        assert stats["kinds"]["knn"]["submitted"] == 2
-        assert stats["kinds"]["knn"]["executed"] == 1
+        stats = store.stats()
+        assert stats["kinds"]["knn"]["served"] == 2
         assert stats["kinds"]["knn"]["cache_hits"] == 1
-        assert stats["kinds"]["pairwise"]["executed"] == 1
-        assert stats["batches_flushed"] == 1
+        assert stats["kinds"]["pairwise"]["served"] == 1
         assert "latency_exact" not in stats["kinds"]["knn"]
-        assert planner.cache_hit_rate() == pytest.approx(1.0 / 3.0)
+        assert stats["cache"]["hits"] == 1 and stats["cache"]["misses"] == 2
 
-    def test_stats_split_rollover_from_lru_evictions(self, store):
-        # A cache of 3 entries serving across a snapshot rollover: the
-        # old generation's entries must evict as 'rollover', same-version
-        # capacity pressure as 'lru'.
-        planner = QueryPlanner(store, cache_entries=3)
-        planner.execute_batch(
-            [Query.knn(f"n{i:05d}", k=2) for i in range(1, 4)]
+    def test_stats_split_rollover_from_lru_evictions(self, coordinates):
+        # A cache of 3 entries serving across a full publish: the old
+        # generation's entries are freed as 'rollover', same-version
+        # capacity pressure evicts as 'lru'.
+        store = ShardedCoordinateStore.from_coordinates(
+            coordinates, shards=1, cache_entries=3
         )
-        store.apply("n00001", Coordinate([123.0, 45.0, 6.0]))
-        store.commit()
-        planner.execute_batch(
-            [Query.knn(f"n{i:05d}", k=2) for i in range(1, 4)]
+        batch = [Query.knn(f"n{i:05d}", k=2) for i in range(1, 4)]
+        store.serve_batch(batch)
+        ids = list(coordinates)
+        store.publish_epoch(
+            ids,
+            np.asarray([coordinates[node_id].components for node_id in ids]) + 1.0,
+            np.zeros(len(ids)),
         )
-        stats = planner.stats()["cache"]
+        store.serve_batch(batch)
+        stats = store.stats()["cache"]
         assert stats["evictions_rollover"] == 3
         assert stats["evictions_lru"] == 0
         # Same-version overflow now evicts as plain LRU.
-        planner.execute_batch([Query.knn("n00004", k=2)])
-        stats = planner.stats()["cache"]
+        store.serve_batch([Query.knn("n00004", k=2)])
+        stats = store.stats()["cache"]
         assert stats["evictions_lru"] == 1
         assert stats["evictions_rollover"] == 3
 
     def test_query_kinds_answer_shapes(self, store):
-        planner = QueryPlanner(store)
-        knn = planner.execute(Query.knn("n00000", k=4)).payload
+        knn = store.serve(Query.knn("n00000", k=4)).payload
         assert len(knn["neighbors"]) == 4
         assert knn["neighbors"][0]["node_id"] != "n00000"
-        nearest = planner.execute(Query.nearest("n00000")).payload
+        nearest = store.serve(Query.nearest("n00000")).payload
         assert nearest["neighbors"][0] == knn["neighbors"][0]
-        rng_payload = planner.execute(Query.range("n00000", 80.0)).payload
+        rng_payload = store.serve(Query.range("n00000", 80.0)).payload
         assert all(hit["predicted_rtt_ms"] <= 80.0 for hit in rng_payload["hits"])
-        pair = planner.execute(Query.pairwise("n00000", "n00001")).payload
-        snapshot = store.latest()
+        pair = store.serve(Query.pairwise("n00000", "n00001")).payload
+        snapshot = store.generation().snapshot
         assert pair["predicted_rtt_ms"] == snapshot.coordinate_of("n00000").distance(
             snapshot.coordinate_of("n00001")
         )
-        centroid_payload = planner.execute(
+        centroid_payload = store.serve(
             Query.centroid(("n00000", "n00001", "n00002"))
         ).payload
         assert centroid_payload["members"] == 3
-        assert centroid_payload["nearest_host"] in store.latest().node_ids()
+        assert centroid_payload["nearest_host"] in snapshot.node_ids()
 
-    def test_flush_isolates_failing_queries(self, store):
+    def test_serve_batch_isolates_failing_queries(self, coordinates):
         # One bad request must not poison the batch: good queries before
         # and after it still get answers, the bad slot carries the error.
-        planner = QueryPlanner(store)
-        planner.submit(Query.knn("n00001", k=2))
-        planner.submit(Query.knn("ghost", k=2))
-        planner.submit(Query.knn("n00002", k=2))
-        results = planner.flush()
-        assert [r.error is None for r in results] == [True, False, True]
-        assert results[0].payload["neighbors"]
-        assert results[1].payload is None
-        assert "unknown node" in results[1].error
-        assert results[2].payload["neighbors"]
-        assert planner.pending_queries == 0
-        assert planner.stats()["kinds"]["knn"]["errors"] == 1
+        # dense takes the grouped path, vptree the per-query one.
+        for kind in ("vptree", "dense"):
+            store = ShardedCoordinateStore.from_coordinates(
+                coordinates, shards=1, index_kind=kind
+            )
+            results = store.serve_batch(
+                [
+                    Query.knn("n00001", k=2),
+                    Query.knn("ghost", k=2),
+                    Query.pairwise("n00001", "ghost"),
+                    Query.knn("n00002", k=2),
+                ]
+            )
+            assert [r.error is None for r in results] == [True, False, False, True]
+            assert results[0].payload["neighbors"]
+            assert results[1].payload is None and results[2].payload is None
+            assert "unknown node" in results[1].error
+            assert "unknown node" in results[2].error
+            assert results[3].payload["neighbors"]
+            kinds = store.stats()["kinds"]
+            assert kinds["knn"]["errors"] == 1 and kinds["pairwise"]["errors"] == 1
 
     def test_unknown_nodes_raise_query_error(self, store):
-        planner = QueryPlanner(store)
         with pytest.raises(QueryError, match="unknown node"):
-            planner.execute(Query.knn("ghost"))
+            store.serve(Query.knn("ghost"))
         with pytest.raises(QueryError, match="unknown node"):
-            planner.execute(Query.pairwise("n00000", "ghost"))
-        assert planner.stats()["kinds"]["knn"]["errors"] == 1
+            store.serve(Query.pairwise("n00000", "ghost"))
+        assert store.stats()["kinds"]["knn"]["errors"] == 1
 
     def test_query_validation(self):
         with pytest.raises(QueryError):
@@ -819,8 +854,10 @@ class TestWorkload:
         queries = generate_queries(sorted(coordinates), 400, mix="mixed", seed=2)
         checksums = set()
         for kind in INDEX_KINDS:
-            store = SnapshotStore.from_coordinates(coordinates, index_kind=kind)
-            report = run_workload(QueryPlanner(store), queries)
+            store = ShardedCoordinateStore.from_coordinates(
+                coordinates, shards=1, index_kind=kind
+            )
+            report = run_workload(store, queries)
             checksums.add(report.checksum)
             assert report.query_count == 400
         assert len(checksums) == 1
@@ -828,9 +865,9 @@ class TestWorkload:
     def test_zipf_skew_produces_cache_hits(self):
         rng = np.random.default_rng(12)
         coordinates = _random_coordinates(rng, 100)
-        store = SnapshotStore.from_coordinates(coordinates)
+        store = ShardedCoordinateStore.from_coordinates(coordinates, shards=1)
         queries = generate_queries(sorted(coordinates), 500, mix="knn", seed=3)
-        report = run_workload(QueryPlanner(store), queries)
+        report = run_workload(store, queries)
         assert report.cache_hit_rate > 0.2
         assert payload_checksum(report.results) == report.checksum
 

@@ -1,10 +1,11 @@
 """Sharded live coordinate stores with scatter-gather query routing.
 
 :class:`ShardedCoordinateStore` partitions the node population across N
-shards by a stable hash of the node id.  Each shard owns its own
-:class:`~repro.service.snapshot.SnapshotStore` (and therefore its own
-pluggable spatial index); cross-shard queries scatter to every shard and
-merge the partial answers.
+shards by a stable hash of the node id.  A shard is its index: each
+generation holds one whole-population
+:class:`~repro.service.snapshot.ArraySnapshot` and, per shard, one
+pluggable spatial index over that shard's rows; cross-shard queries
+scatter to every shard and merge the partial answers.
 
 **One serving front.** The daemon, the gateway and every in-process
 caller answer through this store; an in-process caller that wants a
@@ -23,27 +24,35 @@ single un-sharded store serving the same snapshot:
 * distances only involve the query point and one node's coordinate, so a
   shard computes exactly the floats the single store would;
 * the single-store oracle breaks distance ties by snapshot insertion
-  order, so every published generation carries a *global* insertion
-  sequence; each shard ingests its nodes in global-order subsequence
-  (making shard-local tie order consistent with it) and the merge sorts
-  candidates by ``(distance, global sequence)``;
+  order, so every published generation carries the snapshot's row map as
+  its *global* insertion sequence; each shard index holds its nodes in
+  global-order subsequence (making shard-local tie order consistent with
+  it) and the merge sorts candidates by ``(distance, global sequence)``;
 * any node in the global top-k is necessarily in its own shard's top-k
   (the global comparator restricted to one shard is the shard's own
   comparator), so merging per-shard top-k lists loses nothing.
 
 **Generations and torn reads.** Every publish builds a complete immutable
-:class:`ShardGeneration` -- per-shard snapshots, per-shard indexes, the
-global sequence map -- *before* a single atomic reference swap installs
-it.  A request pins the generation reference once and serves the whole
-answer from it, so a response can never mix coordinate versions across
-shards, and rollover never blocks serving (readers of the old generation
-simply finish on it).  This is the router-level analogue of the snapshot
-store's own immutability argument.
+:class:`ShardGeneration` -- the snapshot, per-shard indexes, the global
+sequence map -- *before* a single atomic reference swap installs it.  A
+request pins the generation reference once and serves the whole answer
+from it, so a response can never mix coordinate versions across shards,
+and rollover never blocks serving (readers of the old generation simply
+finish on it).
 
-The store keeps an internal single-store router
-:class:`~repro.service.snapshot.SnapshotStore` as the authority on
-version numbers and global insertion order; its merge semantics under
-incremental object commits are therefore *definitionally* the oracle's.
+**Generations are the only history.** A full epoch becomes one
+``ArraySnapshot``; a delta becomes
+:func:`~repro.service.snapshot.apply_delta` of the serving one, the same
+function a single store applies, so versions and insertion order are
+*definitionally* the oracle's.  Object batches (``from_coordinates``,
+``ingest_collector``) publish as deltas.  Each shard index derives from
+the previous generation's with the delta's rows of that shard
+(``delta_applied``); when that declines, or for ``linear``,
+:func:`~repro.service.index.index_over` builds it over the shard's rows,
+picked by a per-row owner array kept for the serving generation.  A
+delta that keeps the population shares that array and one that adds or
+removes nodes hashes only its own ids, so no delta rehashes the
+population.
 
 **The cache across a publish.** Answers are cached under
 ``(version, query)``.  A delta publish, before its swap, re-keys to the
@@ -51,8 +60,8 @@ new version every cached answer of the base version that
 :func:`repro.service.planner.survivors` proves unchanged by the delta
 (same payload object, counted by ``store_cache_carried_total``) and
 frees the rest as ``rollover`` evictions; a full publish frees them all.
-The survival test reads only the router snapshot, so a shard that is
-down changes nothing about it.
+The survival test reads only the snapshot, so a shard that is down
+changes nothing about it.
 
 Thread-safety: publishes are serialised by an ingest lock; serving reads
 one volatile reference and immutable data plus a small stats lock, so any
@@ -77,7 +86,7 @@ from repro.obs.health import HealthTracker
 from repro.obs.registry import Counter, LatencyHistogram, TelemetryRegistry
 from repro.obs.tracing import TraceRecorder, make_span
 from repro.overlay.knn import CoordinateIndex
-from repro.service.index import INDEX_KINDS
+from repro.service.index import INDEX_KINDS, index_over
 from repro.service.planner import (
     LRUTTLCache,
     Query,
@@ -89,7 +98,7 @@ from repro.service.planner import (
     survivors,
 )
 from repro.service.publish import EpochDelta
-from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
+from repro.service.snapshot import ArraySnapshot, CoordinateSnapshot, apply_delta
 
 __all__ = [
     "HEALTH_SECTIONS",
@@ -203,13 +212,14 @@ class ShardGeneration:
     ) -> None:
         self.version = version
         self.source = source
-        #: The un-sharded router snapshot (coordinate lookup + wire dump).
+        #: The whole population's snapshot (coordinate lookup + wire dump).
         self.snapshot = snapshot
         self.shard_indexes = shard_indexes
         self.shard_sizes = shard_sizes
-        #: node id -> position in the oracle's insertion order.
+        #: node id -> position in the oracle's insertion order (the
+        #: snapshot's ``row_index``).
         self.global_seq = global_seq
-        #: Node ids in oracle insertion order.
+        #: Node ids in oracle insertion order (the snapshot's id list).
         self.node_order = node_order
 
     def __len__(self) -> int:
@@ -241,6 +251,25 @@ class ShardGeneration:
             registry=registry,
             trace=trace,
         )
+
+
+def _generation_of(
+    snapshot: ArraySnapshot, shard_indexes: Sequence[CoordinateIndex]
+) -> ShardGeneration:
+    """The generation serving ``snapshot`` through ``shard_indexes``.
+
+    The order maps are the snapshot's own row map and id list, shared
+    rather than rebuilt.
+    """
+    return ShardGeneration(
+        snapshot.version,
+        snapshot.source,
+        snapshot,
+        tuple(shard_indexes),
+        tuple(len(index) for index in shard_indexes),
+        snapshot.row_index,
+        snapshot.arrays()[0],
+    )
 
 
 class _ServeStats:
@@ -280,7 +309,7 @@ class _ServeStats:
 
 
 class ShardedCoordinateStore:
-    """N hash-partitioned shard stores behind one scatter-gather router.
+    """N hash-partitioned shard indexes behind one scatter-gather router.
 
     The complete serving engine minus the network: the asyncio daemon
     (:mod:`repro.server.daemon`) is a thin shell over :meth:`serve` and
@@ -301,6 +330,8 @@ class ShardedCoordinateStore:
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        if history < 1:
+            raise ValueError("history must be >= 1")
         if index_kind not in INDEX_KINDS:
             raise ValueError(
                 f"unknown index kind {index_kind!r}; known: {list(INDEX_KINDS)}"
@@ -316,19 +347,16 @@ class ShardedCoordinateStore:
         self._ingest_lock = threading.Lock()
         #: Guards cache + stats bookkeeping (short critical sections).
         self._stats_lock = threading.Lock()
-        #: The single-store authority on versions and insertion order.
-        #: Its index is never built; it exists for merge semantics, the
-        #: coordinate lookup and the wire snapshot dump.
-        self._router = SnapshotStore(index_kind="linear", history=history)
-        self._shard_stores = tuple(
-            SnapshotStore(index_kind=index_kind, history=history) for _ in range(shards)
-        )
-        empty = ShardGeneration(
-            0, "", self._router.latest(), tuple(CoordinateIndex() for _ in range(shards)),
-            tuple(0 for _ in range(shards)), {}, [],
+        empty = _generation_of(
+            ArraySnapshot(0, [], np.empty((0, 1))),
+            [CoordinateIndex() for _ in range(shards)],
         )
         self._generation = empty
+        #: The retained generations by version: the store's only history.
         self._generations: Dict[int, ShardGeneration] = {0: empty}
+        #: The shard of every row of the serving generation's snapshot.
+        #: Written only under the ingest lock, at the swap.
+        self._owners = np.empty(0, dtype=np.intp)
         self.cache = LRUTTLCache(cache_entries)
         self._serve_stats: Dict[str, _ServeStats] = {
             kind: _ServeStats(kind, self.registry) for kind in QUERY_KINDS
@@ -396,7 +424,7 @@ class ShardedCoordinateStore:
         self._publish_walls: Dict[int, float] = {}
         #: Shards currently killed by fault injection.  Serving excludes
         #: them from the scatter (degraded partial responses); publishes
-        #: skip their shard stores and install a dead-index placeholder.
+        #: build no index for them and install a dead-index placeholder.
         #: Written only under the ingest lock; read as one volatile
         #: reference by serving threads.
         self._down_shards: frozenset = frozenset()
@@ -407,7 +435,7 @@ class ShardedCoordinateStore:
         self.chaos = None
 
     # ------------------------------------------------------------------
-    # Ingest (whole-population epochs and incremental commits)
+    # Ingest (whole-population epochs and incremental deltas)
     # ------------------------------------------------------------------
     def publish_epoch(
         self,
@@ -424,21 +452,37 @@ class ShardedCoordinateStore:
         :meth:`repro.service.snapshot.SnapshotStore.publish_epoch`, so a
         running :func:`~repro.netsim.batch.run_batch_simulation` can
         stream epochs straight into a live server via ``publish_store``.
+        The arrays are adopted (and frozen) as the generation's snapshot;
+        every shard index is built over its rows.
         """
         if self._chaos_publish_gate():
             return self._generation
         with self._ingest_lock:
             started = self._timer()
-            snapshot = self._router.publish_epoch(
-                node_ids, components, heights, source=source
+            base = self._generation
+            snapshot = ArraySnapshot(
+                base.version + 1,
+                node_ids,
+                components,
+                heights,
+                source=source or base.source,
             )
-            ids, comps, hts = snapshot.arrays()
-            comps = np.asarray(comps)
-            hts = np.asarray(hts)
-            generation = self._build_generation_locked(snapshot, ids, comps, hts)
+            owners = np.fromiter(
+                (shard_of(node_id, self.shards) for node_id in snapshot.arrays()[0]),
+                dtype=np.intp,
+                count=len(snapshot),
+            )
+            generation = _generation_of(
+                snapshot,
+                [
+                    _DeadShardIndex(shard)
+                    if shard in self._down_shards
+                    else self._index_over_rows(snapshot, owners, shard)
+                    for shard in range(self.shards)
+                ],
+            )
             self._install_locked(
-                generation, started, ids, comps, hts,
-                mode="full", changed_count=len(ids),
+                generation, owners, started, mode="full", changed_count=len(snapshot)
             )
             return generation
 
@@ -447,19 +491,17 @@ class ShardedCoordinateStore:
 
         The incremental half of the
         :class:`~repro.service.publish.EpochPublisher` protocol.  The
-        router applies the delta by copy-on-write of the touched rows
-        (the authority on versions and global insertion order), then the
-        delta is re-partitioned into per-shard sub-deltas so each shard's
-        spatial index derives incrementally from its predecessor instead
-        of rebuilding.  Shards the delta never touches receive an empty
-        sub-delta, which mints their next version while *sharing* the
-        previous snapshot's frozen arrays and index -- zero copy, zero
-        build.  The resulting generation is byte-identical (coordinates,
-        query results including tie order, health snapshots) to
-        publishing the same final population through
-        :meth:`publish_epoch`.  Cached answers the delta provably leaves
-        unchanged are carried to the new version (see the module
-        docstring).
+        snapshot is :func:`~repro.service.snapshot.apply_delta` of the
+        serving one (copy-on-write of the touched rows), and each shard
+        index derives from its predecessor with the delta's rows of that
+        shard (``delta_applied``); a shard the delta never touches keeps
+        its index outright, and one whose derivation declines (or a
+        ``linear`` one) is rebuilt over its rows.  The resulting
+        generation is byte-identical (coordinates, query results
+        including tie order, health snapshots) to publishing the same
+        final population through :meth:`publish_epoch`.  Cached answers
+        the delta provably leaves unchanged are carried to the new
+        version (see the module docstring).
         """
         if not isinstance(delta, EpochDelta):
             raise TypeError(
@@ -469,73 +511,56 @@ class ShardedCoordinateStore:
             return self._generation
         with self._ingest_lock:
             started = self._timer()
-            base_generation = self._generation
-            snapshot = self._router.publish_delta(delta)
-            ids, comps, hts = snapshot.arrays()
-            comps = np.asarray(comps)
-            hts = np.asarray(hts)
-            if delta.changed_count and comps.size:
-                dims = comps.shape[1]
+            base = self._generation
+            snapshot = apply_delta(base.snapshot, delta)
+            owner_of = [shard_of(node_id, self.shards) for node_id in delta.node_ids]
+            if snapshot.arrays()[0] is base.node_order:
+                owners = self._owners  # population unchanged: same rows
             else:
-                dims = delta.components.shape[1] if delta.components.ndim == 2 else 1
-            changed_rows: List[List[int]] = [[] for _ in range(self.shards)]
-            for position, node_id in enumerate(delta.node_ids):
-                changed_rows[shard_of(node_id, self.shards)].append(position)
-            removed_per_shard: List[List[str]] = [[] for _ in range(self.shards)]
-            for node_id in delta.removed_ids:
-                removed_per_shard[shard_of(node_id, self.shards)].append(node_id)
-            shard_indexes: List[CoordinateIndex] = []
-            shard_sizes: List[int] = []
-            for shard in range(self.shards):
-                if shard in self._down_shards:
-                    # The shard store missed this delta; restart_shard
-                    # repairs it from the router snapshot later.
-                    shard_indexes.append(_DeadShardIndex(shard))
-                    shard_sizes.append(0)
-                    continue
-                rows = changed_rows[shard]
-                # Fancy indexing copies, so the shard sub-delta is
-                # independent of the caller's (possibly reused) arrays.
-                sub = EpochDelta(
-                    [delta.node_ids[row] for row in rows],
-                    delta.components[rows] if rows else np.empty((0, dims)),
-                    delta.heights[rows] if rows else np.empty(0),
-                    removed_ids=tuple(removed_per_shard[shard]),
-                    source=snapshot.source,
-                    epoch=delta.epoch,
+                row_of = base.global_seq
+                keep = np.ones(len(base), dtype=bool)
+                keep[[row_of[gone] for gone in delta.removed_ids if gone in row_of]] = False
+                added = [
+                    owner
+                    for node_id, owner in zip(delta.node_ids, owner_of)
+                    if node_id not in row_of
+                ]
+                owners = np.concatenate(
+                    [self._owners[keep], np.asarray(added, dtype=np.intp)]
                 )
-                store = self._shard_stores[shard]
-                shard_snapshot = store.publish_delta(sub)
-                # Derived incrementally inside publish_delta when the
-                # budget allows; otherwise this compacts via a full build.
-                shard_indexes.append(store.index_for(shard_snapshot))
-                shard_sizes.append(len(shard_snapshot))
-            if delta.removed_ids or any(
-                node_id not in base_generation.global_seq
-                for node_id in delta.node_ids
-            ):
-                node_order = list(ids)
-                global_seq = {
-                    node_id: position for position, node_id in enumerate(node_order)
-                }
-            else:
-                # Population unchanged: the base generation's order maps
-                # are immutable and can be shared outright.
-                node_order = base_generation.node_order
-                global_seq = base_generation.global_seq
-            generation = ShardGeneration(
-                snapshot.version,
-                snapshot.source,
-                snapshot,
-                tuple(shard_indexes),
-                tuple(shard_sizes),
-                global_seq,
-                node_order,
-            )
+            changed_rows: List[List[int]] = [[] for _ in range(self.shards)]
+            for position, owner in enumerate(owner_of):
+                changed_rows[owner].append(position)
+            removed_ids: List[List[str]] = [[] for _ in range(self.shards)]
+            for node_id in delta.removed_ids:
+                removed_ids[shard_of(node_id, self.shards)].append(node_id)
+            shard_indexes: List[CoordinateIndex] = []
+            for shard, previous in enumerate(base.shard_indexes):
+                rows = changed_rows[shard]
+                if shard in self._down_shards:
+                    # restart_shard rebuilds it from the generation it
+                    # returns to.
+                    index = _DeadShardIndex(shard)
+                elif not rows and not removed_ids[shard]:
+                    index = previous  # untouched: immutable, shared as is
+                else:
+                    derive = getattr(previous, "delta_applied", None)
+                    index = None
+                    if derive is not None:
+                        index = derive(
+                            [delta.node_ids[row] for row in rows],
+                            delta.components[rows],
+                            delta.heights[rows],
+                            removed_ids[shard],
+                        )
+                    if index is None:  # compaction, or a linear shard
+                        index = self._index_over_rows(snapshot, owners, shard)
+                shard_indexes.append(index)
+            generation = _generation_of(snapshot, shard_indexes)
             self._install_locked(
-                generation, started, ids, comps, hts,
+                generation, owners, started,
                 mode="delta", changed_count=delta.changed_count,
-                carried=self._survivors(base_generation, generation, delta),
+                carried=self._survivors(base, generation, delta),
             )
             return generation
 
@@ -559,38 +584,14 @@ class ShardedCoordinateStore:
     def _publish_mapping(
         self, coordinates: Mapping[str, Coordinate], *, source: str = ""
     ) -> ShardGeneration:
-        """Commit an object-based update batch as the next generation.
+        """Publish an object batch as a delta; an empty batch publishes nothing.
 
-        Incremental semantics are exactly the single store's: existing
-        nodes update in place, new nodes append in iteration order.
+        Existing nodes update in place and new nodes append in iteration
+        order, exactly as a single store commits them.
         """
-        if self._chaos_publish_gate():
+        if not coordinates:
             return self._generation
-        with self._ingest_lock:
-            started = self._timer()
-            self._router.apply_many(coordinates)
-            snapshot = self._router.commit(source=source)
-            if snapshot.version == self._generation.version:
-                return self._generation  # no-op commit: nothing staged
-            order = snapshot.node_ids()
-            if order:
-                comps = np.asarray(
-                    [snapshot.coordinates[node_id].components for node_id in order],
-                    dtype=np.float64,
-                )
-                hts = np.asarray(
-                    [snapshot.coordinates[node_id].height for node_id in order],
-                    dtype=np.float64,
-                )
-            else:
-                comps = np.empty((0, 1))
-                hts = np.empty(0)
-            generation = self._build_generation_locked(snapshot, order, comps, hts)
-            self._install_locked(
-                generation, started, order, comps, hts,
-                mode="full", changed_count=len(order),
-            )
-            return generation
+        return self.publish_delta(EpochDelta.from_coordinates(coordinates, source=source))
 
     def ingest_collector(self, collector, *, level: str = "application", source: str = "") -> ShardGeneration:
         """Publish every node's latest coordinate from a metrics collector."""
@@ -598,65 +599,31 @@ class ShardedCoordinateStore:
             collector.latest_coordinates(level=level), source=source
         )
 
-    def _build_generation_locked(
-        self,
-        snapshot,
-        node_ids: Sequence[str],
-        components: np.ndarray,
-        heights: np.ndarray,
-    ) -> ShardGeneration:
-        """Partition one published snapshot and build every shard index.
+    def _index_over_rows(
+        self, snapshot: ArraySnapshot, owners: np.ndarray, shard: int
+    ) -> CoordinateIndex:
+        """A fresh index over ``shard``'s rows of ``snapshot``, in global order.
 
-        Runs entirely on the publisher's thread while the previous
-        generation keeps serving; nothing is visible until the caller's
-        atomic install.
+        ``owners`` is the per-row shard of ``snapshot``, so no node id is
+        hashed; a one-shard store's index adopts the snapshot's arrays.
         """
-        assignments = [shard_of(node_id, self.shards) for node_id in node_ids]
-        global_seq = {node_id: position for position, node_id in enumerate(node_ids)}
-        dims = components.shape[1] if components.ndim == 2 and components.shape[1] else 1
-        shard_indexes: List[CoordinateIndex] = []
-        shard_sizes: List[int] = []
-        for shard in range(self.shards):
-            if shard in self._down_shards:
-                shard_indexes.append(_DeadShardIndex(shard))
-                shard_sizes.append(0)
-                continue
-            rows = [row for row, owner in enumerate(assignments) if owner == shard]
-            store = self._shard_stores[shard]
-            # Fancy indexing copies, so the shard arrays are independent of
-            # (and writable regardless of) the frozen router snapshot.
-            shard_snapshot = store.publish_epoch(
-                [node_ids[row] for row in rows],
-                components[rows] if rows else np.empty((0, dims)),
-                heights[rows] if rows else np.empty(0),
-                source=snapshot.source,
-            )
-            shard_indexes.append(store.index_for(shard_snapshot))
-            shard_sizes.append(len(rows))
-        return ShardGeneration(
-            snapshot.version,
-            snapshot.source,
-            snapshot,
-            tuple(shard_indexes),
-            tuple(shard_sizes),
-            global_seq,
-            list(node_ids),
-        )
+        node_ids, components, heights = snapshot.arrays()
+        if self.shards > 1:
+            rows = np.flatnonzero(owners == shard)
+            node_ids = [node_ids[row] for row in rows.tolist()]
+            components, heights = components[rows], heights[rows]
+        return index_over(self.index_kind, node_ids, components, heights)
 
     def _install_locked(
         self,
         generation: ShardGeneration,
+        owners: np.ndarray,
         started: float,
-        node_ids: Sequence[str],
-        components: np.ndarray,
-        heights: np.ndarray,
         *,
-        mode: str = "full",
-        changed_count: Optional[int] = None,
+        mode: str,
+        changed_count: int,
         carried: Sequence[Tuple[Query, Any]] = (),
     ) -> None:
-        if changed_count is None:
-            changed_count = len(generation)
         self.events.emit(
             "epoch_published",
             version=generation.version,
@@ -676,6 +643,7 @@ class ShardedCoordinateStore:
             self.cache.rekey(generation.version, carried)
             self.cache.current_version = generation.version
         self._c_cache_carried.inc(len(carried))
+        self._owners = owners
         # The swap: a single reference assignment.  Readers see either the
         # whole old generation or the whole new one, never a mixture.
         self._generation = generation
@@ -698,7 +666,7 @@ class ShardedCoordinateStore:
         # the publish stream (per-epoch drift/error units).
         observe_started = self._timer()
         self.health_tracker.observe_epoch(
-            node_ids, components, heights, version=generation.version
+            *generation.snapshot.arrays(), version=generation.version
         )
         self._h_health_observe_ms[mode].observe(
             (self._timer() - observe_started) * 1e3
@@ -735,8 +703,8 @@ class ShardedCoordinateStore:
         """Drop one shard from the scatter set (fault injection).
 
         Queries keep being served from the healthy subset as degraded
-        partial responses; publishes while down skip the shard's store
-        and install a dead-index placeholder.  Idempotent.
+        partial responses; publishes while down build no index for the
+        shard and install a dead-index placeholder.  Idempotent.
         """
         if not 0 <= shard < self.shards:
             raise ValueError(f"shard {shard} out of range for {self.shards} shards")
@@ -751,12 +719,11 @@ class ShardedCoordinateStore:
     def restart_shard(self, shard: int) -> None:
         """Re-admit a killed shard, rebuilding it from the last generation.
 
-        The shard's rows are recovered from the serving generation's
-        router snapshot (the authority the shard store may have missed
-        publishes of while down), republished into the shard's own
-        :class:`SnapshotStore`, and the freshly built index is installed
-        into the serving generation by an atomic swap -- the same
-        no-torn-reads argument as a publish.  Idempotent.
+        The shard's index is built over its rows of the serving
+        generation's snapshot (picked by the per-row owner array, so no
+        node id is rehashed) and installed into that generation by an
+        atomic swap -- the same no-torn-reads argument as a publish.
+        Idempotent.
         """
         if not 0 <= shard < self.shards:
             raise ValueError(f"shard {shard} out of range for {self.shards} shards")
@@ -764,42 +731,11 @@ class ShardedCoordinateStore:
             if shard not in self._down_shards:
                 return
             generation = self._generation
-            snapshot = generation.snapshot
-            rows = [
-                node_id
-                for node_id in generation.node_order
-                if shard_of(node_id, self.shards) == shard
-            ]
-            if rows:
-                comps = np.asarray(
-                    [snapshot.coordinate_of(node_id).components for node_id in rows],
-                    dtype=np.float64,
-                )
-                hts = np.asarray(
-                    [snapshot.coordinate_of(node_id).height for node_id in rows],
-                    dtype=np.float64,
-                )
-            else:
-                comps = np.empty((0, 1))
-                hts = np.empty(0)
-            store = self._shard_stores[shard]
-            shard_snapshot = store.publish_epoch(
-                rows, comps, hts, source=generation.source
-            )
-            index = store.index_for(shard_snapshot)
             shard_indexes = list(generation.shard_indexes)
-            shard_sizes = list(generation.shard_sizes)
-            shard_indexes[shard] = index
-            shard_sizes[shard] = len(rows)
-            rebuilt = ShardGeneration(
-                generation.version,
-                generation.source,
-                snapshot,
-                tuple(shard_indexes),
-                tuple(shard_sizes),
-                generation.global_seq,
-                generation.node_order,
+            shard_indexes[shard] = self._index_over_rows(
+                generation.snapshot, self._owners, shard
             )
+            rebuilt = _generation_of(generation.snapshot, shard_indexes)
             self._generations[generation.version] = rebuilt
             self._generation = rebuilt
             self._down_shards = self._down_shards - {shard}
@@ -807,7 +743,7 @@ class ShardedCoordinateStore:
                 "shard_restarted",
                 shard=shard,
                 version=generation.version,
-                nodes=len(rows),
+                nodes=rebuilt.shard_sizes[shard],
             )
 
     @property
@@ -1148,7 +1084,7 @@ class ShardedCoordinateStore:
         publish methods directly to preserve external version numbering.
         """
         store = cls(shards, index_kind=index_kind, **kwargs)
-        store._publish_mapping(dict(snapshot.coordinates), source=snapshot.source)
+        store._publish_mapping(snapshot.coordinates, source=snapshot.source)
         return store
 
     @classmethod

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.coordinate import Coordinate, sequential_sum
 from repro.overlay.knn import CoordinateIndex
 
-__all__ = ["INDEX_KINDS", "build_index", "VPTreeIndex", "DenseIndex"]
+__all__ = ["INDEX_KINDS", "build_index", "index_over", "VPTreeIndex", "DenseIndex"]
 
 #: Registered index kinds, resolvable through :func:`build_index`.
 INDEX_KINDS = ("linear", "vptree", "dense")
@@ -182,6 +182,29 @@ def build_index(kind: str = "vptree") -> CoordinateIndex:
     if kind == "dense":
         return DenseIndex()
     raise ValueError(f"unknown index kind {kind!r}; known: {list(INDEX_KINDS)}")
+
+
+def index_over(
+    kind: str,
+    node_ids: Sequence[str],
+    components: np.ndarray,
+    heights: np.ndarray,
+) -> CoordinateIndex:
+    """A finished ``kind`` index over aligned rows, inserted in row order.
+
+    ``dense`` adopts the arrays without copying (pass frozen ones); the
+    other kinds materialise one ``Coordinate`` per row.  The index is
+    finalised eagerly, so concurrent readers of a published index never
+    trigger (and race on) a lazy rebuild.
+    """
+    index = build_index(kind)
+    if isinstance(index, DenseIndex):
+        index.ingest_arrays(node_ids, components, heights)
+        return index
+    index.update_many(dict(_changed_coordinates(node_ids, components, heights)))
+    if isinstance(index, _SpatialIndex):
+        index._ensure_built()
+    return index
 
 
 class _SpatialIndex(CoordinateIndex):

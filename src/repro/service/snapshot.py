@@ -25,9 +25,11 @@ Two snapshot representations share one duck-typed read API:
 * :class:`ArraySnapshot` -- the array-backed form: node ids plus ``(n, d)``
   component and ``(n,)`` height arrays, published whole via
   :meth:`SnapshotStore.publish_epoch` or incrementally via
-  :meth:`SnapshotStore.publish_delta` (copy-on-write of the touched rows
-  only, sharing the id list and row map with the base when no node joins
-  or leaves; see :mod:`repro.service.publish`).  A batch simulation hands its
+  :meth:`SnapshotStore.publish_delta` (:func:`apply_delta`: copy-on-write
+  of the touched rows only, sharing the id list and row map with the base
+  when no node joins or leaves; see :mod:`repro.service.publish`).  The
+  sharded serving store publishes its generations through the same
+  constructor and :func:`apply_delta`.  A batch simulation hands its
   state arrays straight in -- no per-node object materialisation -- and a
   ``dense`` index adopts them without copying.
 
@@ -48,17 +50,21 @@ import numpy as np
 
 from repro.core.coordinate import Coordinate
 from repro.overlay.knn import CoordinateIndex
-from repro.service.index import INDEX_KINDS, build_index
+from repro.service.index import INDEX_KINDS, index_over
 from repro.service.publish import EpochDelta
 
-__all__ = ["ArraySnapshot", "CoordinateSnapshot", "SnapshotStore"]
+__all__ = ["ArraySnapshot", "CoordinateSnapshot", "SnapshotStore", "apply_delta"]
 
 
 def _as_array_snapshot(snapshot) -> "ArraySnapshot":
-    """A non-empty ``snapshot`` itself when array-backed, else its object form lifted."""
+    """``snapshot`` itself when array-backed, else its object form lifted."""
     if isinstance(snapshot, ArraySnapshot):
         return snapshot
     node_ids = snapshot.node_ids()
+    if not node_ids:
+        return ArraySnapshot(
+            snapshot.version, [], np.empty((0, 1)), source=snapshot.source
+        )
     return ArraySnapshot(
         snapshot.version,
         node_ids,
@@ -267,7 +273,7 @@ class ArraySnapshot:
         derived._node_ids = self._node_ids
         derived._components = components
         derived._heights = heights
-        derived._row_of = self._row_index
+        derived._row_of = self.row_index
         derived._mapping = None
         return derived
 
@@ -281,16 +287,21 @@ class ArraySnapshot:
         return len(self._node_ids)
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._row_index
+        return node_id in self.row_index
 
     @property
-    def _row_index(self) -> Dict[str, int]:
+    def row_index(self) -> Dict[str, int]:
+        """``{node_id: row}`` over :meth:`arrays`; read-only once published.
+
+        Built on first use and shared, like the id list, by every
+        same-population snapshot derived from this one.
+        """
         if self._row_of is None:
             self._row_of = {node_id: row for row, node_id in enumerate(self._node_ids)}
         return self._row_of
 
     def coordinate_of(self, node_id: str) -> Optional[Coordinate]:
-        row = self._row_index.get(node_id)
+        row = self.row_index.get(node_id)
         if row is None:
             return None
         return Coordinate(self._components[row].tolist(), float(self._heights[row]))
@@ -333,6 +344,85 @@ class ArraySnapshot:
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+
+
+def apply_delta(base, delta: EpochDelta) -> ArraySnapshot:
+    """``base`` with ``delta`` applied, as the next version's ArraySnapshot.
+
+    Copy-on-write: the base arrays are copied once, only the touched rows
+    are rewritten, removed rows are compacted out and genuinely new nodes
+    append after the survivors -- byte for byte the population a
+    from-scratch publish of the final state would hold.  A delta that
+    leaves the population unchanged shares the base's id list and row
+    map (see :meth:`ArraySnapshot._derived`); an empty one shares its
+    arrays too.  ``base`` is never written.
+    """
+    source = delta.source or base.source
+    if not len(base):
+        # Empty base: the delta's rows are the whole population
+        # (removals of unknown ids are ignored, as everywhere).
+        return ArraySnapshot(
+            base.version + 1,
+            list(delta.node_ids),
+            delta.components,
+            delta.heights,
+            source=source,
+        )
+    base = _as_array_snapshot(base)
+    node_ids, components, heights = base.arrays()
+    changed = delta.node_ids
+    if not changed and not delta.removed_ids:
+        # Version lockstep without copying: share the frozen arrays.
+        return base._derived(base.version + 1, components, heights, source)
+    if changed and delta.components.shape[1] != components.shape[1]:
+        raise ValueError(
+            f"delta dimensionality {delta.components.shape[1]} does not "
+            f"match snapshot dimensionality {components.shape[1]}"
+        )
+    row_of = base.row_index
+    work_components = components.copy()
+    work_heights = heights.copy()
+    existing_rows: List[int] = []
+    existing_positions: List[int] = []
+    added_positions: List[int] = []
+    for position, node_id in enumerate(changed):
+        row = row_of.get(node_id)
+        if row is None:
+            added_positions.append(position)
+        else:
+            existing_rows.append(row)
+            existing_positions.append(position)
+    if existing_rows:
+        work_components[existing_rows] = delta.components[existing_positions]
+        work_heights[existing_rows] = delta.heights[existing_positions]
+    removed_rows = [
+        row_of[node_id] for node_id in delta.removed_ids if node_id in row_of
+    ]
+    if not removed_rows and not added_positions:
+        # Population unchanged: same ids, same rows, new coordinates.
+        return base._derived(
+            base.version + 1, work_components, work_heights, source
+        )
+    new_ids = list(node_ids)
+    if removed_rows:
+        keep = np.ones(len(node_ids), dtype=bool)
+        keep[removed_rows] = False
+        work_components = work_components[keep]
+        work_heights = work_heights[keep]
+        removed = set(delta.removed_ids)
+        new_ids = [node_id for node_id in node_ids if node_id not in removed]
+    if added_positions:
+        work_components = np.concatenate(
+            [work_components, delta.components[added_positions]]
+        )
+        work_heights = np.concatenate(
+            [work_heights, delta.heights[added_positions]]
+        )
+        new_ids.extend(changed[position] for position in added_positions)
+    return ArraySnapshot(
+        base.version + 1, new_ids, work_components, work_heights, source=source
+    )
+
 
 
 class SnapshotStore:
@@ -481,18 +571,12 @@ class SnapshotStore:
 
         The incremental half of the
         :class:`~repro.service.publish.EpochPublisher` protocol.  The new
-        :class:`ArraySnapshot` is built by copy-on-write: the base arrays
-        are copied once (a straight memcpy), only the touched rows are
-        rewritten, removed rows are compacted out and genuinely new nodes
-        append after the survivors -- exactly the population a
-        from-scratch publish of the final state would hold, byte for
-        byte.  A delta that leaves the population unchanged (the steady
-        state: rows move, nobody joins or leaves) does no per-node
-        Python work at all: the new snapshot *shares* the base's id list
-        and ``{node_id: row}`` map, both immutable once published, so
-        ``arrays()[0]`` and the map behind ``coordinate_of`` are the very
-        objects the base holds.  Only a removal or an addition pays for
-        fresh ones.  When the base version's spatial index is memoised, the new
+        :class:`ArraySnapshot` is :func:`apply_delta` of the latest one:
+        copy-on-write of the touched rows, byte for byte the population a
+        from-scratch publish of the final state would hold.  A delta that
+        leaves the population unchanged (the steady state: rows move,
+        nobody joins or leaves) does no per-node Python work at all.
+        When the base version's spatial index is memoised, the new
         version's index is *derived* from it incrementally
         (``delta_applied``) instead of rebuilt, which is what makes
         millisecond epoch rollover possible at low churn; past the
@@ -515,7 +599,7 @@ class SnapshotStore:
                 )
             base = self._latest
             prev_index = self._indexes.get(base.version)
-            snapshot = self._apply_delta_locked(base, delta)
+            snapshot = apply_delta(base, delta)
             self._publish_locked(snapshot)
             self._ingested += delta.changed_count
             if prev_index is not None:
@@ -530,74 +614,6 @@ class SnapshotStore:
                     if derived is not None:
                         self._indexes[snapshot.version] = derived
             return snapshot
-
-    def _apply_delta_locked(self, base, delta: EpochDelta) -> ArraySnapshot:
-        """The base snapshot with ``delta`` applied, as a new ArraySnapshot."""
-        source = delta.source or base.source
-        if not len(base):
-            # Empty base: the delta's rows are the whole population
-            # (removals of unknown ids are ignored, as everywhere).
-            return ArraySnapshot(
-                base.version + 1,
-                list(delta.node_ids),
-                delta.components,
-                delta.heights,
-                source=source,
-            )
-        base = _as_array_snapshot(base)
-        node_ids, components, heights = base.arrays()
-        changed = delta.node_ids
-        if not changed and not delta.removed_ids:
-            # Version lockstep without copying: share the frozen arrays.
-            return base._derived(base.version + 1, components, heights, source)
-        if changed and delta.components.shape[1] != components.shape[1]:
-            raise ValueError(
-                f"delta dimensionality {delta.components.shape[1]} does not "
-                f"match snapshot dimensionality {components.shape[1]}"
-            )
-        row_of = base._row_index
-        work_components = components.copy()
-        work_heights = heights.copy()
-        existing_rows: List[int] = []
-        existing_positions: List[int] = []
-        added_positions: List[int] = []
-        for position, node_id in enumerate(changed):
-            row = row_of.get(node_id)
-            if row is None:
-                added_positions.append(position)
-            else:
-                existing_rows.append(row)
-                existing_positions.append(position)
-        if existing_rows:
-            work_components[existing_rows] = delta.components[existing_positions]
-            work_heights[existing_rows] = delta.heights[existing_positions]
-        removed_rows = [
-            row_of[node_id] for node_id in delta.removed_ids if node_id in row_of
-        ]
-        if not removed_rows and not added_positions:
-            # Population unchanged: same ids, same rows, new coordinates.
-            return base._derived(
-                base.version + 1, work_components, work_heights, source
-            )
-        new_ids = list(node_ids)
-        if removed_rows:
-            keep = np.ones(len(node_ids), dtype=bool)
-            keep[removed_rows] = False
-            work_components = work_components[keep]
-            work_heights = work_heights[keep]
-            removed = set(delta.removed_ids)
-            new_ids = [node_id for node_id in node_ids if node_id not in removed]
-        if added_positions:
-            work_components = np.concatenate(
-                [work_components, delta.components[added_positions]]
-            )
-            work_heights = np.concatenate(
-                [work_heights, delta.heights[added_positions]]
-            )
-            new_ids.extend(changed[position] for position in added_positions)
-        return ArraySnapshot(
-            base.version + 1, new_ids, work_components, work_heights, source=source
-        )
 
     # -- read path ------------------------------------------------------
     def latest(self) -> CoordinateSnapshot:
@@ -632,21 +648,10 @@ class SnapshotStore:
             index = self._indexes.get(target.version)
         if index is not None:
             return index
-        # Built outside the lock so a large build never blocks ingest, and
-        # finalised eagerly so concurrent readers of the published index
-        # never trigger (and race on) a lazy rebuild.
-        index = build_index(self.index_kind)
-        ingest_arrays = getattr(index, "ingest_arrays", None)
-        arrays = getattr(target, "arrays", None)
-        if ingest_arrays is not None and arrays is not None:
-            # Array snapshot -> dense index: adopt the snapshot arrays
-            # directly, no per-node objects anywhere on the path.
-            ingest_arrays(*arrays())
-        else:
-            index.update_many(dict(target.coordinates))
-        finalise = getattr(index, "_ensure_built", None)
-        if finalise is not None:
-            finalise()
+        # Built outside the lock so a large build never blocks ingest.  A
+        # dense index adopts an array snapshot's arrays: no per-node
+        # objects anywhere on the path.
+        index = index_over(self.index_kind, *_as_array_snapshot(target).arrays())
         with self._lock:
             if target.version not in self._versions:
                 # A reader holding an already-evicted snapshot: hand it the
@@ -683,23 +688,4 @@ class SnapshotStore:
         store = cls(index_kind=index_kind)
         store.apply_many(coordinates)
         store.commit(source=source)
-        return store
-
-    @classmethod
-    def from_snapshot(
-        cls, snapshot: CoordinateSnapshot, *, index_kind: str = "vptree"
-    ) -> "SnapshotStore":
-        """A store republishing ``snapshot`` under its *original* version.
-
-        Query results served from a reloaded artifact stay attributable to
-        the version recorded in the file (renumbering to 1 would break the
-        correlation); later commits continue counting from there.
-        """
-        store = cls(index_kind=index_kind)
-        with store._lock:
-            published = CoordinateSnapshot(
-                snapshot.version, dict(snapshot.coordinates), source=snapshot.source
-            )
-            store._latest = published
-            store._versions = {published.version: published}
         return store

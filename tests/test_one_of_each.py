@@ -368,6 +368,20 @@ class TestOneOfEachInTheSourceTree:
         # vp-tree leaves are slices of flat arrays, not per-row lists.
         assert "bucket" not in _VPNode.__slots__
 
+    def test_a_shard_is_its_index(self):
+        # The sharded store publishes straight into generations: no inner
+        # SnapshotStore (router or per shard), and one delta applier.
+        sharding = (SRC / "server/sharding.py").read_text()
+        assert not re.search(r"import[^\n]*\bSnapshotStore\b", sharding)
+        assert "SnapshotStore(" not in sharding
+        appliers = [
+            path.relative_to(SRC).as_posix()
+            for path in self._modules("")
+            if re.search(r"^\s*def \w*apply_delta\w*\(", path.read_text(), re.M)
+        ]
+        assert appliers == ["service/snapshot.py"]
+        assert not hasattr(SnapshotStore, "from_snapshot")
+
     def test_no_shims_and_no_warnings_under_src(self):
         for path in self._modules(""):
             text = path.read_text()

@@ -38,6 +38,7 @@ from repro.server.protocol import (
     request_to_query,
     request_version,
 )
+import repro.server.sharding as sharding_module
 from repro.server.sharding import HEALTH_SECTIONS, ShardedCoordinateStore
 from repro.overlay.knn import CoordinateIndex
 from repro.service.index import (
@@ -149,21 +150,22 @@ def _assert_index_identical(derived, rebuilt, node_ids, dims, rng):
     assert sorted(derived.node_ids()) == sorted(rebuilt.node_ids())
 
 
+#: ``(n, dims, churn, removals)`` cells of the delta-vs-full sweep.
+_SWEEP_GRID = [
+    (40, 2, 0.0, False),    # empty deltas: version lockstep only
+    (40, 2, 1.0, False),    # all rows changed: always compacts
+    (40, 3, 0.2, True),     # small population: over budget, compacts
+    (300, 2, 0.05, False),  # overlay survives (budget = 75)
+    (300, 2, 0.05, True),   # overlay + removals + additions
+    (300, 4, 0.3, False),   # crosses the compaction boundary mid-run
+]
+
+
 class TestDeltaEquivalenceSweep:
     """Delta-published stores are byte-identical to full rebuilds."""
 
     @pytest.mark.parametrize("index_kind", INDEX_KINDS)
-    @pytest.mark.parametrize(
-        "n,dims,churn,removals",
-        [
-            (40, 2, 0.0, False),    # empty deltas: version lockstep only
-            (40, 2, 1.0, False),    # all rows changed: always compacts
-            (40, 3, 0.2, True),     # small population: over budget, compacts
-            (300, 2, 0.05, False),  # overlay survives (budget = 75)
-            (300, 2, 0.05, True),   # overlay + removals + additions
-            (300, 4, 0.3, False),   # crosses the compaction boundary mid-run
-        ],
-    )
+    @pytest.mark.parametrize("n,dims,churn,removals", _SWEEP_GRID)
     def test_snapshot_store_equivalence(self, index_kind, n, dims, churn, removals):
         node_ids, components, heights = _initial_population(n, dims, seed=7)
         delta_store = SnapshotStore(index_kind=index_kind, history=64)
@@ -192,23 +194,42 @@ class TestDeltaEquivalenceSweep:
             rebuilt = full_store.index_for(full_snapshot)
             _assert_index_identical(derived, rebuilt, d_ids, dims, rng)
 
-    @pytest.mark.parametrize("index_kind", ["vptree", "dense"])
+    @pytest.mark.parametrize("index_kind", INDEX_KINDS)
     def test_sharded_store_equivalence_with_health(self, index_kind):
-        n, dims = 120, 2
+        # The snapshot sweep's grid, with shard 1 killed across the third
+        # delta and restarted before anything is compared.
+        for n, dims, churn, removals in _SWEEP_GRID:
+            self._check_sharded(index_kind, n, dims, churn, removals)
+
+    def _check_sharded(self, index_kind, n, dims, churn, removals):
         node_ids, components, heights = _initial_population(n, dims, seed=3)
         delta_store = ShardedCoordinateStore(3, index_kind=index_kind, history=64)
         full_store = ShardedCoordinateStore(3, index_kind=index_kind, history=64)
         delta_store.publish_epoch(node_ids, components.copy(), heights.copy(), source="epoch0")
         full_store.publish_epoch(node_ids, components.copy(), heights.copy(), source="epoch0")
-        for delta, final_ids, final_comps, final_hts in _epoch_deltas(
-            node_ids, components, heights, epochs=4, churn=0.1, removals=True, seed=3
+        for epoch, (delta, final_ids, final_comps, final_hts) in enumerate(
+            _epoch_deltas(
+                node_ids, components, heights,
+                epochs=5, churn=churn, removals=removals, seed=3,
+            )
         ):
+            if epoch == 2:
+                delta_store.kill_shard(1)
             delta_generation = delta_store.publish_delta(delta)
+            if epoch == 2:
+                assert len(delta_generation.shard_indexes[1]) == 0
+                delta_store.restart_shard(1)
+                delta_generation = delta_store.generation()
             full_generation = full_store.publish_epoch(
                 final_ids, final_comps, final_hts, source=delta.source
             )
             assert delta_generation.version == full_generation.version
             assert delta_generation.node_order == full_generation.node_order
+            assert delta_generation.shard_sizes == full_generation.shard_sizes
+            for derived, rebuilt in zip(
+                delta_generation.shard_indexes, full_generation.shard_indexes
+            ):
+                assert derived.node_ids() == rebuilt.node_ids()
             d_ids, d_comps, d_hts = delta_generation.snapshot.arrays()
             f_ids, f_comps, f_hts = full_generation.snapshot.arrays()
             assert d_ids == f_ids
@@ -227,6 +248,29 @@ class TestDeltaEquivalenceSweep:
                 assert d_result.version == f_result.version
         deterministic = tuple(s for s in HEALTH_SECTIONS if s != "staleness")
         assert delta_store.health(deterministic) == full_store.health(deterministic)
+
+    def test_deltas_and_a_restart_hash_only_the_delta_ids(self):
+        node_ids, components, heights = _initial_population(200, 2, seed=5)
+        store = ShardedCoordinateStore(3, index_kind="dense")
+        store.publish_epoch(node_ids, components, heights)
+        hashed = []
+        shard_of = sharding_module.shard_of
+
+        def counting(node_id, shards):
+            hashed.append(node_id)
+            return shard_of(node_id, shards)
+
+        with mock.patch.object(sharding_module, "shard_of", counting):
+            store.publish_delta(
+                EpochDelta(node_ids[:2], components[:2] + 1.0, heights[:2])
+            )
+            store.publish_delta(
+                EpochDelta(["fresh"], np.zeros((1, 2)), removed_ids=(node_ids[5],))
+            )
+            store.kill_shard(1)
+            store.restart_shard(1)
+        assert hashed == node_ids[:2] + ["fresh", node_ids[5]]
+        assert sum(store.generation().shard_sizes) == 200
 
     def test_empty_base_delta_bootstraps_population(self):
         store = SnapshotStore(index_kind="dense")
@@ -858,6 +902,34 @@ class TestCacheCarriedAcrossADelta:
         mirror.publish_delta(EpochDelta(["n9"], np.asarray([[90.0]])))
         assert restored.payload == _oracle_answer(mirror, Query.knn("n4", k=3))
 
+    def test_an_ingested_collector_is_a_delta(self):
+        from repro.metrics.collector import MetricsCollector
+
+        store = self._line()
+        first = store.serve(Query.knn("n0", k=2))
+        collector = MetricsCollector()
+        for node_id, x in (("n9", 100.0), ("n10", 200.0)):
+            collector.record_sample(
+                1.0,
+                node_id,
+                system_coordinate=Coordinate([x]),
+                application_coordinate=Coordinate([x]),
+            )
+        generation = store.ingest_collector(collector, source="collector")
+        published = [
+            event for event in store.events.tail() if event["kind"] == "epoch_published"
+        ][-1]
+        assert published["mode"] == "delta"
+        assert published["changed_count"] == 2
+        assert generation.node_order[-1] == "n10" and generation.source == "collector"
+        again = store.serve(Query.knn("n0", k=2))
+        assert again.cached and again.version == generation.version
+        assert again.payload is first.payload
+        assert store.registry.counter("store_cache_carried_total").value == 1
+        # An empty mapping publishes nothing.
+        assert store.ingest_collector(MetricsCollector()) is generation
+        assert store.version == generation.version
+
     def test_a_publish_frees_every_answer_it_does_not_carry(self):
         # Range-heavy: wide radii, so one move in the middle drops most.
         node_ids, components, heights = _initial_population(200, 2, seed=4)
@@ -915,18 +987,18 @@ class TestSharedRowMaps:
         )
         expected[node_ids[4]] = moved
         assert same.arrays()[0] is base.arrays()[0]
-        assert same._row_index is base._row_index
+        assert same.row_index is base.row_index
         self._assert_coordinates(same, expected)
         empty = store.publish_delta(EpochDelta([], np.empty((0, 2))))
         assert empty.arrays()[0] is base.arrays()[0]
-        assert empty._row_index is base._row_index
+        assert empty.row_index is base.row_index
 
         removal = store.publish_delta(
             EpochDelta([], np.empty((0, 2)), removed_ids=(node_ids[0],))
         )
         del expected[node_ids[0]]
         assert removal.arrays()[0] is not base.arrays()[0]
-        assert removal._row_index is not base._row_index
+        assert removal.row_index is not base.row_index
         self._assert_coordinates(removal, expected)
 
         addition = store.publish_delta(
@@ -934,10 +1006,10 @@ class TestSharedRowMaps:
         )
         expected["newcomer"] = Coordinate([1.0, 2.0], 0.5)
         assert addition.arrays()[0] is not removal.arrays()[0]
-        assert addition._row_index is not removal._row_index
+        assert addition.row_index is not removal.row_index
         self._assert_coordinates(addition, expected)
         # The base was never written through the shared structures.
-        assert base.arrays()[0] == node_ids and len(base._row_index) == 30
+        assert base.arrays()[0] == node_ids and len(base.row_index) == 30
 
 
 class TestEpochDeltaValidation:

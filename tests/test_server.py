@@ -272,6 +272,14 @@ class TestSharding:
         with pytest.raises(ValueError, match="unknown index kind"):
             ShardedCoordinateStore(2, index_kind="octree")
 
+    def test_history_must_keep_the_installed_generation(self):
+        # history=0 would prune each generation the moment it installs.
+        with pytest.raises(ValueError, match="history must be >= 1"):
+            ShardedCoordinateStore(2, history=0)
+        store = ShardedCoordinateStore(2, history=1)
+        store.publish_epoch(["a", "b"], np.asarray([[0.0], [1.0]]))
+        assert store.at(1) is store.generation()
+
 
 # ----------------------------------------------------------------------
 # The daemon over TCP

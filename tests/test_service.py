@@ -512,17 +512,6 @@ class TestSnapshotStore:
         system_store.ingest_collector(collector, level="system")
         assert system_store.commit().coordinate_of("host1") == Coordinate([1.0, 1.0])
 
-    def test_from_snapshot_preserves_the_saved_version(self):
-        snapshot = CoordinateSnapshot(
-            5, {"a": Coordinate([1.0]), "b": Coordinate([2.0])}, source="artifact"
-        )
-        store = SnapshotStore.from_snapshot(snapshot)
-        assert store.version == 5
-        assert store.latest().version == 5
-        assert store.index_for().nearest(Coordinate([1.0]), 1) == [("a", 0.0)]
-        store.apply("c", Coordinate([3.0]))
-        assert store.commit().version == 6
-
     def test_snapshot_json_roundtrip(self, tmp_path):
         snapshot = CoordinateSnapshot(
             3,

@@ -17,6 +17,11 @@ index kinds and churn fractions, and records:
   reported, but only vptree is gated: a dense full rebuild is already
   a near-free array adoption, so its ratio says nothing about
   the rollover cost the delta path exists to remove;
+* the median health pass of a delta publish
+  (``median_delta_health_observe_ms``), read from the delta store's own
+  ``store_health_observe_ms{mode="delta"}`` histogram (so to bucket
+  resolution): the share of each delta publish spent after the swap,
+  reported and not gated;
 * equivalence booleans -- after every epoch the delta-built generation
   must be byte-identical to the full rebuild (coordinates, sampled
   query payloads including tie order) and the deterministic health
@@ -142,6 +147,7 @@ def bench_cell(
     )
     median_delta_s = float(np.median(delta_times))
     median_full_s = float(np.median(full_times))
+    health_ms = delta_store.registry.histogram("store_health_observe_ms", mode="delta")
     return {
         "index_kind": index_kind,
         "churn": churn,
@@ -156,6 +162,7 @@ def bench_cell(
         "mean_delta_publish_s": round(float(np.mean(delta_times)), 6),
         "mean_full_publish_s": round(float(np.mean(full_times)), 6),
         "max_delta_publish_s": round(float(np.max(delta_times)), 6),
+        "median_delta_health_observe_ms": round(health_ms.percentile(50.0), 3),
         "speedup": round(median_full_s / median_delta_s, 3) if median_delta_s > 0 else None,
         "arrays_identical": arrays_identical,
         "queries_identical": queries_identical,
@@ -203,7 +210,8 @@ def main(argv: List[str] | None = None) -> int:
             print(
                 f"  delta {cell['median_delta_publish_s'] * 1e3:>9.2f} ms  "
                 f"full {cell['median_full_publish_s'] * 1e3:>9.2f} ms  "
-                f"(max delta {cell['max_delta_publish_s'] * 1e3:>9.2f} ms)  "
+                f"(max delta {cell['max_delta_publish_s'] * 1e3:>9.2f} ms, "
+                f"health {cell['median_delta_health_observe_ms']:>6.2f} ms)  "
                 f"speedup {cell['speedup']:>8.2f}x  "
                 f"identical {cell['arrays_identical'] and cell['queries_identical'] and cell['health_identical']}"
             )

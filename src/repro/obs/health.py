@@ -27,18 +27,30 @@ Per epoch, :class:`HealthTracker` computes:
   replaced since the previous epoch -- embedding stability as an
   application would feel it.
 
-A publish that moves 1% of the population costs 1% of a full pass: the
-tracker diffs each epoch's arrays against the ones it retained from the
-previous epoch and does the per-node work for the moved rows only.  The
-rest displaced by exactly 0.0, which the histogram counts without
-seeing them, and a kNN target is re-scanned only when it moved, one of
-its neighbors moved, or a moved row now lies within its k-th neighbor
-distance.  There is no second code path: a first epoch, a changed
-population or an epoch in which every row moved runs the same routines
-with nothing skipped, and a property test pins the two to identical
-snapshots, histograms and Prometheus text.  Neighbor selection is
-ordered by ``(distance, row)``, so equal-distance ties cannot make a
-skipped scan and a repeated one disagree.
+A publish that moves a few rows does per-node work for those rows only.
+The tracker diffs each epoch's arrays against the ones it retained from
+the previous epoch.  Drift displaces the unmoved rest by exactly 0.0,
+which the histogram counts without seeing them; when those zeros hold
+both displacement quantiles, the read-out is 0.0 without a partition.
+Neighbor churn never scans the population for a delta that leaves the
+population and the target in place.  Each sampled target keeps a
+*reserve*: its rows ranked by ``(distance, row)`` up to a *bound* key,
+at most ``k + _RESERVE`` of them, with every other row ranking after the
+bound.  After such a delta the reserve's unmoved rows keep their
+distances, and a moved row joins iff its new key is at or before the
+bound, so the reserve is again exactly the rows up to the bound and its
+first k are the new neighbor set.  The bound never moves up; the reserve
+shrinks as its rows move away, and only when it falls below k rows (or
+the target moved, the population changed, or this is the first epoch)
+does the target pay a population scan, which refills it to the full
+depth.  ``health_knn_rescans_total`` counts those scans.
+
+There is no second code path: a first epoch, a changed population or an
+epoch in which every row moved runs the same routines, and a property
+test pins the self-diffing tracker to one told that every row moved:
+identical snapshots, histograms and Prometheus text.  The ``(distance,
+row)`` order makes equal-distance ties rank the same in a scan and in
+a reserve merge.
 
 Everything is deterministic: the pair/target samples derive from
 ``(seed, label)`` via :func:`~repro.stats.sampling.derive_rng`, no wall
@@ -53,7 +65,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +89,29 @@ DISPLACEMENT_SCHEME = BucketScheme(lo=1e-3, per_decade=10, decades=7)
 
 #: Guard against division by a zero "actual" RTT.
 _EPSILON = 1e-9
+
+#: Rows a kNN churn target keeps beyond its k nearest, so a delta can
+#: certify the new neighbor set without a population scan (module
+#: docstring).
+_RESERVE = 64
+
+#: Distances per block when scoring many kNN targets at once.
+_BLOCK_CELLS = 1 << 16
+
+
+class _Reserve(NamedTuple):
+    """One kNN target's certified neighbourhood in one epoch.
+
+    ``rows`` (with their ``distances``) are every row that ranks at or
+    before ``bound`` by ``(distance, row)``, in that order; the target
+    and NaN distances are never ranked.  ``bound`` None means the rows
+    are all that have a distance.  ``neighbors`` are the first k ids.
+    """
+
+    neighbors: frozenset
+    rows: np.ndarray
+    distances: np.ndarray
+    bound: Optional[Tuple[float, int]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,16 +209,15 @@ class HealthTracker:
         self._reference: Optional[np.ndarray] = None
 
         # Previous-epoch state for the incremental deltas.
+        self._prev_node_ids: Optional[Sequence[str]] = None
         self._prev_ids: Optional[Tuple[str, ...]] = None
         self._prev_index_of: Optional[Dict[str, int]] = None
         self._prev_components: Optional[np.ndarray] = None
         self._prev_heights: Optional[np.ndarray] = None
         self._prev_centroid: Optional[np.ndarray] = None
         self._prev_time: Optional[float] = None
-        #: Per kNN target: (neighbor ids, their rows, k-th neighbor
-        #: distance).  The rows and the distance are what lets the next
-        #: epoch prove a target's neighbor set unchanged without a scan.
-        self._prev_knn: Dict[str, Tuple[frozenset, np.ndarray, float]] = {}
+        #: Per kNN target: its reserve in the previous epoch.
+        self._prev_knn: Dict[str, _Reserve] = {}
 
         # Aggregates.
         self._epochs = 0
@@ -273,14 +307,14 @@ class HealthTracker:
     ) -> HealthSnapshot:
         """Fold one published epoch into the health stream.
 
-        The arrays are retained (not copied) as the next epoch's
-        reference, so callers must not write to them afterwards; the
-        per-node work is done only for rows that differ from the
-        retained ones (see the module docstring).
+        ``node_ids`` and the arrays are retained (not copied) as the
+        next epoch's reference, so callers must not write to them
+        afterwards; the per-node work is done only for rows that differ
+        from the retained ones (see the module docstring).  Passing the
+        previous epoch's ``node_ids`` object again skips comparing the
+        populations.
         """
-        ids = tuple(node_ids)
-        # C-contiguous so a row's sum of squares is the same float
-        # whether it is reduced alone or with the whole population.
+        ids = self._prev_ids if node_ids is self._prev_node_ids else tuple(node_ids)
         components = np.ascontiguousarray(components, dtype=np.float64)
         if components.ndim != 2 or components.shape[0] != len(ids):
             raise ValueError(
@@ -295,7 +329,9 @@ class HealthTracker:
             raise ValueError(f"heights must be ({len(ids)},); got {heights.shape}")
         if self._pair_ids is None:
             self._materialise_samples(ids)
-        if self._prev_index_of is not None and ids == self._prev_ids:
+        if self._prev_index_of is not None and (
+            ids is self._prev_ids or ids == self._prev_ids
+        ):
             index_of = self._prev_index_of
             moved = self._moved_rows(components, heights)
         else:
@@ -314,8 +350,9 @@ class HealthTracker:
         self._c_epochs.inc()
         if errors is not None and errors.size:
             window_values = np.concatenate(list(self._error_window))
-            self._g_err_median.set(float(np.percentile(window_values, 50.0)))
-            self._g_err_p95.set(float(np.percentile(window_values, 95.0)))
+            median, p95 = np.percentile(window_values, [50.0, 95.0])
+            self._g_err_median.set(float(median))
+            self._g_err_p95.set(float(p95))
         if drift_velocity is not None:
             self._g_drift.set(drift_velocity)
         if churn is not None:
@@ -351,6 +388,7 @@ class HealthTracker:
         if self.events is not None:
             self.events.emit("health_snapshot", **snapshot.to_dict())
 
+        self._prev_node_ids = node_ids
         self._prev_ids = ids
         self._prev_index_of = index_of
         self._prev_components = components
@@ -408,9 +446,12 @@ class HealthTracker:
     # -- the self-diff ---------------------------------------------------
     def _moved_rows(self, components: np.ndarray, heights: np.ndarray) -> np.ndarray:
         """Mask of rows that differ from the retained epoch (same population)."""
-        return (components != self._prev_components).any(axis=1) | (
-            heights != self._prev_heights
-        )
+        moved = heights != self._prev_heights
+        # The differing cells of the flat (row-major) array name their
+        # rows: far cheaper than a per-row ``any`` when few differ.
+        cells = np.flatnonzero(components != self._prev_components)
+        moved[cells // components.shape[1]] = True
+        return moved
 
     # -- drift ----------------------------------------------------------
     def _observe_drift(
@@ -463,23 +504,128 @@ class HealthTracker:
         # The compared rows left out of ``now_rows`` are bit-equal to
         # their retained selves, so each displaced by exactly 0.0.
         moved_by = np.sqrt(np.sum(delta * delta, axis=1)) + np.abs(dh)
-        displacement = np.zeros(compared)
-        displacement[: moved_by.size] = moved_by
-        disp_median = float(np.percentile(displacement, 50.0))
-        disp_p95 = float(np.percentile(displacement, 95.0))
+        zeros = compared - moved_by.size + int(np.count_nonzero(moved_by == 0.0))
+        if zeros > 0.95 * compared + 2 and not np.isnan(moved_by).any():
+            # Both quantiles interpolate between ranks inside the block
+            # of zeros at the front of the sorted displacements.
+            disp_median = disp_p95 = 0.0
+        else:
+            displacement = np.zeros(compared)
+            displacement[: moved_by.size] = moved_by
+            disp_median, disp_p95 = (
+                float(value) for value in np.percentile(displacement, [50.0, 95.0])
+            )
         self._h_displacement.observe_many(moved_by)
         self._h_displacement.observe_repeated(0.0, compared - moved_by.size)
         return drift_velocity, disp_median, disp_p95
 
     # -- neighbor churn --------------------------------------------------
     @staticmethod
-    def _neighbor_distances(
-        components: np.ndarray, heights: np.ndarray, row: int, others
+    def _distances(
+        components: np.ndarray, heights: np.ndarray, rows: Sequence[int], others
     ) -> np.ndarray:
-        """Predicted RTT from ``row`` to each of ``others`` (rows or a slice)."""
-        delta = components[others] - components[row]
-        distances = np.sqrt(np.sum(delta * delta, axis=1))
-        return distances + heights[others] + heights[row]
+        """Predicted RTT from each of ``rows`` to each of ``others`` (rows
+        or a slice), one matrix row per ``rows`` entry.
+
+        Squared component differences accumulate left to right, so each
+        element is the same float whatever the batch (and, below eight
+        dimensions, ``np.sum``'s).  Targets go in blocks of at most
+        ``_BLOCK_CELLS`` distances.
+        """
+        other_components, other_heights = components[others], heights[others]
+        rows = np.asarray(rows, dtype=np.intp)
+        origins, origin_heights = components[rows], heights[rows, None]
+        out = np.empty((rows.size, other_heights.shape[0]))
+        block = max(1, _BLOCK_CELLS // max(other_heights.shape[0], 1))
+        for start in range(0, rows.size, block):
+            stop = start + block
+            squares = np.zeros(out[start:stop].shape)
+            for column in range(components.shape[1]):
+                delta = other_components[:, column] - origins[start:stop, column, None]
+                squares += delta * delta
+            out[start:stop] = (np.sqrt(squares) + other_heights) + origin_heights[
+                start:stop
+            ]
+        return out
+
+    @staticmethod
+    def _reserve(
+        ids: Tuple[str, ...],
+        rows: np.ndarray,
+        distances: np.ndarray,
+        bound: Optional[Tuple[float, int]],
+        k: int,
+    ) -> _Reserve:
+        """The reserve of ``rows`` (ranked), at most ``k + _RESERVE`` deep.
+
+        Cutting it short moves the bound down to its last row, which is
+        always sound: every row cut off ranks after it.
+        """
+        if rows.size > k + _RESERVE:
+            rows, distances = rows[: k + _RESERVE], distances[: k + _RESERVE]
+            bound = (float(distances[-1]), int(rows[-1]))
+        neighbors = frozenset(ids[idx] for idx in rows[:k].tolist())
+        return _Reserve(neighbors, rows, distances, bound)
+
+    def _scanned_reserve(
+        self,
+        ids: Tuple[str, ...],
+        components: np.ndarray,
+        heights: np.ndarray,
+        row: int,
+        k: int,
+    ) -> _Reserve:
+        """A target's full-depth reserve from one population scan."""
+        distances = self._distances(components, heights, [row], slice(None))[0]
+        # The target ranks nowhere, like a NaN distance (partition and
+        # the ``<=`` below both leave NaN out).
+        distances[row] = np.nan
+        depth = min(k + _RESERVE, len(ids) - 1)
+        cut = float(np.partition(distances, depth - 1)[depth - 1])
+        # At most ``depth`` rows have a distance: the reserve is all of them.
+        complete = np.isnan(cut) or depth == len(ids) - 1
+        inside = np.flatnonzero(~np.isnan(distances) if complete else distances <= cut)
+        # ``inside`` ascends by row and the sort is stable: ranked by
+        # (distance, row).
+        rows = inside[np.argsort(distances[inside], kind="stable")[:depth]]
+        bound = None if complete else (float(distances[rows[-1]]), int(rows[-1]))
+        return self._reserve(ids, rows, distances[rows], bound, k)
+
+    def _merged_reserve(
+        self,
+        held: _Reserve,
+        ids: Tuple[str, ...],
+        moved: np.ndarray,
+        moved_rows: np.ndarray,
+        distances: np.ndarray,
+        k: int,
+    ) -> Optional[_Reserve]:
+        """``held`` carried across a delta that left the target in place.
+
+        ``distances`` are the target's to ``moved_rows``.  Unmoved
+        reserve rows keep their distances; a moved row joins iff its new
+        key ranks at or before the bound.  Rows outside the reserve that
+        did not move still rank after the bound, so the result is exact.
+        None when it has fewer than k rows and the bound hides others:
+        only a scan can tell what ranks next.
+        """
+        if held.bound is None:
+            joins = np.flatnonzero(~np.isnan(distances))
+        else:
+            bound_distance, bound_row = held.bound
+            joins = np.flatnonzero(distances <= bound_distance)
+            joins = joins[
+                (distances[joins] < bound_distance) | (moved_rows[joins] <= bound_row)
+            ]
+        kept = ~moved[held.rows]
+        if not joins.size and kept.all():
+            return held
+        rows = np.concatenate([held.rows[kept], moved_rows[joins]])
+        if rows.size < k and held.bound is not None:
+            return None
+        merged = np.concatenate([held.distances[kept], distances[joins]])
+        order = np.lexsort((rows, merged))
+        return self._reserve(ids, rows[order], merged[order], held.bound, k)
 
     def _observe_churn(
         self,
@@ -493,44 +639,37 @@ class HealthTracker:
         if len(ids) < 2 or not self._knn_target_ids:
             return None
         k = min(self.knn_k, len(ids) - 1)
-        moved_rows = None if moved is None else np.flatnonzero(moved)
-        current: Dict[str, Tuple[frozenset, np.ndarray, float]] = {}
+        located = [
+            (target, index_of[target])
+            for target in self._knn_target_ids
+            if target in index_of
+        ]
+        # Targets the delta left in place carry their reserves; one batch
+        # scores all of them against the moved rows.
+        carried: Dict[str, np.ndarray] = {}
+        if moved is not None:
+            moved_rows = np.flatnonzero(moved)
+            stay = [
+                (target, row)
+                for target, row in located
+                if target in self._prev_knn and not moved[row]
+            ]
+            matrix = self._distances(
+                components, heights, [row for _, row in stay], moved_rows
+            )
+            carried = {target: matrix[i] for i, (target, _) in enumerate(stay)}
+        current: Dict[str, _Reserve] = {}
         rescans = 0
-        for target in self._knn_target_ids:
-            row = index_of.get(target)
-            if row is None:
-                continue
-            held = self._prev_knn.get(target)
-            if (
-                moved is not None
-                and held is not None
-                and not moved[row]
-                and not moved[held[1]].any()
-                and not (
-                    self._neighbor_distances(components, heights, row, moved_rows)
-                    <= held[2]
-                ).any()
-            ):
-                # Neither the target nor a neighbor moved and no moved
-                # row reaches the k-th distance: a scan would select the
-                # same rows again.
-                current[target] = held
-                continue
-            rescans += 1
-            distances = self._neighbor_distances(
-                components, heights, row, slice(None)
-            )
-            distances[row] = np.inf
-            kth = float(np.partition(distances, k - 1)[k - 1])
-            # Best k by (distance, row): ``inside`` ascends by row and
-            # the sort is stable.
-            inside = np.flatnonzero(distances <= kth)
-            nearest = inside[np.argsort(distances[inside], kind="stable")[:k]]
-            current[target] = (
-                frozenset(ids[idx] for idx in nearest.tolist()),
-                nearest,
-                kth,
-            )
+        for target, row in located:
+            reserve = None
+            if target in carried:
+                reserve = self._merged_reserve(
+                    self._prev_knn[target], ids, moved, moved_rows, carried[target], k
+                )
+            if reserve is None:
+                rescans += 1
+                reserve = self._scanned_reserve(ids, components, heights, row, k)
+            current[target] = reserve
         self._c_knn_targets.inc(len(current))
         self._c_knn_rescans.inc(rescans)
         churn: Optional[float] = None
@@ -539,8 +678,8 @@ class HealthTracker:
             if shared:
                 replaced = [
                     1.0
-                    - len(current[t][0] & self._prev_knn[t][0])
-                    / max(len(current[t][0]), 1)
+                    - len(current[t].neighbors & self._prev_knn[t].neighbors)
+                    / max(len(current[t].neighbors), 1)
                     for t in shared
                 ]
                 churn = float(np.mean(replaced))

@@ -81,7 +81,7 @@ class CoordinateIndex:
 
     def nearest_to_node(self, node_id: str, k: int = 1) -> List[Tuple[str, float]]:
         """The ``k`` nodes closest to an indexed node (excluding itself)."""
-        coordinate = self._coordinates.get(node_id)
+        coordinate = self.coordinate_of(node_id)
         if coordinate is None:
             raise KeyError(f"{node_id!r} is not in the index")
         return self.nearest(coordinate, k, exclude=[node_id])

@@ -50,9 +50,8 @@ the previous generation's with the delta's rows of that shard
 (``delta_applied``); when that declines, or for ``linear``,
 :func:`~repro.service.index.index_over` builds it over the shard's rows,
 picked by a per-row owner array kept for the serving generation.  A
-delta that keeps the population shares that array and one that adds or
-removes nodes hashes only its own ids, so no delta rehashes the
-population.
+delta routes every id already served by that array and hashes only the
+ids that join; one that keeps the population shares the array as is.
 
 **The cache across a publish.** Answers are cached under
 ``(version, query)``.  A delta publish, before its swap, re-keys to the
@@ -513,27 +512,36 @@ class ShardedCoordinateStore:
             started = self._timer()
             base = self._generation
             snapshot = apply_delta(base.snapshot, delta)
-            owner_of = [shard_of(node_id, self.shards) for node_id in delta.node_ids]
+            # An id already served keeps the owner of its row; only ids
+            # that join are hashed.
+            row_of = base.global_seq
+            base_rows = np.fromiter(
+                (row_of.get(node_id, -1) for node_id in delta.node_ids),
+                dtype=np.intp,
+                count=len(delta.node_ids),
+            )
+            known = base_rows >= 0
+            joined = np.flatnonzero(~known)
+            owner_of = np.empty(len(base_rows), dtype=np.intp)
+            owner_of[known] = self._owners[base_rows[known]]
+            owner_of[joined] = [
+                shard_of(delta.node_ids[position], self.shards)
+                for position in joined.tolist()
+            ]
             if snapshot.arrays()[0] is base.node_order:
                 owners = self._owners  # population unchanged: same rows
             else:
-                row_of = base.global_seq
                 keep = np.ones(len(base), dtype=bool)
                 keep[[row_of[gone] for gone in delta.removed_ids if gone in row_of]] = False
-                added = [
-                    owner
-                    for node_id, owner in zip(delta.node_ids, owner_of)
-                    if node_id not in row_of
-                ]
-                owners = np.concatenate(
-                    [self._owners[keep], np.asarray(added, dtype=np.intp)]
-                )
+                owners = np.concatenate([self._owners[keep], owner_of[joined]])
             changed_rows: List[List[int]] = [[] for _ in range(self.shards)]
-            for position, owner in enumerate(owner_of):
+            for position, owner in enumerate(owner_of.tolist()):
                 changed_rows[owner].append(position)
             removed_ids: List[List[str]] = [[] for _ in range(self.shards)]
             for node_id in delta.removed_ids:
-                removed_ids[shard_of(node_id, self.shards)].append(node_id)
+                row = row_of.get(node_id)
+                if row is not None:
+                    removed_ids[self._owners[row]].append(node_id)
             shard_indexes: List[CoordinateIndex] = []
             for shard, previous in enumerate(base.shard_indexes):
                 rows = changed_rows[shard]

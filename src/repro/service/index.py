@@ -31,7 +31,7 @@ rebuilds it, so bulk ``update_many`` loads cost one build, not n.
 
 from __future__ import annotations
 
-from heapq import heappush, heapreplace
+from heapq import heappush, heapreplace, merge
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -324,24 +324,29 @@ class VPTreeIndex(_SpatialIndex):
     all reached leaves for ``within``.
 
     Incremental epochs (:meth:`delta_applied`) never restructure the
-    tree: a derived index shares its base's tree and leaf arrays, masks
-    stale entries with a *tombstone* set and carries the changed rows in
-    an *overlay* of four arrays of the same shape, scored the same way.
-    Results stay byte-identical to a from-scratch rebuild because every
-    float is ``Coordinate.distance``'s own and overlay rows keep their
-    original insertion sequence (relative order is all the tie-break
-    needs).
+    tree: a derived index shares its base's tree, leaf arrays and
+    per-node maps (``_coordinates`` / ``_seq``, which then describe the
+    tree only), masks stale tree entries with a *tombstone* set and
+    carries the changed rows in an *overlay* of four arrays of the same
+    shape, scored the same way.  The lookups (``coordinate_of``,
+    ``in``, ``len``, ``node_ids``) resolve the overlay first.  Results
+    stay byte-identical to a from-scratch rebuild because every float is
+    ``Coordinate.distance``'s own and overlay rows keep their original
+    insertion sequence (relative order is all the tie-break needs).
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._root: Optional[_VPNode] = None
-        #: Node ids whose tree entry is stale (changed or removed).
+        #: Tree entries that are stale (their node changed or left).
         self._tombstones: frozenset = frozenset()
         self._leaf_ids: List[str] = []
         self._leaf_components = np.empty((0, 0), dtype=np.float64)
         self._leaf_heights = np.empty(0, dtype=np.float64)
         self._leaf_seqs = np.empty(0, dtype=np.int64)
+        #: True once a derivation shares ``_coordinates`` / ``_seq``: a
+        #: mutation copies them first (:meth:`_own_maps`).
+        self._maps_shared = False
         self._clear_overlay()
 
     def _clear_overlay(self) -> None:
@@ -350,6 +355,80 @@ class VPTreeIndex(_SpatialIndex):
         self._ov_components = np.empty((0, 0), dtype=np.float64)
         self._ov_heights = np.empty(0, dtype=np.float64)
         self._ov_seqs = np.empty(0, dtype=np.int64)
+        #: node id -> overlay slot.
+        self._ov_slot: Dict[str, int] = {}
+        #: Overlay rows whose node has no tree entry at all.
+        self._ov_fresh = 0
+
+    # -- maintenance ---------------------------------------------------
+    def update(self, node_id: str, coordinate: Coordinate) -> None:
+        self._own_maps()
+        super().update(node_id, coordinate)
+
+    def remove(self, node_id: str) -> None:
+        self._own_maps()
+        super().remove(node_id)
+
+    def _own_maps(self) -> None:
+        """Private per-node maps holding every live node, before a mutation.
+
+        A derived index folds its overlay in (keeping each node's
+        sequence) and drops its tombstones; the tree it shared is rebuilt
+        on the next query.
+        """
+        if not self._maps_shared:
+            return
+        live = self.node_ids()
+        self._seq = {node_id: self._seq_of(node_id) for node_id in live}
+        self._coordinates = {node_id: self.coordinate_of(node_id) for node_id in live}
+        self._tombstones = frozenset()
+        self._clear_overlay()
+        self._maps_shared = False
+        self._dirty = True
+
+    # -- lookups (overlay first) ---------------------------------------
+    def _seq_of(self, node_id: str) -> Optional[int]:
+        slot = self._ov_slot.get(node_id)
+        if slot is not None:
+            return int(self._ov_seqs[slot])
+        if node_id in self._tombstones:
+            return None
+        return self._seq.get(node_id)
+
+    def __len__(self) -> int:
+        # Tombstones are tree entries, none of them live; overlay rows
+        # are all live and none is a live tree entry.
+        return len(self._coordinates) - len(self._tombstones) + len(self._ov_ids)
+
+    def __contains__(self, node_id: str) -> bool:
+        if node_id in self._ov_slot:
+            return True
+        return node_id not in self._tombstones and node_id in self._coordinates
+
+    def coordinate_of(self, node_id: str) -> Optional[Coordinate]:
+        slot = self._ov_slot.get(node_id)
+        if slot is not None:
+            return Coordinate(
+                self._ov_components[slot].tolist(), float(self._ov_heights[slot])
+            )
+        if node_id in self._tombstones:
+            return None
+        return self._coordinates.get(node_id)
+
+    def node_ids(self) -> List[str]:
+        """Live ids in insertion-sequence order (a rebuild's order)."""
+        if not (self._ov_ids or self._tombstones):
+            return list(self._coordinates)
+        tombstones, seqs = self._tombstones, self._seq
+        # The tree map is in sequence order already.
+        tree = (
+            (seqs[node_id], node_id)
+            for node_id in self._coordinates
+            if node_id not in tombstones
+        )
+        order = np.argsort(self._ov_seqs, kind="stable").tolist()
+        overlay = ((int(self._ov_seqs[slot]), self._ov_ids[slot]) for slot in order)
+        return [node_id for _, node_id in merge(tree, overlay)]
 
     def _rebuild(self) -> None:
         self._tombstones = frozenset()
@@ -405,8 +484,11 @@ class VPTreeIndex(_SpatialIndex):
     ) -> Optional["VPTreeIndex"]:
         """A new index with the delta applied, or ``None`` to compact.
 
-        The returned index shares this one's tree; this index is not
-        mutated and keeps answering queries for its own generation.
+        The returned index shares this one's tree and per-node maps; its
+        own state is the cumulative overlay and tombstones, so deriving
+        costs the delta plus a copy of that state, not the population.
+        This index is not mutated and keeps answering queries for its
+        own generation.
         """
         self._ensure_built()
         if not changed_ids and not removed_ids:
@@ -415,77 +497,91 @@ class VPTreeIndex(_SpatialIndex):
             return None
         changed_components = np.asarray(changed_components, dtype=np.float64)
         changed_heights = np.asarray(changed_heights, dtype=np.float64)
+        tree_seq = self._seq
         held = len(self._ov_ids)
-        ov_ids = list(self._ov_ids)
-        ov_seqs = self._ov_seqs.tolist()
-        slot_of = {node_id: slot for slot, node_id in enumerate(ov_ids)}
-        # Overlay slot each changed row lands in (overwrite or append).
-        slots: List[int] = []
-        tombstones = set(self._tombstones)
-        coordinates = dict(self._coordinates)
-        seqs = dict(self._seq)
+        slot_of = dict(self._ov_slot)
+        # Tree entries this delta hides, beyond the inherited tombstones.
+        stale = set()
+        fresh = self._ov_fresh
+        appended_ids: List[str] = []
+        appended_seqs: List[int] = []
         next_seq = self._next_seq
-        for node_id, coordinate in _changed_coordinates(
-            changed_ids, changed_components, changed_heights
-        ):
-            seq = seqs.get(node_id)
-            if seq is None:
-                seq = next_seq
-                next_seq += 1
-            # Mask any tree entry for this node; harmless when the node
-            # was never in the tree (overlay entries bypass tombstones).
-            tombstones.add(node_id)
-            coordinates[node_id] = coordinate
-            seqs[node_id] = seq
+        # Overlay slot each changed row lands in (overwrite or append).
+        slots = np.empty(len(changed_ids), dtype=np.intp)
+        for position, node_id in enumerate(changed_ids):
             slot = slot_of.get(node_id)
             if slot is None:
-                slot = slot_of[node_id] = len(ov_ids)
-                ov_ids.append(node_id)
-                ov_seqs.append(seq)
-            slots.append(slot)
+                seq = None
+                if node_id not in self._tombstones and node_id not in stale:
+                    seq = tree_seq.get(node_id)
+                if seq is not None:
+                    stale.add(node_id)
+                else:
+                    # New, or back after a removal: an append, as in a
+                    # rebuild.
+                    seq, next_seq = next_seq, next_seq + 1
+                    fresh += node_id not in tree_seq
+                slot = slot_of[node_id] = held + len(appended_ids)
+                appended_ids.append(node_id)
+                appended_seqs.append(seq)
+            slots[position] = slot
+        dropped: List[int] = []
         for node_id in removed_ids:
-            if node_id not in seqs:
-                continue
-            tombstones.add(node_id)
-            slot_of.pop(node_id, None)
-            del coordinates[node_id]
-            del seqs[node_id]
-        # ``tombstones`` is exactly the distinct touched-node footprint
-        # (every changed or removed id lands there once); the overlay is a
-        # subset of it, so counting both would double-charge changed rows.
-        if len(tombstones) > _overlay_budget(len(coordinates)):
+            slot = slot_of.pop(node_id, None)
+            if slot is not None:
+                dropped.append(slot)
+                fresh -= node_id not in tree_seq
+            if node_id in tree_seq and node_id not in self._tombstones:
+                stale.add(node_id)
+        tombstones = self._tombstones.union(stale) if stale else self._tombstones
+        # The footprint is every distinct touched node: hidden tree
+        # entries plus overlay rows with no tree entry.
+        live = len(self._coordinates) - len(tombstones) + len(slot_of)
+        if len(tombstones) + fresh > _overlay_budget(live):
             return None
-        dims = changed_components.shape[1] if slots else self._ov_components.shape[1]
+        ov_ids = self._ov_ids + appended_ids
+        dims = (
+            changed_components.shape[1]
+            if len(changed_ids)
+            else self._ov_components.shape[1]
+        )
         ov_components = np.empty((len(ov_ids), dims), dtype=np.float64)
         ov_heights = np.empty(len(ov_ids), dtype=np.float64)
         if held:
             ov_components[:held] = self._ov_components
             ov_heights[:held] = self._ov_heights
-        if slots:
+        if len(changed_ids):
             ov_components[slots] = changed_components
             ov_heights[slots] = changed_heights
-        ov_seqs = np.asarray(ov_seqs, dtype=np.int64)
-        if len(slot_of) != len(ov_ids):
+        ov_seqs = np.concatenate(
+            [self._ov_seqs, np.asarray(appended_seqs, dtype=np.int64)]
+        )
+        if dropped:
             # Removals hit overlay rows: compact them out.
-            keep = sorted(slot_of.values())
-            ov_ids = [ov_ids[slot] for slot in keep]
+            keep = np.ones(len(ov_ids), dtype=bool)
+            keep[dropped] = False
+            ov_ids = [node_id for node_id, kept in zip(ov_ids, keep.tolist()) if kept]
             ov_components = ov_components[keep]
             ov_heights = ov_heights[keep]
             ov_seqs = ov_seqs[keep]
+            slot_of = {node_id: slot for slot, node_id in enumerate(ov_ids)}
         clone = VPTreeIndex()
-        clone._coordinates = coordinates
-        clone._seq = seqs
+        clone._coordinates = self._coordinates
+        clone._seq = tree_seq
         clone._next_seq = next_seq
         clone._root = self._root
         clone._leaf_ids = self._leaf_ids
         clone._leaf_components = self._leaf_components
         clone._leaf_heights = self._leaf_heights
         clone._leaf_seqs = self._leaf_seqs
-        clone._tombstones = frozenset(tombstones)
+        clone._tombstones = tombstones
         clone._ov_ids = ov_ids
         clone._ov_components = ov_components
         clone._ov_heights = ov_heights
         clone._ov_seqs = ov_seqs
+        clone._ov_slot = slot_of
+        clone._ov_fresh = fresh
+        clone._maps_shared = self._maps_shared = True
         clone._dirty = False
         return clone
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.core.config import NodeConfig
 from repro.latency.planetlab import PlanetLabDataset
 from repro.netsim.batch import run_batch_simulation
 from repro.netsim.runner import SimulationConfig
+import repro.obs.health as health_module
 from repro.obs.events import EVENT_KINDS, EventLog
 from repro.obs.health import (
     DISPLACEMENT_SCHEME,
@@ -318,27 +320,65 @@ _AXIS = st.sampled_from([0.0, 1.0, 2.0, 3.0])
 _POINT = st.tuples(_AXIS, _AXIS, st.sampled_from([0.0, 0.0, 0.5, 2.0]))
 
 
+def _ranked(points, target):
+    """Rows other than ``target`` by (predicted RTT to it, row)."""
+    array = np.asarray(points)
+    delta = array[:, :2] - array[target, :2]
+    distances = np.sqrt((delta * delta).sum(axis=1)) + array[:, 2] + array[target, 2]
+    order = np.lexsort((np.arange(len(points)), distances)).tolist()
+    return [row for row in order if row != target]
+
+
 @st.composite
 def _delta_chains(draw):
-    """A small population and a chain of epochs derived from it.
+    """A population and a chain of epochs derived from it.
 
     Each step is an empty delta, a few rows moving (targets, neighbors
     and outsiders alike -- the rows are drawn blind to the sample),
-    every row moving, a removal or an addition.  Returns the epochs as
-    ``(node_ids, components, heights)`` triples plus tracker arguments.
+    every row moving, a removal or an addition -- or a step aimed at a
+    sampled target's reserve that leaves the target in place: one of its
+    current k nearest moves, a row lands exactly on its k-th neighbor
+    (an equal-distance tie at the cut), or its nearest rows leave for
+    far away until the reserve can fall below k.  Half the populations
+    are small (every reserve holds the whole population); the rest are
+    larger than any reserve, so the reserve has a bound to certify
+    against.  Returns the epochs as ``(node_ids, components, heights)``
+    triples plus tracker arguments.
     """
-    points = draw(st.lists(_POINT, min_size=3, max_size=12))
+    seed = draw(st.integers(0, 5))
+    knn_k = draw(st.integers(1, 3))
+    knn_sample = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        points = draw(st.lists(_POINT, min_size=3, max_size=12))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        points = [
+            (
+                float(rng.integers(0, 4)),
+                float(rng.integers(0, 4)),
+                float(rng.choice([0.0, 0.0, 0.5, 2.0])),
+            )
+            for _ in range(int(rng.integers(70, 90)))
+        ]
     ids = [f"n{i:02d}" for i in range(len(points))]
+    sampler = HealthTracker(seed=seed, knn_sample=knn_sample)
+    sampler._materialise_samples(ids)
+    targets = sampler._knn_target_ids
     epochs = [(list(ids), list(points))]
     fresh = 0
+    far = 0
     for kind in draw(
         st.lists(
-            st.sampled_from(["empty", "some", "some", "all", "remove", "add"]),
+            st.sampled_from(
+                ["empty", "some", "some", "all", "remove", "add"]
+                + ["neighbor", "kth", "drain", "drain"]
+            ),
             min_size=1,
             max_size=6,
         )
     ):
         ids, points = list(ids), list(points)
+        present = [target for target in targets if target in ids]
         if kind == "some":
             for row in draw(
                 st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=3)
@@ -353,6 +393,19 @@ def _delta_chains(draw):
             ids.append(f"late{fresh}")
             points.append(draw(_POINT))
             fresh += 1
+        elif kind in ("neighbor", "kth", "drain") and present:
+            target = ids.index(draw(st.sampled_from(present)))
+            ranked = _ranked(points, target)
+            nearest = ranked[: min(knn_k, len(ranked))]
+            if kind == "neighbor":
+                points[draw(st.sampled_from(nearest))] = draw(_POINT)
+            elif kind == "kth":
+                points[draw(st.sampled_from(ranked))] = points[nearest[-1]]
+            else:
+                drained = st.sampled_from([len(ranked) // 2 or 1, len(ranked)])
+                for row in ranked[: draw(drained)]:
+                    points[row] = (40.0 + far % 4, 40.0, 0.0)
+                    far += 1
         epochs.append((ids, points))
     arrays = [
         (
@@ -362,12 +415,15 @@ def _delta_chains(draw):
         )
         for ids, points in epochs
     ]
-    return (
-        arrays,
-        draw(st.integers(0, 5)),  # seed
-        draw(st.integers(1, 3)),  # knn_k
-        draw(st.integers(1, 5)),  # knn_sample
-    )
+    return arrays, seed, knn_k, knn_sample
+
+
+def _every_row_moved(components, heights):
+    return np.ones(len(heights), dtype=bool)
+
+
+def _neighbor_sets(tracker):
+    return {target: reserve.neighbors for target, reserve in tracker._prev_knn.items()}
 
 
 def _without_rescan_counter(text):
@@ -405,6 +461,61 @@ class TestIncrementalEqualsFull:
             assert _without_rescan_counter(
                 incremental.registry.render_prometheus()
             ) == _without_rescan_counter(full.registry.render_prometheus())
+
+    @given(_delta_chains(), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_shallow_reserves_keep_the_neighbor_sets_of_full_rescans(
+        self, chain, reserve
+    ):
+        # A reserve barely deeper than k puts every bound, tie and
+        # truncation decision into the neighbor sets themselves.
+        epochs, seed, knn_k, knn_sample = chain
+        with mock.patch.object(health_module, "_RESERVE", reserve):
+            incremental, full = (
+                HealthTracker(
+                    seed=seed, knn_k=knn_k, knn_sample=knn_sample, sample_pairs=8
+                )
+                for _ in range(2)
+            )
+            full._moved_rows = _every_row_moved
+            for version, (ids, components, heights) in enumerate(epochs, start=1):
+                got = incremental.observe_epoch(
+                    ids, components, heights, version=version
+                )
+                want = full.observe_epoch(ids, components, heights, version=version)
+                assert got.to_dict() == want.to_dict()
+                assert _neighbor_sets(incremental) == _neighbor_sets(full)
+
+    def test_a_truncated_reserve_forgets_nothing_it_cut(self):
+        # Depth k + 1 = 2 around the target at x = 0.  A row joining a
+        # full reserve cuts its last row and lowers the bound to the new
+        # last one; a later row landing between the two bounds must not
+        # join, or it would outrank a cut row once the nearer rows leave.
+        ids = [f"n{i}" for i in range(6)]
+        sampler = HealthTracker(seed=0, knn_sample=1)
+        sampler._materialise_samples(ids)
+        target = ids.index(sampler._knn_target_ids[0])
+        r1, r2, r3, r4, r5 = [row for row in range(6) if row != target]
+        x = {target: 0.0, r1: 1.0, r2: 2.0, r3: 5.0, r4: 6.0, r5: 7.0}
+        moves = [{}, {r3: 0.5}, {r4: 1.5}, {r3: 10.0, r5: 1.8}, {r1: 10.0}, {r5: 10.0}]
+        with mock.patch.object(health_module, "_RESERVE", 1):
+            incremental, full = (
+                HealthTracker(
+                    seed=0, knn_k=1, knn_sample=1, registry=TelemetryRegistry()
+                )
+                for _ in range(2)
+            )
+            full._moved_rows = _every_row_moved
+            for version, move in enumerate(moves, start=1):
+                x.update(move)
+                components = np.asarray([[x[row], 0.0] for row in range(6)])
+                for tracker in (incremental, full):
+                    tracker.observe_epoch(ids, components, np.zeros(6), version=version)
+                assert _neighbor_sets(incremental) == _neighbor_sets(full)
+        # The first epoch, and the one that left the reserve empty.
+        rescans = incremental.registry.counter("health_knn_rescans_total")
+        assert rescans.value == 2
+        assert _neighbor_sets(incremental) == {ids[target]: frozenset({ids[r4]})}
 
     def test_rescan_counters_count_the_skipped_work_and_repeat(self):
         rng = np.random.default_rng(21)

@@ -269,8 +269,48 @@ class TestDeltaEquivalenceSweep:
             )
             store.kill_shard(1)
             store.restart_shard(1)
-        assert hashed == node_ids[:2] + ["fresh", node_ids[5]]
+        # Served ids (moved or removed) keep their row's owner; only the
+        # joining id is hashed.
+        assert hashed == ["fresh"]
         assert sum(store.generation().shard_sizes) == 200
+
+    def test_owners_stay_the_hash_partition_across_publish_kill_restart(self):
+        node_ids, components, heights = _initial_population(120, 2, seed=6)
+        store = ShardedCoordinateStore(3, index_kind="vptree")
+        store.publish_epoch(node_ids, components, heights)
+        rng = np.random.default_rng(6)
+        steps = [
+            ("delta", node_ids[:5], ()),
+            ("delta", ["late-a", node_ids[7], "late-b"], (node_ids[9],)),
+            ("kill", None, None),
+            ("delta", [node_ids[9], node_ids[11]], ("late-a",)),  # one re-joins
+            ("restart", None, None),
+            ("delta", ["late-a"], (node_ids[0], node_ids[1])),
+            ("delta", [], ("late-b",)),
+        ]
+        for kind, changed, removed in steps:
+            if kind == "kill":
+                store.kill_shard(2)
+            elif kind == "restart":
+                store.restart_shard(2)
+            else:
+                store.publish_delta(
+                    EpochDelta(
+                        changed,
+                        rng.normal(size=(len(changed), 2)),
+                        removed_ids=removed,
+                    )
+                )
+            generation = store.generation()
+            order = generation.node_order
+            expected = [sharding_module.shard_of(node_id, 3) for node_id in order]
+            assert store._owners.tolist() == expected
+            for shard, index in enumerate(generation.shard_indexes):
+                if shard in store.down_shards:
+                    continue
+                assert index.node_ids() == [
+                    node_id for node_id, owner in zip(order, expected) if owner == shard
+                ]
 
     def test_empty_base_delta_bootstraps_population(self):
         store = SnapshotStore(index_kind="dense")

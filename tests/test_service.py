@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.service.index import (
     DenseIndex,
     VPTreeIndex,
     build_index,
+    index_over,
 )
 from repro.service.planner import LRUTTLCache, Query, QueryError
 from repro.service.publish import EpochDelta
@@ -285,6 +287,118 @@ class TestVPTreeFlatLeaves:
         assert clone._root is index._root
         for name in ("_leaf_ids", "_leaf_components", "_leaf_heights", "_leaf_seqs"):
             assert getattr(clone, name) is getattr(index, name), name
+
+    def test_delta_clones_share_the_per_node_maps_and_build_no_coordinates(self):
+        rng = np.random.default_rng(17)
+
+        def point():
+            # A 7-wide lattice with a few heights: ties everywhere.
+            return Coordinate(
+                rng.integers(-3, 4, size=2).astype(float).tolist(),
+                float(rng.choice([0.0, 0.5, 1.0])),
+            )
+
+        oracle = CoordinateIndex()
+        oracle.update_many({f"n{i:03d}": point() for i in range(120)})  # budget 64
+        base = index = self._rebuilt(oracle)
+        seen = set(oracle.node_ids()) | {"ghost"}
+        fresh = 0
+        no_rows = mock.patch(
+            "repro.service.index._changed_coordinates",
+            side_effect=AssertionError("delta_applied built a Coordinate per row"),
+        )
+        for step in range(40):
+            live = oracle.node_ids()
+            changed = {str(i): point() for i in rng.choice(live, size=3, replace=False)}
+            removed = [str(rng.choice(live))]
+            gone = sorted(seen - set(live) - {"ghost"})
+            if gone and step % 3 == 0:
+                changed[gone[0]] = point()  # back after a removal
+            if step % 2:
+                changed[f"late{fresh}"] = point()
+                fresh += 1
+            if step % 5 == 4:
+                removed.append(f"late{fresh - 1}")  # an overlay-only row leaves
+            removed = [node_id for node_id in removed if node_id not in changed]
+            ids = list(changed)
+            with no_rows:
+                derived = index.delta_applied(
+                    ids,
+                    np.asarray([changed[i].components for i in ids]),
+                    np.asarray([changed[i].height for i in ids]),
+                    removed,
+                )
+            if derived is None:
+                break
+            assert derived._coordinates is base._coordinates
+            assert derived._seq is base._seq
+            index = derived
+            for node_id, coordinate in changed.items():
+                oracle.update(node_id, coordinate)
+            for node_id in removed:
+                oracle.remove(node_id)
+            seen.update(changed)
+            self._assert_same_index(index, oracle, seen, point)
+        assert derived is None, "the chain runs into compaction"
+        assert step > 10
+
+    def test_mutating_a_base_or_its_clone_leaves_the_other_alone(self):
+        rng = np.random.default_rng(8)
+        coordinates = _random_coordinates(rng, 90, with_heights=True)
+        base = self._built(coordinates)
+        moved = Coordinate([1.0, 2.0, 3.0], 0.5)
+        clone = base.delta_applied(
+            ["n00001", "late"],
+            np.asarray([moved.components] * 2),
+            np.asarray([moved.height] * 2),
+            ["n00002"],
+        )
+        oracle = CoordinateIndex()
+        oracle.update_many(coordinates)
+        oracle.update_many({"n00001": moved, "late": moved})
+        oracle.remove("n00002")
+        clone.update("n00003", moved)  # folds the overlay into private maps
+        oracle.update("n00003", moved)
+        base.remove("n00004")  # copies the maps the clone shared
+        for probe in (moved, coordinates["n00005"]):
+            assert clone.nearest(probe, 6) == oracle.nearest(probe, 6)
+            assert clone.within(probe, 80.0) == oracle.within(probe, 80.0)
+        assert clone.node_ids() == oracle.node_ids()
+        assert base.node_ids() == [i for i in coordinates if i != "n00004"]
+        assert base.coordinate_of("n00001") == coordinates["n00001"]
+        assert "late" not in base and "n00004" in clone
+
+    @staticmethod
+    def _rebuilt(oracle):
+        live = [oracle.coordinate_of(node_id) for node_id in oracle.node_ids()]
+        return index_over(
+            "vptree",
+            oracle.node_ids(),
+            np.asarray([coordinate.components for coordinate in live]),
+            np.asarray([coordinate.height for coordinate in live]),
+        )
+
+    def _assert_same_index(self, index, oracle, seen, point):
+        live = oracle.node_ids()
+        rebuilt = self._rebuilt(oracle)
+        assert len(index) == len(rebuilt) == len(oracle)
+        assert index.node_ids() == rebuilt.node_ids() == live
+        for node_id in sorted(seen):
+            assert (node_id in index) == (node_id in rebuilt) == (node_id in oracle)
+            assert index.coordinate_of(node_id) == oracle.coordinate_of(node_id)
+        probes = [point() for _ in range(3)] + [oracle.coordinate_of(live[0])]
+        for probe in probes:
+            for k in (1, 5, len(live) + 1):
+                for exclude in ((), live[:2]):
+                    want = oracle.nearest(probe, k, exclude=exclude)
+                    assert index.nearest(probe, k, exclude=exclude) == want
+                    assert rebuilt.nearest(probe, k, exclude=exclude) == want
+            for radius in (0.0, 1.5, 3.0):
+                assert index.within(probe, radius) == oracle.within(probe, radius)
+        for endpoints in (probes[:1], probes[:3]):
+            assert index.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
+            assert rebuilt.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
+        assert index.nearest_to_node(live[-1], 3) == oracle.nearest_to_node(live[-1], 3)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Command-line entry point for experiments and scenarios (``repro``).
+"""Command-line entry point for experiments, scenarios and serving (``repro``).
 
 Usage::
 
@@ -17,12 +17,14 @@ Usage::
 
 Each experiment prints its paper-style report to stdout; ``--output DIR``
 additionally writes one ``<experiment>.txt`` file per experiment so runs
-can be archived and diffed.  The ``scenarios`` command group (see
-:mod:`repro.scenarios.cli`) lists and executes declarative scenarios on
-the sharded engine; the ``serve`` and ``query`` groups (see
-:mod:`repro.service.cli`) expose the coordinate query service.  With the
-package installed, the console script ``repro`` exposes the same
-interface (``repro scenarios sweep ...``, ``repro serve ...``).
+can be archived and diffed.  The command name picks one of three groups:
+``scenarios`` (see :mod:`repro.scenarios.cli`) lists and executes
+declarative scenarios on the sharded engine; the serving commands
+(:data:`SERVING_COMMANDS`, see :mod:`repro.server.cli`) serve coordinates
+in-process, over TCP and over HTTP and query, load-test and watch them;
+anything else names experiments.  With the package installed, the console
+script ``repro`` exposes the same interface (``repro scenarios sweep ...``,
+``repro serve ...``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ from repro.analysis import experiments as experiment_package
 from repro.analysis.experiments import EXPERIMENTS
 
 __all__ = ["main", "run_experiments"]
+
+#: Commands routed to the serving command tree, :mod:`repro.server.cli`.
+SERVING_COMMANDS = (
+    "serve", "query", "serve-daemon", "gateway", "load", "metrics", "health", "watch",
+)
 
 #: Maps experiment id to its module (for format_report access).
 _MODULES = {
@@ -91,24 +98,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.scenarios.cli import main as scenarios_main
 
         return scenarios_main(argv[1:])
-    if argv and argv[0] in ("serve", "query"):
-        # The query-service groups keep the group name: their shared
-        # parser distinguishes serve from query itself.
-        from repro.service.cli import main as service_main
+    if argv and argv[0] in SERVING_COMMANDS:
+        # The serving command tree (one parser, one error policy) keeps
+        # the command name: its parser dispatches on it.
+        from repro.server.cli import main as serving_main
 
-        return service_main(argv)
-    if argv and argv[0] in ("serve-daemon", "load", "metrics", "health", "watch"):
-        # The network daemon, its load harness, the telemetry fetcher and
-        # the coordinate-health report / live dashboard.
-        from repro.server.cli import main as server_main
-
-        return server_main(argv)
-    if argv and argv[0] == "gateway":
-        # The multi-tenant HTTP gateway has its own parser; everything
-        # after the group name belongs to it.
-        from repro.gateway.cli import main as gateway_main
-
-        return gateway_main(argv[1:])
+        return serving_main(argv)
 
     parser = argparse.ArgumentParser(
         prog="repro",

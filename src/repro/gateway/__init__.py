@@ -22,7 +22,9 @@ request parser hand-rolled in the same spirit as
   :class:`~repro.server.client.AsyncCoordinateClient` request surface,
   so the load harness and oracle verification drive the gateway
   unchanged.
-* :mod:`repro.gateway.cli` -- ``repro gateway --config gateway.json``.
+
+``repro gateway --config gateway.json`` (see :mod:`repro.server.cli`)
+boots the gateway on the command line.
 
 Responses on the query path are byte-identical to the TCP daemon's frame
 bodies for the same snapshot: both transports call the same

@@ -10,7 +10,7 @@ Routes
                                   the response body is byte-identical to the TCP
                                   daemon's frame body for the same snapshot
 ``POST /v1/{t}/publish``   key    a wire ``publish`` request (full or delta)
-``POST /v1/{t}/chaos``     key    the chaos control plane (protocol version 3)
+``POST /v1/{t}/chaos``     key    the chaos control plane
 ``GET /v1/{t}/health``     key    coordinate health; ``?sections=a,b`` restricts
 ``GET /v1/{t}/metrics``    key    the tenant's own registry (Prometheus text)
 ``GET /v1/{t}/events``     key    structured event log; ``?limit=N``

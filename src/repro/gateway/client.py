@@ -210,11 +210,7 @@ class GatewayClient:
         return await self.request({"op": op, **fields})
 
     async def chaos(self, **fields: Any) -> Dict[str, Any]:
-        from repro.server.protocol import PROTOCOL_VERSION
-
-        return await self.request(
-            {"op": "chaos", "version": PROTOCOL_VERSION, **fields}
-        )
+        return await self.request({"op": "chaos", **fields})
 
     async def close(self) -> None:
         if self._closed:

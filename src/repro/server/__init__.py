@@ -23,8 +23,9 @@ this package turns them into a *served* concern:
   scenario workload: simulation epochs stream into a running daemon while
   queries are served.
 
-``repro serve-daemon`` and ``repro load`` (see :mod:`repro.server.cli`)
-expose the daemon and the load harness on the command line.
+:mod:`repro.server.cli` is the serving command tree: ``repro serve`` /
+``query`` (in-process), ``serve-daemon``, ``gateway``, ``load``,
+``metrics``, ``health`` and ``watch``.
 """
 
 from repro.server.sharding import ShardedCoordinateStore, ShardGeneration

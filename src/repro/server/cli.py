@@ -1,6 +1,20 @@
-"""The ``repro serve-daemon`` and ``repro load`` command groups.
+"""The serving command tree: ``serve``, ``query``, ``serve-daemon``,
+``load``, ``metrics``, ``health``, ``watch`` and ``gateway``.
 
 Usage::
+
+    # Run a scenario, save its coordinates, serve an in-process workload
+    repro serve mesh-replay --out snapshot.json
+    repro serve query-service-mixed --queries 1000 --mix mixed --index vptree
+
+    # One-off questions against a saved snapshot, or a whole workload
+    # checked against the linear oracle
+    repro query --snapshot snapshot.json info
+    repro query --snapshot snapshot.json knn n0012 --k 5
+    repro query --snapshot snapshot.json pairwise n0012 n0040
+    repro query --snapshot snapshot.json centroid n0001 n0002 n0003
+    repro query --snapshot snapshot.json workload --count 2000 --mix mixed \
+        --index vptree --compare-linear
 
     # Serve a saved snapshot over TCP on 4 shards
     repro serve-daemon --snapshot snapshot.json --shards 4 --port 9917
@@ -10,6 +24,9 @@ Usage::
 
     # Serve a synthetic clustered universe (benchmarks, smoke tests)
     repro serve-daemon --synthetic 5000 --port 9917 --ready-file ready.txt
+
+    # Serve every tenant of a gateway config over HTTP
+    repro gateway --config gateway.json --port 8080
 
     # Replay a deterministic mixed workload against a running daemon
     repro load --port 9917 --count 5000 --mix mixed --concurrency 16
@@ -29,14 +46,30 @@ Usage::
     # Live text dashboard: poll stats + health, plot trends
     repro watch --port 9917 --interval 0.5 --iterations 10
 
-``serve-daemon`` runs in the foreground until Ctrl-C, a ``shutdown``
-request, or ``--max-seconds``; ``--ready-file`` writes ``host port`` once
-the socket is bound (for scripts and CI).  ``load`` fetches the node
-population over the wire, generates the same deterministic query stream
-the in-process workload layer would, and reports throughput plus exact
-per-kind latency percentiles; ``--verify-oracle`` downloads the served
-snapshot and replays the stream through the single-store linear oracle,
-failing (exit 1) unless the daemon's answers are byte-identical.
+Every command shares one error policy: a bad argument, an unreadable or
+malformed input, an unwritable artifact path, a refused request or a dead
+port is one ``error: ...`` line on stderr and exit code 2.  Exit code 1
+is kept for a completed run whose answers are wrong (a diverged oracle,
+failed requests, failed chaos SLOs).
+
+``serve`` runs a registered scenario through the serial kernel, publishes
+the final coordinates into a one-shard
+:class:`~repro.server.sharding.ShardedCoordinateStore`, optionally saves
+the snapshot, and (with ``--queries``) drives a deterministic workload
+through the store's batch path, printing per-kind stats.  ``query``
+answers one-off questions against a saved snapshot, or replays a whole
+workload; ``--compare-linear`` verifies it against the linear oracle.
+
+``serve-daemon`` and ``gateway`` share one serve loop: they run in the
+foreground until Ctrl-C or ``--max-seconds`` (the daemon also stops on a
+wire ``shutdown`` request, which the gateway refuses), and
+``--ready-file`` writes ``host port`` once the socket is bound (for
+scripts and CI).  ``load`` fetches the node population over the wire,
+generates the same deterministic query stream the in-process workload
+layer would, and reports throughput plus exact per-kind latency
+percentiles; ``--verify-oracle`` downloads the served snapshot and
+replays the stream through the single-store linear oracle, failing
+(exit 1) unless the served answers are byte-identical.
 
 ``load --metrics-out FILE`` writes the load run's *client-side* registry
 (per-kind latency histograms and outcome counters) as Prometheus text;
@@ -45,11 +78,9 @@ query stream, so the file is byte-identical across repeated seeded runs.
 ``load --health-out FILE`` writes the daemon's coordinate-health section
 of the report as JSON and ``--events-out FILE`` dumps the daemon's
 structured event log as JSONL.  Every artifact flag creates missing
-parent directories and fails with a one-line ``error:`` message and exit
-code 2 when the path is unwritable.  ``metrics`` fetches the
-*server-side* registry over the wire ``metrics`` op.  ``serve-daemon
---trace-spans`` additionally records per-stage span histograms
-(``span_ms``) on the request path.
+parent directories.  ``metrics`` fetches the *server-side* registry over
+the wire ``metrics`` op.  ``serve-daemon --trace-spans`` additionally
+records per-stage span histograms (``span_ms``) on the request path.
 
 ``load --gateway http://HOST:PORT --tenant NAME --api-key KEY`` drives a
 multi-tenant HTTP gateway (:mod:`repro.gateway`) instead of a TCP
@@ -75,7 +106,7 @@ import asyncio
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.chaos.schedule import FaultSchedule
 from repro.chaos.slo import SLOThresholds, evaluate as evaluate_slo
@@ -85,27 +116,205 @@ from repro.server.daemon import CoordinateServer
 from repro.server.load import LOAD_MODES, run_load_async
 from repro.server.sharding import ShardedCoordinateStore
 from repro.service.index import INDEX_KINDS
+from repro.service.planner import Query
 from repro.service.snapshot import CoordinateSnapshot
-from repro.service.workload import QUERY_MIXES, generate_queries, run_workload
+from repro.service.workload import (
+    QUERY_MIXES,
+    WorkloadReport,
+    generate_queries,
+    run_workload,
+)
 
 __all__ = ["main"]
+
+
+class CommandError(Exception):
+    """A failure ``main`` reports as one ``error:`` line and exit code 2."""
+
+
+def _payload(response: Dict[str, Any], what: str) -> Any:
+    """The payload of an ``ok`` response; a refusal is a :class:`CommandError`."""
+    if not response.get("ok"):
+        raise CommandError(f"daemon refused {what}: {response.get('error')}")
+    return response["payload"]
 
 
 def _write_artifact(path: Path, text: str, label: str) -> None:
     """Write a CLI output artifact, creating missing parent directories.
 
     An unwritable path (a file where a directory is needed, a read-only
-    tree) raises ``OSError``, which ``main`` turns into a one-line
-    ``error:`` message and exit code 2 -- no traceback, no partially
-    reported success.
+    tree) raises ``OSError``, which ``main`` reports like any other
+    failure -- no traceback, no partially reported success.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     print(f"{label} written to {path}")
 
 
+def _emit(args: argparse.Namespace, text: str, label: str) -> int:
+    """Write ``text`` to ``--out`` when given, else to stdout."""
+    if args.out is not None:
+        _write_artifact(args.out, text, label)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+def _linear_oracle(snapshot, queries, **workload: Any) -> WorkloadReport:
+    """Replay ``queries`` on a one-shard linear store: the index-free oracle."""
+    store = ShardedCoordinateStore.from_snapshot(
+        snapshot, shards=1, index_kind="linear", timer=lambda: 0.0
+    )
+    return run_workload(store, queries, **workload)
+
+
+def _serve_until_stopped(
+    server, args: argparse.Namespace, banner: Callable[[str, int], str], name: str
+) -> int:
+    """The one serve loop behind ``serve-daemon`` and ``gateway``.
+
+    Prints ``banner(host, port)`` once the socket is bound, writes
+    ``--ready-file``, arms ``--max-seconds``, and runs until the server
+    stops or Ctrl-C.
+    """
+
+    async def serve() -> None:
+        host, port = await server.start()
+        print(banner(host, port), flush=True)
+        if args.ready_file is not None:
+            args.ready_file.write_text(f"{host} {port}\n")
+        if args.max_seconds is not None:
+            asyncio.get_running_loop().call_later(args.max_seconds, server.stop)
+        await server.wait_stopped()
+        print(f"{name} stopped cleanly", flush=True)
+
+    try:
+        asyncio.run(serve())
+    except KeyboardInterrupt:
+        server.stop()
+        print(f"interrupted; {name} stopped cleanly", flush=True)
+    return 0
+
+
 # ----------------------------------------------------------------------
-# repro serve-daemon
+# repro serve / repro query
+# ----------------------------------------------------------------------
+def _print_stats(stats: Dict[str, Any]) -> None:
+    kinds = stats.get("kinds", {})
+    if kinds:
+        width = max(len(kind) for kind in kinds)
+        header = (
+            f"{'kind':<{width}}  {'served':>7}  {'cached':>7}  "
+            f"{'p50 us':>9}  {'p99 us':>9}"
+        )
+        print(header)
+        print("-" * len(header))
+        for kind, entry in sorted(kinds.items()):
+            p50 = entry.get("p50_us")
+            p99 = entry.get("p99_us")
+            latency = (
+                f"{p50:>9.1f}  {p99:>9.1f}" if p50 is not None else f"{'-':>9}  {'-':>9}"
+            )
+            print(
+                f"{kind:<{width}}  {entry['served']:>7}  {entry['cache_hits']:>7}  "
+                f"{latency}"
+            )
+    cache = stats.get("cache", {})
+    print(
+        f"cache: {cache.get('entries', 0)} entries, {cache.get('hits', 0)} hits, "
+        f"{cache.get('misses', 0)} misses, {cache.get('evictions_lru', 0)} lru / "
+        f"{cache.get('evictions_rollover', 0)} rollover evictions"
+    )
+
+
+def _run_workload_against(
+    store: ShardedCoordinateStore, args: argparse.Namespace, count: int, seed: int
+) -> int:
+    snapshot = store.generation().snapshot
+    queries = generate_queries(
+        snapshot.node_ids(),
+        count,
+        mix=args.mix,
+        seed=seed,
+        k=args.k,
+        radius_ms=args.radius,
+    )
+    report = run_workload(store, queries, batch_size=args.batch_size)
+    print(
+        f"{report.query_count} queries in {report.elapsed_s:.3f}s "
+        f"({report.queries_per_s:,.0f} q/s, cache hit rate "
+        f"{report.cache_hit_rate:.1%}, checksum {report.checksum[:12]})"
+    )
+    _print_stats(dict(report.stats))
+    if not args.compare_linear:
+        return 0
+    oracle = _linear_oracle(snapshot, queries, batch_size=args.batch_size)
+    identical = oracle.checksum == report.checksum
+    speedup = oracle.elapsed_s / report.elapsed_s if report.elapsed_s > 0 else float("nan")
+    print(
+        f"linear oracle: {oracle.elapsed_s:.3f}s -> speedup "
+        f"{speedup:.2f}x, identical results: {identical}"
+    )
+    if not identical:
+        print("error: spatial index diverged from the linear oracle", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.spec import ScenarioSpec
+
+    spec = get_scenario(args.scenario)
+    if args.seed is not None:
+        spec = ScenarioSpec.from_dict({**spec.to_dict(), "seed": args.seed})
+    print(f"running scenario {spec.name!r} ({spec.mode}, {spec.network.nodes} nodes)...")
+    store = ShardedCoordinateStore.from_source(
+        ("scenario", spec), shards=1, index_kind=args.index, level=args.level
+    )
+    snapshot = store.generation().snapshot
+    print(
+        f"snapshot v{snapshot.version}: {len(snapshot)} node coordinates "
+        f"({args.level} level, {args.index} index)"
+    )
+    if args.out is not None:
+        snapshot.save(args.out)
+        print(f"snapshot written to {args.out}")
+    if args.queries > 0:
+        return _run_workload_against(store, args, args.queries, spec.seed)
+    return 0
+
+
+def _load_snapshot_store(args: argparse.Namespace) -> ShardedCoordinateStore:
+    return ShardedCoordinateStore.from_source(
+        ("snapshot", args.snapshot), shards=1, index_kind=args.index
+    )
+
+
+def _cmd_query_info(args: argparse.Namespace) -> int:
+    snapshot = CoordinateSnapshot.load(args.snapshot)
+    dimensions = sorted({c.dimensions for c in snapshot.coordinates.values()})
+    heights = sum(1 for c in snapshot.coordinates.values() if c.height > 0.0)
+    print(
+        f"snapshot v{snapshot.version} (source {snapshot.source or '-'}): "
+        f"{len(snapshot)} nodes, dimensions {dimensions}, "
+        f"{heights} with non-zero height"
+    )
+    return 0
+
+
+def _cmd_query_single(args: argparse.Namespace, query: Query) -> int:
+    payload = _load_snapshot_store(args).serve(query).payload
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def _cmd_query_workload(args: argparse.Namespace) -> int:
+    return _run_workload_against(_load_snapshot_store(args), args, args.count, args.seed)
+
+
+# ----------------------------------------------------------------------
+# repro serve-daemon / repro gateway
 # ----------------------------------------------------------------------
 def _build_store(args: argparse.Namespace) -> ShardedCoordinateStore:
     if args.snapshot is not None:
@@ -142,28 +351,36 @@ def _cmd_serve_daemon(args: argparse.Namespace) -> int:
         trace_spans=args.trace_spans,
     )
 
-    async def serve() -> None:
-        host, port = await server.start()
+    def banner(host: str, port: int) -> str:
         generation = store.generation()
-        print(
+        return (
             f"serving {len(generation)} nodes (v{generation.version}, "
             f"{store.shards} shard(s), {store.index_kind} index) "
-            f"on {host}:{port}",
-            flush=True,
+            f"on {host}:{port}"
         )
-        if args.ready_file is not None:
-            args.ready_file.write_text(f"{host} {port}\n")
-        if args.max_seconds is not None:
-            asyncio.get_running_loop().call_later(args.max_seconds, server.stop)
-        await server.wait_stopped()
-        print("daemon stopped cleanly", flush=True)
 
-    try:
-        asyncio.run(serve())
-    except KeyboardInterrupt:
-        server.stop()
-        print("interrupted; daemon stopped cleanly", flush=True)
-    return 0
+    return _serve_until_stopped(server, args, banner, "daemon")
+
+
+def _cmd_gateway(args: argparse.Namespace) -> int:
+    from repro.gateway.app import GatewayServer
+    from repro.gateway.config import load_gateway_config
+
+    config = load_gateway_config(args.config)
+    server = GatewayServer(config, host=args.host, port=args.port)
+
+    def banner(host: str, port: int) -> str:
+        tenants = ", ".join(
+            f"{tenant.name} ({len(tenant.store.generation())} nodes, "
+            f"{tenant.store.shards} shard(s))"
+            for tenant in server.tenants.tenants.values()
+        )
+        return (
+            f"gateway serving {len(config.tenants)} tenant(s) on {host}:{port}\n"
+            f"tenants: {tenants}"
+        )
+
+    return _serve_until_stopped(server, args, banner, "gateway")
 
 
 # ----------------------------------------------------------------------
@@ -211,38 +428,22 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
         client = await AsyncCoordinateClient.connect(*address)
     chaos_installed = False
     try:
-        listing = await client.op("nodes")
-        if not listing.get("ok"):
-            print(f"error: daemon refused node listing: {listing.get('error')}", file=sys.stderr)
-            return 2
-        node_ids = listing["payload"]["node_ids"]
+        node_ids = _payload(await client.op("nodes"), "node listing")["node_ids"]
         if len(node_ids) < 2:
-            print("error: daemon is serving fewer than two nodes", file=sys.stderr)
-            return 2
+            raise CommandError("daemon is serving fewer than two nodes")
         snapshot_payload: Optional[Dict[str, Any]] = None
         if args.verify_oracle:
-            dump = await client.op("snapshot")
-            if not dump.get("ok"):
-                print(
-                    f"error: daemon refused snapshot dump: {dump.get('error')}",
-                    file=sys.stderr,
-                )
-                return 2
-
-            snapshot_payload = dump["payload"]
+            snapshot_payload = _payload(await client.op("snapshot"), "snapshot dump")
 
         shards_serving: Optional[int] = None
         if schedule is not None:
             stats = await client.op("stats")
             if stats.get("ok"):
                 shards_serving = int(stats["payload"]["shards"]["count"])
-            install = await client.chaos(spec=schedule.spec, seed=schedule.seed)
-            if not install.get("ok"):
-                print(
-                    f"error: daemon refused chaos schedule: {install.get('error')}",
-                    file=sys.stderr,
-                )
-                return 2
+            _payload(
+                await client.chaos(spec=schedule.spec, seed=schedule.seed),
+                "chaos schedule",
+            )
             chaos_installed = True
             print(
                 f"chaos schedule installed: {len(schedule.events)} fault(s), "
@@ -329,10 +530,7 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
                     )
                     exit_code = 1
             else:
-                oracle_store = ShardedCoordinateStore.from_snapshot(
-                    snapshot, shards=1, index_kind="linear", timer=lambda: 0.0
-                )
-                oracle = run_workload(oracle_store, queries, timer=lambda: 0.0)
+                oracle = _linear_oracle(snapshot, queries, timer=lambda: 0.0)
                 identical = oracle.checksum == report.checksum
                 print(
                     f"linear oracle checksum {oracle.checksum[:12]}; "
@@ -361,16 +559,7 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
                 "torn_reads": torn_read_count,
                 "generation_recovered": None,
             }
-            thresholds = SLOThresholds()
-            slo = evaluate_slo(
-                thresholds=thresholds,
-                fault_windows=[tuple(w) for w in slo_inputs["fault_windows"]],
-                error_positions=slo_inputs["error_positions"],
-                total_requests=slo_inputs["total_requests"],
-                latencies_ms=slo_inputs["latencies_ms"],
-                torn_reads=slo_inputs["torn_reads"],
-                generation_recovered=slo_inputs["generation_recovered"],
-            )
+            slo = evaluate_slo(thresholds=SLOThresholds(), **slo_inputs)
             for name, entry in slo["checks"].items():
                 status = "PASS" if entry["passed"] else "FAIL"
                 print(f"  SLO {status}  {name}: {entry['detail']}")
@@ -438,104 +627,61 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
         await client.close()
 
 
-def _cmd_load(args: argparse.Namespace) -> int:
+def _cmd_load(args: argparse.Namespace):
     if args.gateway is not None:
         if args.tenant is None or args.api_key is None:
-            print(
-                "error: --gateway requires --tenant and --api-key", file=sys.stderr
-            )
-            return 2
+            raise CommandError("--gateway requires --tenant and --api-key")
         if args.port is not None:
-            print("error: --gateway and --port are mutually exclusive", file=sys.stderr)
-            return 2
+            raise CommandError("--gateway and --port are mutually exclusive")
         if args.shutdown:
-            print(
-                "error: --shutdown is not available through the gateway "
-                "(tenants cannot stop the shared process)",
-                file=sys.stderr,
+            raise CommandError(
+                "--shutdown is not available through the gateway "
+                "(tenants cannot stop the shared process)"
             )
-            return 2
     else:
         if args.port is None:
-            print("error: --port is required (or use --gateway URL)", file=sys.stderr)
-            return 2
+            raise CommandError("--port is required (or use --gateway URL)")
         if args.tenant is not None or args.api_key is not None:
-            print(
-                "error: --tenant/--api-key only apply with --gateway",
-                file=sys.stderr,
-            )
-            return 2
+            raise CommandError("--tenant/--api-key only apply with --gateway")
     if args.mode == "open" and args.rate is None:
-        print("error: --mode open requires --rate", file=sys.stderr)
-        return 2
+        raise CommandError("--mode open requires --rate")
     if args.rate is not None and args.rate <= 0:
-        print(f"error: --rate must be positive, got {args.rate}", file=sys.stderr)
-        return 2
+        raise CommandError(f"--rate must be positive, got {args.rate}")
     if args.concurrency < 1:
-        print(
-            f"error: --concurrency must be at least 1, got {args.concurrency}",
-            file=sys.stderr,
-        )
-        return 2
+        raise CommandError(f"--concurrency must be at least 1, got {args.concurrency}")
     if args.connections < 1:
-        print(
-            f"error: --connections must be at least 1, got {args.connections}",
-            file=sys.stderr,
-        )
-        return 2
+        raise CommandError(f"--connections must be at least 1, got {args.connections}")
     if args.request_timeout is not None and args.request_timeout <= 0:
-        print(
-            f"error: --request-timeout must be positive, got {args.request_timeout}",
-            file=sys.stderr,
+        raise CommandError(
+            f"--request-timeout must be positive, got {args.request_timeout}"
         )
-        return 2
     schedule = None
     if args.chaos is not None:
         try:
             schedule = FaultSchedule.parse(args.chaos, seed=args.seed)
         except ValueError as exc:
-            print(f"error: --chaos {exc}", file=sys.stderr)
-            return 2
-    try:
-        return asyncio.run(_load_async(args, schedule))
-    except ConnectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise CommandError(f"--chaos {exc}") from None
+    return _load_async(args, schedule)
 
 
 # ----------------------------------------------------------------------
-# repro metrics
+# repro metrics / repro health
 # ----------------------------------------------------------------------
-async def _metrics_async(args: argparse.Namespace) -> int:
+async def _fetch(args: argparse.Namespace, op: str, **fields: Any) -> Any:
+    """One ``op`` request on a fresh connection; the response's payload."""
     client = await AsyncCoordinateClient.connect(args.host, args.port)
     try:
-        response = await client.op("metrics")
+        response = await client.op(op, **fields)
     finally:
         await client.close()
-    if not response.get("ok"):
-        print(
-            f"error: daemon refused metrics: {response.get('error')}", file=sys.stderr
-        )
-        return 2
-    text = response["payload"]["text"]
-    if args.out is not None:
-        _write_artifact(args.out, text, "Prometheus metrics")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _payload(response, op)
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    try:
-        return asyncio.run(_metrics_async(args))
-    except ConnectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+async def _cmd_metrics(args: argparse.Namespace) -> int:
+    payload = await _fetch(args, "metrics")
+    return _emit(args, payload["text"], "Prometheus metrics")
 
 
-# ----------------------------------------------------------------------
-# repro health
-# ----------------------------------------------------------------------
 def _format_number(value: Any) -> str:
     """Render a health figure deterministically (``%.6g`` for floats)."""
     if value is None:
@@ -598,40 +744,18 @@ def _format_health_text(payload: Dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-async def _health_async(args: argparse.Namespace) -> int:
-    request: Dict[str, Any] = {}
+async def _cmd_health(args: argparse.Namespace) -> int:
+    fields: Dict[str, Any] = {}
     if args.sections:
-        request["sections"] = [
+        fields["sections"] = [
             name.strip() for name in args.sections.split(",") if name.strip()
         ]
-    client = await AsyncCoordinateClient.connect(args.host, args.port)
-    try:
-        response = await client.op("health", **request)
-    finally:
-        await client.close()
-    if not response.get("ok"):
-        print(
-            f"error: daemon refused health: {response.get('error')}", file=sys.stderr
-        )
-        return 2
-    payload = response["payload"]
+    payload = await _fetch(args, "health", **fields)
     if args.json:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = _format_health_text(payload)
-    if args.out is not None:
-        _write_artifact(args.out, text, "health report")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    try:
-        return asyncio.run(_health_async(args))
-    except ConnectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return _emit(args, text, "health report")
 
 
 # ----------------------------------------------------------------------
@@ -646,14 +770,8 @@ async def _watch_async(args: argparse.Namespace) -> int:
     last_health: Dict[str, Any] = {}
     try:
         for frame in range(args.iterations):
-            stats_response = await client.op("stats")
-            health_response = await client.op("health")
-            if not stats_response.get("ok") or not health_response.get("ok"):
-                failure = stats_response.get("error") or health_response.get("error")
-                print(f"error: daemon refused watch poll: {failure}", file=sys.stderr)
-                return 2
-            stats = stats_response["payload"]
-            last_health = health_response["payload"]
+            stats = _payload(await client.op("stats"), "watch poll")
+            last_health = _payload(await client.op("health"), "watch poll")
             served = sum(
                 int(summary.get("served", 0))
                 for summary in stats.get("kinds", {}).values()
@@ -701,30 +819,127 @@ async def _watch_async(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_watch(args: argparse.Namespace) -> int:
+def _cmd_watch(args: argparse.Namespace):
     if args.iterations < 1:
-        print("error: --iterations must be at least 1", file=sys.stderr)
-        return 2
+        raise CommandError("--iterations must be at least 1")
     if args.interval < 0:
-        print("error: --interval must be non-negative", file=sys.stderr)
-        return 2
-    try:
-        return asyncio.run(_watch_async(args))
-    except ConnectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError("--interval must be non-negative")
+    return _watch_async(args)
 
 
 # ----------------------------------------------------------------------
 # Parsers
 # ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run the coordinate-serving daemon and drive load against it.",
+def _add_workload_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--mix",
+        choices=sorted(QUERY_MIXES),
+        default="mixed",
+        help="query mix served by the workload",
     )
-    groups = parser.add_subparsers(dest="group", required=True)
+    parser.add_argument("--k", type=int, default=3, help="k for knn queries")
+    parser.add_argument(
+        "--radius", type=float, default=50.0, help="radius (ms) for range queries"
+    )
+    parser.add_argument(
+        "--batch-size", type=int, default=64, help="queries per serve_batch call"
+    )
+    parser.add_argument(
+        "--compare-linear",
+        action="store_true",
+        help="replay the workload on the linear oracle and verify identical results",
+    )
 
+
+def _add_serve_loop_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--ready-file",
+        type=Path,
+        default=None,
+        help="write 'host port' here once the socket is bound",
+    )
+    parser.add_argument(
+        "--max-seconds",
+        type=float,
+        default=None,
+        help="stop automatically after this long (scripted runs)",
+    )
+
+
+def _add_serve_parsers(groups) -> None:
+    serve = groups.add_parser(
+        "serve", help="run a scenario and serve its coordinates as a snapshot"
+    )
+    serve.add_argument("scenario", help="registered scenario name")
+    serve.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    serve.add_argument(
+        "--index", choices=INDEX_KINDS, default="vptree", help="spatial index kind"
+    )
+    serve.add_argument(
+        "--level",
+        choices=("application", "system"),
+        default="application",
+        help="coordinate level to snapshot",
+    )
+    serve.add_argument("--out", type=Path, default=None, help="write the snapshot JSON here")
+    serve.add_argument(
+        "--queries", type=int, default=0, help="serve this many workload queries"
+    )
+    _add_workload_options(serve)
+    serve.set_defaults(handler=_cmd_serve)
+
+    query = groups.add_parser("query", help="query a saved coordinate snapshot")
+    query.add_argument(
+        "--snapshot", type=Path, required=True, help="snapshot JSON from 'repro serve'"
+    )
+    query.add_argument(
+        "--index", choices=INDEX_KINDS, default="vptree", help="spatial index kind"
+    )
+    commands = query.add_subparsers(dest="command", required=True)
+
+    commands.add_parser("info", help="summarise the snapshot").set_defaults(
+        handler=_cmd_query_info
+    )
+
+    knn = commands.add_parser("knn", help="k nearest nodes to a node")
+    knn.add_argument("target")
+    knn.add_argument("--k", type=int, default=3)
+    knn.set_defaults(handler=lambda a: _cmd_query_single(a, Query.knn(a.target, k=a.k)))
+
+    nearest = commands.add_parser("nearest", help="single nearest node to a node")
+    nearest.add_argument("target")
+    nearest.set_defaults(handler=lambda a: _cmd_query_single(a, Query.nearest(a.target)))
+
+    within = commands.add_parser("range", help="all nodes within a predicted RTT")
+    within.add_argument("target")
+    within.add_argument("--radius", type=float, required=True, help="radius in ms")
+    within.set_defaults(
+        handler=lambda a: _cmd_query_single(a, Query.range(a.target, a.radius))
+    )
+
+    pairwise = commands.add_parser("pairwise", help="predicted RTT between two nodes")
+    pairwise.add_argument("a")
+    pairwise.add_argument("b")
+    pairwise.set_defaults(
+        handler=lambda a: _cmd_query_single(a, Query.pairwise(a.a, a.b))
+    )
+
+    centroid = commands.add_parser(
+        "centroid", help="latency-optimal meeting point of a node group"
+    )
+    centroid.add_argument("members", nargs="*", help="node ids (default: all)")
+    centroid.set_defaults(
+        handler=lambda a: _cmd_query_single(a, Query.centroid(tuple(a.members)))
+    )
+
+    workload = commands.add_parser("workload", help="serve a deterministic query mix")
+    workload.add_argument("--count", type=int, default=1000, help="number of queries")
+    workload.add_argument("--seed", type=int, default=0, help="workload seed")
+    _add_workload_options(workload)
+    workload.set_defaults(handler=_cmd_query_workload)
+
+
+def _add_server_parsers(groups) -> None:
     serve = groups.add_parser(
         "serve-daemon", help="serve coordinates over TCP on sharded live stores"
     )
@@ -763,18 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="global in-flight limit; excess requests get an overloaded error",
     )
     serve.add_argument("--seed", type=int, default=7, help="seed for --synthetic")
-    serve.add_argument(
-        "--ready-file",
-        type=Path,
-        default=None,
-        help="write 'host port' here once the socket is bound",
-    )
-    serve.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="stop automatically after this long (scripted runs)",
-    )
+    _add_serve_loop_options(serve)
     serve.add_argument(
         "--trace-spans",
         action="store_true",
@@ -782,6 +986,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(handler=_cmd_serve_daemon)
 
+    gateway = groups.add_parser(
+        "gateway",
+        help="serve per-tenant coordinate spaces over HTTP",
+        description="Serve per-tenant coordinate spaces over HTTP.",
+    )
+    gateway.add_argument(
+        "--config",
+        type=Path,
+        required=True,
+        help="gateway JSON config (tenants, API keys, quotas, data sources)",
+    )
+    gateway.add_argument(
+        "--host", default=None, help="bind host (default: config, then 127.0.0.1)"
+    )
+    gateway.add_argument(
+        "--port",
+        type=int,
+        default=None,
+        help="bind port (default: config, then 0 = ephemeral)",
+    )
+    _add_serve_loop_options(gateway)
+    gateway.set_defaults(handler=_cmd_gateway)
+
+
+def _add_load_parser(groups) -> None:
     load = groups.add_parser(
         "load", help="replay a deterministic workload against a running daemon"
     )
@@ -883,21 +1112,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.set_defaults(handler=_cmd_load)
 
-    metrics = groups.add_parser(
-        "metrics", help="fetch a daemon's telemetry in Prometheus text format"
+
+def _add_telemetry_parsers(groups) -> None:
+    def daemon_parser(name: str, help: str) -> argparse.ArgumentParser:
+        parser = groups.add_parser(name, help=help)
+        parser.add_argument("--host", default="127.0.0.1")
+        parser.add_argument("--port", type=int, required=True)
+        return parser
+
+    metrics = daemon_parser(
+        "metrics", "fetch a daemon's telemetry in Prometheus text format"
     )
-    metrics.add_argument("--host", default="127.0.0.1")
-    metrics.add_argument("--port", type=int, required=True)
     metrics.add_argument(
         "--out", type=Path, default=None, help="write to a file instead of stdout"
     )
     metrics.set_defaults(handler=_cmd_metrics)
 
-    health = groups.add_parser(
-        "health", help="fetch a daemon's coordinate-health report"
-    )
-    health.add_argument("--host", default="127.0.0.1")
-    health.add_argument("--port", type=int, required=True)
+    health = daemon_parser("health", "fetch a daemon's coordinate-health report")
     health.add_argument(
         "--sections",
         default=None,
@@ -913,11 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.set_defaults(handler=_cmd_health)
 
-    watch = groups.add_parser(
-        "watch", help="poll a daemon and render a live text dashboard"
-    )
-    watch.add_argument("--host", default="127.0.0.1")
-    watch.add_argument("--port", type=int, required=True)
+    watch = daemon_parser("watch", "poll a daemon and render a live text dashboard")
     watch.add_argument(
         "--interval", type=float, default=1.0, help="seconds between polls"
     )
@@ -926,15 +1153,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.set_defaults(handler=_cmd_watch)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Serve coordinates in-process, over TCP or over HTTP, "
+        "and query, load-test and watch them.",
+    )
+    groups = parser.add_subparsers(dest="group", required=True)
+    _add_serve_parsers(groups)
+    _add_server_parsers(groups)
+    _add_load_parser(groups)
+    _add_telemetry_parsers(groups)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (OSError, ValueError) as exc:
+        code = args.handler(args)
+        if asyncio.iscoroutine(code):
+            code = asyncio.run(code)
+        return code
+    except (CommandError, OSError, ValueError) as exc:
+        # OSError covers unreadable snapshots, unwritable artifacts and
+        # dead ports (ConnectionError); ValueError covers malformed
+        # snapshots, configs and query parameters.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.server.errors import RequestTimeout, ServerOverloaded, TransportError
 from repro.server.protocol import (
     HEADER,
-    PROTOCOL_VERSION,
     ProtocolError,
     decode_frame,
     encode_frame,
@@ -271,21 +270,19 @@ class AsyncCoordinateClient:
         return await self.request({"op": op, **fields})
 
     async def chaos(self, **fields: Any) -> Dict[str, Any]:
-        """Send one ``chaos`` control-plane request (protocol version 3).
+        """Send one ``chaos`` control-plane request.
 
         ``chaos(spec="shard-kill@40+60:shard=1", seed=0)`` installs a
         fault schedule, ``chaos(report=True)`` fetches the deterministic
         chaos report, ``chaos(clear=True)`` force-clears every active
         fault and detaches the injector.
         """
-        return await self.request(
-            {"op": "chaos", "version": PROTOCOL_VERSION, **fields}
-        )
+        return await self.request({"op": "chaos", **fields})
 
     async def publish_full(
         self, node_ids, components, heights=None, *, source: str = ""
     ) -> Dict[str, Any]:
-        """Publish a whole-population epoch over the wire (any version)."""
+        """Publish a whole-population epoch over the wire."""
         request: Dict[str, Any] = {
             "op": "publish",
             "nodes": [str(node_id) for node_id in node_ids],
@@ -306,10 +303,9 @@ class AsyncCoordinateClient:
         source: str = "",
         epoch: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Publish only the changed rows (protocol version 2's delta op)."""
+        """Publish only the changed rows (the delta form of ``publish``)."""
         request: Dict[str, Any] = {
             "op": "publish",
-            "version": PROTOCOL_VERSION,
             "delta": True,
             "nodes": [str(node_id) for node_id in node_ids],
             "components": _rows(components),

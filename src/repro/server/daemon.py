@@ -42,8 +42,8 @@ length-prefixed JSON protocol (:mod:`repro.server.protocol`) over TCP:
   thread-safe calls; a simulation thread streams epochs straight into
   the serving store (``run_batch_simulation(publish_store=...)``) while
   the loop keeps serving, and remote writers can use the wire
-  ``publish`` op (full, or incremental deltas from protocol version 2;
-  see :mod:`repro.server.protocol`).  Rollover is one atomic reference
+  ``publish`` op (full, or incremental deltas; see
+  :mod:`repro.server.protocol`).  Rollover is one atomic reference
   swap, so no request ever observes a half-published generation.
 
 The daemon can run inside an existing event loop (:meth:`start` /
@@ -74,7 +74,6 @@ from repro.server.protocol import (
     frame_length,
     request_to_publish,
     request_to_query,
-    request_version,
 )
 from repro.server.sharding import ServeResult, ShardedCoordinateStore
 from repro.service.planner import QueryError
@@ -441,25 +440,7 @@ class RequestEngine:
             self._release()
 
     def _serve_chaos(self, request: Dict[str, Any], request_id: Any) -> Dict[str, Any]:
-        """The chaos control plane: install / report / clear a schedule.
-
-        Gated on protocol version 3 exactly like delta publish is gated
-        on version 2, so fault injection cannot be triggered by accident
-        from an old client.
-        """
-        try:
-            version = request_version(request)
-        except ProtocolError as exc:
-            return {"id": request_id, "ok": False, "error": str(exc)}
-        if version < 3:
-            return {
-                "id": request_id,
-                "ok": False,
-                "error": (
-                    "chaos op requires protocol version 3; "
-                    "declare 'version': 3 (negotiate via the hello op)"
-                ),
-            }
+        """The chaos control plane: install / report / clear a schedule."""
         injector = getattr(self.store, "chaos", None)
         if request.get("report"):
             return {
@@ -682,7 +663,9 @@ class CoordinateServer:
         self._c_connections.inc()
         self._g_connections_open.inc()
         window = asyncio.Semaphore(self.max_in_flight_per_connection)
-        responses: "asyncio.Queue[Optional[asyncio.Task]]" = asyncio.Queue()
+        responses: "asyncio.Queue[Optional[Tuple[Any, asyncio.Future]]]" = (
+            asyncio.Queue()
+        )
         writer_task = asyncio.create_task(
             self._write_responses(responses, writer, window)
         )
@@ -706,7 +689,7 @@ class CoordinateServer:
                 # stop reading its socket until a response drains.
                 await window.acquire()
                 task = asyncio.create_task(self.engine.process(request))
-                await responses.put(task)
+                await responses.put((request.get("op"), task))
                 if request.get("op") == "shutdown":
                     shutdown_requested = True
                     break
@@ -716,7 +699,7 @@ class CoordinateServer:
             await window.acquire()
             failed: asyncio.Future = asyncio.get_running_loop().create_future()
             failed.set_result({"id": None, "ok": False, "error": str(exc)})
-            await responses.put(failed)
+            await responses.put((None, failed))
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -741,26 +724,51 @@ class CoordinateServer:
 
     async def _write_responses(
         self,
-        responses: "asyncio.Queue[Optional[asyncio.Task]]",
+        responses: "asyncio.Queue[Optional[Tuple[Any, asyncio.Future]]]",
         writer: asyncio.StreamWriter,
         window: asyncio.Semaphore,
     ) -> None:
         """Drain completed responses to the socket, strictly in order."""
         while True:
-            pending = await responses.get()
-            if pending is None:
+            queued = await responses.get()
+            if queued is None:
                 return
+            op, pending = queued
             try:
                 response = await pending
             except Exception as exc:  # defensive: a handler bug, not a client error
                 response = {"id": None, "ok": False, "error": f"internal error: {exc}"}
             try:
-                writer.write(encode_frame(response))
+                frame = encode_frame(response)
+            except (TypeError, ValueError) as exc:
+                frame = self._unencodable(response, op, exc)
+            try:
+                writer.write(frame)
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 return
             finally:
                 window.release()
+
+    def _unencodable(self, response: Dict[str, Any], op: Any, exc: Exception) -> bytes:
+        """The error frame answering a response that cannot be encoded.
+
+        A payload JSON cannot carry (a non-finite float, a frame over
+        ``MAX_FRAME_BYTES``) fails that one request, not the connection:
+        the client gets an ``ok: false`` answer under the request's id,
+        counted like any other error response.
+        """
+        if response.get("ok"):
+            self.engine._count_error(op)
+        error = {
+            "id": response.get("id"),
+            "ok": False,
+            "error": f"response cannot be encoded: {exc}",
+        }
+        try:
+            return encode_frame(error)
+        except ValueError:  # the echoed id itself is not encodable
+            return encode_frame(dict(error, id=None))
 
 
 class ServerThread:

@@ -47,14 +47,13 @@ Operations
 ``nodes``     -> ``{"node_ids": [...], "version": int}``
 ``snapshot``  -> the full snapshot dict (``CoordinateSnapshot.to_dict``)
 ``ping``      -> ``{"pong": true}``
-``hello``     -> ``{"protocol_version": int, "ops": [...]}`` -- protocol
-                 negotiation; see *Protocol versions* below
+``hello``     -> ``{"protocol_version": int, "ops": [...]}``
 ``publish``   -> ``nodes``, ``components``, optional ``heights``/
                  ``source`` publish a full epoch; with ``"delta": true``
-                 (protocol version >= 2) only the changed rows travel,
-                 plus optional ``removed``/``epoch`` -> ``{"version",
-                 "nodes", "mode", "changed"}``
-``chaos``     -> fault-injection control plane (protocol version >= 3):
+                 only the changed rows travel, plus optional
+                 ``removed``/``epoch`` -> ``{"version", "nodes", "mode",
+                 "changed"}``
+``chaos``     -> fault-injection control plane:
                  ``spec``/``seed`` install a deterministic
                  :class:`~repro.chaos.schedule.FaultSchedule`,
                  ``"report": true`` fetches the chaos report,
@@ -74,40 +73,15 @@ Any request may additionally set ``"trace": true``; the response then
 carries a ``trace`` list of per-stage ``{"stage", ..., "ms"}`` entries
 (admission, cache probe, per-shard scatter, merge) for that one request.
 
-Protocol versions
------------------
+Protocol version
+----------------
 
-Requests may carry an integer ``"version"`` field naming the protocol
-revision they speak; a request without one speaks version 1, the
-original versionless protocol, and is answered byte-identically to how
-it always was.  ``hello`` returns the server's
-:data:`PROTOCOL_VERSION` so a client can negotiate up front.  Version 2
-adds the delta form of ``publish`` -- a version-1 (or versionless)
-``publish`` can only be a full epoch, and a ``"delta": true`` request
-that does not declare version >= 2 is rejected, so an old server or a
-mixed fleet never misinterprets a delta as a tiny full population.
-Version 3 adds the ``chaos`` op; a ``chaos`` request that does not
-declare version >= 3 is rejected the same way, so fault injection can
-never be triggered by accident from an old client.
-
-The full hello-negotiation matrix -- what a client that declared each
-version may send, and what the server answers when a request overreaches
-the declared revision:
-
-=================  =========  =========  =========
-capability         v1 (none)  v2         v3
-=================  =========  =========  =========
-queries + admin    yes        yes        yes
-full ``publish``   yes        yes        yes
-delta ``publish``  rejected   yes        yes
-``chaos`` op       rejected   rejected   yes
-=================  =========  =========  =========
-
-"rejected" is an ordinary ``ok: false`` error response naming the
-required version (never a dropped connection), so a mixed-version fleet
-degrades loudly instead of misbehaving: the client learns the server's
-ceiling from ``hello`` and the server refuses anything above the
-client's declared floor.
+There is one protocol version, :data:`PROTOCOL_VERSION`, which ``hello``
+reports.  Every client of the protocol lives in this repository and
+speaks it, so the server does not read a request's ``"version"`` field:
+a request that carries one (older delta-publish and chaos clients send
+``2`` or ``3``) is answered byte-identically to the same request without
+it.
 
 The module is deliberately dependency-light (no asyncio imports) so both
 the asyncio daemon and synchronous tools can share it.
@@ -140,7 +114,6 @@ __all__ = [
     "HEADER",
     "request_to_query",
     "request_to_publish",
-    "request_version",
     "query_to_request",
     "OPS",
     "QUERY_OPS",
@@ -154,9 +127,7 @@ HEADER = struct.Struct(">I")
 #: hostile length prefix.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: The protocol revision this module speaks.  Version 1 is the original
-#: versionless protocol; version 2 adds the delta form of ``publish``;
-#: version 3 adds the ``chaos`` fault-injection op.
+#: The protocol revision this module speaks, reported by ``hello``.
 PROTOCOL_VERSION = 3
 
 #: Recognised operations.
@@ -268,42 +239,15 @@ def request_to_query(request: Mapping[str, Any]) -> Optional[Query]:
     return None
 
 
-def request_version(request: Mapping[str, Any]) -> int:
-    """The protocol version a request declares (1 when absent).
-
-    Raises :class:`ProtocolError` for a malformed or unsupported value;
-    a newer-than-ours version is rejected rather than guessed at.
-    """
-    version = request.get("version", 1)
-    if isinstance(version, bool) or not isinstance(version, int):
-        raise ProtocolError("request 'version' must be an integer protocol version")
-    if version < 1:
-        raise ProtocolError(f"protocol version {version} is not valid (minimum 1)")
-    if version > PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"protocol version {version} is newer than this server's "
-            f"{PROTOCOL_VERSION}; negotiate via the hello op"
-        )
-    return version
-
-
 def request_to_publish(request: Mapping[str, Any]):
     """Parse a ``publish`` request into its mode and payload.
 
     Returns ``("full", (node_ids, components, heights, source))`` for a
-    whole-population publish (the only form before protocol version 2)
-    or ``("delta", EpochDelta)`` for the incremental form.  Raises
-    :class:`~repro.service.planner.QueryError` on invalid fields and
-    :class:`ProtocolError` on version violations -- the daemon turns
-    both into error responses.
+    whole-population publish or ``("delta", EpochDelta)`` for the
+    incremental form.  Raises :class:`~repro.service.planner.QueryError`
+    on invalid fields, which the daemon turns into an error response.
     """
-    version = request_version(request)
     delta = bool(request.get("delta", False))
-    if delta and version < 2:
-        raise ProtocolError(
-            "delta publish requires protocol version 2; "
-            "declare 'version': 2 (negotiate via the hello op)"
-        )
     node_ids = request.get("nodes", [])
     if not isinstance(node_ids, (list, tuple)) or not all(
         isinstance(node_id, str) and node_id for node_id in node_ids
@@ -344,7 +288,7 @@ def request_to_publish(request: Mapping[str, Any]):
             if request.get(key) is not None:
                 raise QueryError(
                     f"publish {key!r} is only valid on a delta publish "
-                    "('delta': true, protocol version >= 2)"
+                    "('delta': true)"
                 )
         return "full", (node_ids, components, heights, source)
     removed = request.get("removed", [])

@@ -10,8 +10,8 @@ payload.  Batching, caching and stats belong to the one serving front,
 :class:`repro.server.sharding.ShardedCoordinateStore`, which in-process
 callers use as a one-shard store.
 :mod:`repro.service.workload` generates deterministic query load for
-scenarios and benchmarks, and :mod:`repro.service.cli` exposes the
-``repro serve`` / ``repro query`` commands.
+scenarios and benchmarks; the ``repro serve`` / ``repro query`` commands
+live in the serving command tree, :mod:`repro.server.cli`.
 
 The linear :class:`~repro.overlay.knn.CoordinateIndex` remains the
 correctness oracle: every spatial implementation returns identical

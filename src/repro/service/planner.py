@@ -84,8 +84,10 @@ class Query:
             raise QueryError(f"{self.kind} query needs a target node")
         if self.kind == "knn" and self.k < 1:
             raise QueryError("knn query needs k >= 1")
-        if self.kind == "range" and self.radius_ms < 0.0:
-            raise QueryError("range query needs a non-negative radius_ms")
+        if self.kind == "range" and not 0.0 <= self.radius_ms < math.inf:
+            # NaN fails both comparisons; neither NaN nor infinity can be
+            # encoded in a JSON answer or hit a cache entry.
+            raise QueryError("range query needs a finite, non-negative radius_ms")
         if self.kind == "pairwise" and (not self.pair[0] or not self.pair[1]):
             raise QueryError("pairwise query needs two node ids")
 

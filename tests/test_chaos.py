@@ -43,7 +43,6 @@ from repro.server.client import (
 from repro.server.daemon import CoordinateServer
 from repro.server.errors import RequestTimeout, ServerOverloaded, TransportError
 from repro.server.load import run_load, synthetic_arrays, synthetic_coordinates
-from repro.server.protocol import PROTOCOL_VERSION
 from repro.server.sharding import ShardedCoordinateStore
 from repro.service.planner import Query
 from repro.service.workload import generate_queries
@@ -683,24 +682,18 @@ class TestChaosWire:
         assert cleared["ok"] and cleared["payload"]["cleared"]
         assert empty["ok"] and empty["payload"]["report"] is None
 
-    def test_chaos_op_is_version_gated_and_validated(self):
+    def test_chaos_op_is_validated(self):
         store = make_store(48)
 
         async def scenario(address):
             async with await AsyncCoordinateClient.connect(*address) as client:
-                old = await client.request(
-                    {"op": "chaos", "spec": "shard-kill@0+1:shard=0"}
-                )
                 bad_spec = await client.chaos(spec="warp@1+1")
                 bad_seed = await client.chaos(spec="shard-kill@0+1:shard=0", seed=True)
-                no_spec = await client.request(
-                    {"op": "chaos", "version": PROTOCOL_VERSION}
-                )
-                return old, bad_spec, bad_seed, no_spec
+                no_spec = await client.chaos()
+                return bad_spec, bad_seed, no_spec
 
         with serve_in_thread(store) as handle:
-            old, bad_spec, bad_seed, no_spec = asyncio.run(scenario(handle.address))
-        assert not old["ok"] and "requires protocol version 3" in old["error"]
+            bad_spec, bad_seed, no_spec = asyncio.run(scenario(handle.address))
         assert not bad_spec["ok"] and "unknown fault kind" in bad_spec["error"]
         assert not bad_seed["ok"] and "seed" in bad_seed["error"]
         assert not no_spec["ok"] and "spec" in no_spec["error"]

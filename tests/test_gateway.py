@@ -44,7 +44,7 @@ from repro.gateway.tenants import build_store
 from repro.server.client import AsyncCoordinateClient
 from repro.server.daemon import CoordinateServer
 from repro.server.load import run_load_async, synthetic_coordinates
-from repro.server.protocol import PROTOCOL_VERSION, encode_body, query_to_request
+from repro.server.protocol import encode_body, query_to_request
 from repro.server.sharding import ShardedCoordinateStore
 from repro.service.planner import Query
 from repro.service.workload import generate_queries, run_workload
@@ -611,6 +611,21 @@ class TestRoutes:
         )
         assert status == 400
         assert "not valid JSON" in json.loads(body)["error"]
+
+    def test_non_finite_radius_is_200_with_an_error_envelope(self, gateway):
+        address, _ = gateway
+        target = sorted(synthetic_coordinates(64, seed=3))[0]
+        status, _, body = http_request(
+            address,
+            "POST",
+            "/v1/acme/query",
+            headers=(("X-API-Key", ACME_KEY),),
+            body=f'{{"id":1,"op":"range","target":"{target}","radius_ms":NaN}}'.encode(),
+        )
+        assert status == 200
+        envelope = json.loads(body)
+        assert envelope["id"] == 1 and envelope["ok"] is False
+        assert "finite" in envelope["error"]
 
     def test_malformed_http_closes_the_connection(self, gateway):
         address, _ = gateway

@@ -33,10 +33,9 @@ from repro.server.daemon import CoordinateServer
 from repro.server.protocol import (
     OPS,
     PROTOCOL_VERSION,
-    ProtocolError,
+    encode_body,
     request_to_publish,
     request_to_query,
-    request_version,
 )
 import repro.server.sharding as sharding_module
 from repro.server.sharding import HEALTH_SECTIONS, ShardedCoordinateStore
@@ -1170,28 +1169,6 @@ class TestPublisherProtocol:
 
 
 class TestWireProtocolVersioning:
-    def test_request_version_parsing(self):
-        assert request_version({}) == 1
-        assert request_version({"version": 2}) == 2
-        with pytest.raises(ProtocolError, match="integer"):
-            request_version({"version": "2"})
-        with pytest.raises(ProtocolError, match="newer"):
-            request_version({"version": PROTOCOL_VERSION + 1})
-        with pytest.raises(ProtocolError, match="not valid"):
-            request_version({"version": 0})
-
-    def test_delta_publish_requires_version_2(self):
-        request = {
-            "op": "publish",
-            "delta": True,
-            "nodes": ["a"],
-            "components": [[1.0]],
-        }
-        with pytest.raises(ProtocolError, match="version 2"):
-            request_to_publish(request)
-        mode, delta = request_to_publish({**request, "version": 2})
-        assert mode == "delta" and isinstance(delta, EpochDelta)
-
     def test_versionless_full_publish_parses(self):
         mode, parsed = request_to_publish(
             {"op": "publish", "nodes": ["a"], "components": [[1.0, 2.0]], "source": "s"}
@@ -1229,11 +1206,10 @@ class TestWireProtocolVersioning:
             client = await AsyncCoordinateClient.connect(*address)
             try:
                 hello = await client.op("hello")
-                # Old client: versionless full publish must keep working.
-                legacy = await client.publish_full(
+                full = await client.publish_full(
                     node_ids, components, heights, source="e0"
                 )
-                # New client: negotiate and publish the delta form.
+                # The delta form of the same op.
                 delta = await client.publish_delta(
                     changed,
                     changed_comps,
@@ -1242,34 +1218,24 @@ class TestWireProtocolVersioning:
                     source="e1",
                     epoch=1,
                 )
-                # A delta without the negotiated version must be refused.
-                refused = await client.request(
-                    {
-                        "op": "publish",
-                        "delta": True,
-                        "nodes": list(changed),
-                        "components": [[float(v) for v in row] for row in changed_comps],
-                    }
-                )
                 probe = await client.query(Query.knn(node_ids[0], k=5))
-                return hello, legacy, delta, refused, probe
+                return hello, full, delta, probe
             finally:
                 await client.close()
 
         with server.run_in_thread() as handle:
-            hello, legacy, delta, refused, probe = asyncio.run(
+            hello, full, delta, probe = asyncio.run(
                 scenario(handle.address)
             )
 
         assert hello["ok"] and hello["payload"]["protocol_version"] == PROTOCOL_VERSION
         assert "publish" in hello["payload"]["ops"]
-        assert legacy["ok"] and legacy["payload"]["mode"] == "full"
-        assert legacy["payload"]["version"] == 1
+        assert full["ok"] and full["payload"]["mode"] == "full"
+        assert full["payload"]["version"] == 1
         assert delta["ok"] and delta["payload"]["mode"] == "delta"
         assert delta["payload"]["version"] == 2
         assert delta["payload"]["changed"] == 5
         assert delta["payload"]["nodes"] == n - 1
-        assert not refused["ok"] and "version 2" in refused["error"]
 
         # Oracle: the same epochs published in-process, full-rebuild only.
         oracle.publish_epoch(node_ids, components.copy(), heights.copy(), source="e0")
@@ -1285,3 +1251,104 @@ class TestWireProtocolVersioning:
         expected = oracle.serve(Query.knn(node_ids[0], k=5))
         assert probe["ok"] and probe["payload"] == expected.payload
         assert probe["version"] == expected.version == 2
+
+    @pytest.mark.parametrize("transport", ["tcp", "http"])
+    def test_declared_version_changes_no_response_byte(self, transport):
+        """Delta publish and chaos need no ``version``; declaring one is inert.
+
+        Two identically built servers get the same request stream, one
+        bare and one declaring the versions older clients send (2 on a
+        delta publish, 3 on chaos).  Every response is accepted and the
+        two streams' response bodies are byte-identical.
+        """
+        node_ids, components, heights = _initial_population(24, 2, seed=5)
+        probe = {"op": "knn", "target": node_ids[0], "k": 4}
+        stream = [
+            ({"op": "hello"}, None),
+            (
+                {
+                    "op": "publish",
+                    "nodes": list(node_ids),
+                    "components": components.tolist(),
+                    "heights": heights.tolist(),
+                    "source": "e0",
+                },
+                None,
+            ),
+            (
+                {
+                    "op": "publish",
+                    "delta": True,
+                    "nodes": list(node_ids[:3]),
+                    "components": (components[:3] + 5.0).tolist(),
+                    "removed": [node_ids[-1]],
+                    "epoch": 1,
+                },
+                2,
+            ),
+            ({"op": "chaos", "spec": "shard-kill@0+2:shard=1", "seed": 0}, 3),
+            (probe, None),
+            ({"op": "chaos", "report": True}, 3),
+            ({"op": "chaos", "clear": True}, 3),
+            (probe, None),
+        ]
+
+        if transport == "tcp":
+
+            def boot():
+                store = ShardedCoordinateStore(2, index_kind="vptree", history=8)
+                return CoordinateServer(store).run_in_thread()
+
+            async def connect(address):
+                return await AsyncCoordinateClient.connect(*address)
+
+        else:
+            from repro.gateway.app import GatewayServer
+            from repro.gateway.client import GatewayClient
+            from repro.gateway.config import parse_gateway_config
+
+            config = {
+                "tenants": [
+                    {
+                        "name": "acme",
+                        "api_key": "acme-secret-0001",
+                        "shards": 2,
+                        "quota": None,
+                        "data": {"synthetic": 8, "seed": 1},
+                    }
+                ]
+            }
+
+            def boot():
+                return GatewayServer(parse_gateway_config(config)).run_in_thread()
+
+            async def connect(address):
+                return GatewayClient(*address, "acme", "acme-secret-0001")
+
+        async def run(address, versioned):
+            client = await connect(address)
+            try:
+                responses = []
+                for request, version in stream:
+                    if versioned and version is not None:
+                        request = {**request, "version": version}
+                    responses.append(await client.request(dict(request)))
+                return responses
+            finally:
+                await client.close()
+
+        streams = {}
+        for versioned in (False, True):
+            with boot() as handle:
+                streams[versioned] = asyncio.run(run(handle.address, versioned))
+            assert all(response["ok"] for response in streams[versioned])
+        assert [encode_body(r) for r in streams[False]] == [
+            encode_body(r) for r in streams[True]
+        ]
+
+        hello, _, delta, chaos, degraded, _, _, healed = streams[False]
+        assert hello["payload"] == {"protocol_version": PROTOCOL_VERSION, "ops": list(OPS)}
+        assert delta["payload"]["mode"] == "delta"
+        assert chaos["payload"]["installed"] is True
+        assert degraded.get("partial") is True
+        assert "partial" not in healed

@@ -388,6 +388,64 @@ class TestDaemon:
         assert not response["ok"] and "exceeds" in response["error"]
         assert trailer == b""
 
+    @staticmethod
+    def raw_exchange(address, bodies):
+        """Send raw frame bodies on one connection; read one frame per body."""
+
+        async def run():
+            reader, writer = await asyncio.open_connection(*address)
+            try:
+                for body in bodies:
+                    writer.write(HEADER.pack(len(body)) + body)
+                await writer.drain()
+                responses = []
+                for _ in bodies:
+                    header = await asyncio.wait_for(
+                        reader.readexactly(HEADER.size), timeout=10.0
+                    )
+                    body = await reader.readexactly(frame_length(header))
+                    responses.append(decode_frame(body))
+                return responses
+            finally:
+                writer.close()
+
+        return asyncio.run(run())
+
+    @pytest.mark.parametrize("radius", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_radius_is_an_error_and_the_connection_lives(self, radius):
+        coords = synthetic_coordinates(8, seed=1)
+        store = ShardedCoordinateStore.from_coordinates(coords, shards=2)
+        target = sorted(coords)[0]
+        ranged = f'{{"id":1,"op":"range","target":"{target}","radius_ms":{radius}}}'
+        with serve_in_thread(store) as handle:
+            answer, pong = self.raw_exchange(
+                handle.address, [ranged.encode(), b'{"id":2,"op":"ping"}']
+            )
+        assert answer["id"] == 1 and not answer["ok"]
+        assert "finite" in answer["error"]
+        assert pong == {"id": 2, "ok": True, "payload": {"pong": True}}
+
+    def test_unencodable_response_is_an_error_and_the_connection_lives(
+        self, monkeypatch
+    ):
+        import repro.server.protocol as protocol
+
+        store = ShardedCoordinateStore.from_coordinates(
+            synthetic_coordinates(48, seed=1), shards=2
+        )
+        server = CoordinateServer(store)
+        # A snapshot dump of 48 nodes is several KB: over this limit.
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)
+        with server.run_in_thread() as handle:
+            dump, pong = self.raw_exchange(
+                handle.address,
+                [b'{"id":"dump","op":"snapshot"}', b'{"id":2,"op":"ping"}'],
+            )
+        assert dump["id"] == "dump" and not dump["ok"]
+        assert "exceeds the 1024-byte limit" in dump["error"]
+        assert pong == {"id": 2, "ok": True, "payload": {"pong": True}}
+        assert server.engine.error_stats() == {"by_op": {"snapshot": 1}, "total": 1}
+
     def test_shutdown_op_stops_daemon_cleanly(self):
         store = ShardedCoordinateStore.from_coordinates(
             synthetic_coordinates(8, seed=1), shards=1

@@ -41,7 +41,6 @@ can always see a tenant that is being shed.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from typing import Any, Dict, Optional, Tuple
 
@@ -49,8 +48,8 @@ from repro.gateway.config import GatewayConfig
 from repro.gateway.http import HttpError, HttpRequest, read_request, render_response
 from repro.gateway.tenants import Tenant, TenantRegistry
 from repro.obs.registry import TelemetryRegistry
-from repro.server.daemon import ServerThread
-from repro.server.protocol import OPS, QUERY_OPS, encode_body
+from repro.server.daemon import CLOSE_ERRORS, ServerThread, close_connection
+from repro.server.protocol import OPS, QUERY_OPS, ProtocolError, decode_frame, encode_body
 
 __all__ = ["GatewayServer"]
 
@@ -191,19 +190,12 @@ class GatewayServer:
                 self._observe_latency(request, (time.perf_counter() - started) * 1e3)
                 if not request.keep_alive:
                     return
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
+        except asyncio.IncompleteReadError:
             pass
-        except asyncio.CancelledError:
-            # Server shutdown with this keep-alive connection idle: end
-            # the handler quietly (suppressing the cancellation is safe
-            # here -- the task finishes immediately after).
-            pass
+        except CLOSE_ERRORS:
+            pass  # the peer went away, or a stop cancelled this handler
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError, asyncio.CancelledError):
-                pass
+            await close_connection(writer)
 
     def _count(self, route: str) -> None:
         self.registry.counter(
@@ -392,12 +384,9 @@ class GatewayServer:
 
     def _parse_wire_body(self, request: HttpRequest) -> Dict[str, Any]:
         try:
-            wire = json.loads(request.body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _Reply(400, _error_body(f"request body is not valid JSON: {exc}"))
-        if not isinstance(wire, dict):
-            raise _Reply(400, _error_body("request body must be a JSON object"))
-        return wire
+            return decode_frame(request.body)
+        except ProtocolError as exc:
+            raise _Reply(400, _error_body(str(exc))) from None
 
     def _enforce_quota(self, tenant: Tenant, wire: Dict[str, Any], op: str) -> None:
         """Spend one token, or unwind with the deterministic 429."""

@@ -209,9 +209,6 @@ class GatewayClient:
     async def op(self, op: str, **fields: Any) -> Dict[str, Any]:
         return await self.request({"op": op, **fields})
 
-    async def chaos(self, **fields: Any) -> Dict[str, Any]:
-        return await self.request({"op": "chaos", **fields})
-
     async def close(self) -> None:
         if self._closed:
             return

@@ -689,9 +689,10 @@ def run_batch_simulation(
     from ``config.seed`` exactly as the event-driven runner would.
 
     ``publish_store`` is any :class:`~repro.service.publish.EpochPublisher`
-    -- in practice a :class:`~repro.service.snapshot.SnapshotStore`, a
+    -- in practice the serving
     :class:`~repro.server.sharding.ShardedCoordinateStore` or a
-    :class:`~repro.server.live.LiveServingHarness` (the protocol module is
+    :class:`~repro.server.live.LiveServingHarness`; each epoch's arrays
+    travel as arrays, never as per-node objects (the protocol module is
     dependency-light, so netsim still never imports the serving stack).
     The final application-level coordinates are always published when a
     store is attached; ``publish_every_ticks`` additionally publishes an
@@ -769,7 +770,7 @@ def run_batch_simulation(
             raise ValueError(
                 f"publish_every_ticks={publish_every_ticks!r} requires a "
                 "publish_store; pass publish_store= (any EpochPublisher, e.g. "
-                "SnapshotStore, ShardedCoordinateStore or LiveServingHarness) "
+                "ShardedCoordinateStore or LiveServingHarness) "
                 "together with publish_every_ticks, or drop publish_every_ticks"
             )
         if publish_every_ticks < 1:

@@ -117,7 +117,7 @@ from repro.server.load import LOAD_MODES, run_load_async
 from repro.server.sharding import ShardedCoordinateStore
 from repro.service.index import INDEX_KINDS
 from repro.service.planner import Query
-from repro.service.snapshot import CoordinateSnapshot
+from repro.service.snapshot import ArraySnapshot
 from repro.service.workload import (
     QUERY_MIXES,
     WorkloadReport,
@@ -292,13 +292,13 @@ def _load_snapshot_store(args: argparse.Namespace) -> ShardedCoordinateStore:
 
 
 def _cmd_query_info(args: argparse.Namespace) -> int:
-    snapshot = CoordinateSnapshot.load(args.snapshot)
-    dimensions = sorted({c.dimensions for c in snapshot.coordinates.values()})
-    heights = sum(1 for c in snapshot.coordinates.values() if c.height > 0.0)
+    snapshot = ArraySnapshot.load(args.snapshot)
+    _, components, heights = snapshot.arrays()
+    dimensions = [components.shape[1]] if len(snapshot) else []
     print(
         f"snapshot v{snapshot.version} (source {snapshot.source or '-'}): "
         f"{len(snapshot)} nodes, dimensions {dimensions}, "
-        f"{heights} with non-zero height"
+        f"{int((heights > 0.0).sum())} with non-zero height"
     )
     return 0
 
@@ -441,7 +441,7 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
             if stats.get("ok"):
                 shards_serving = int(stats["payload"]["shards"]["count"])
             _payload(
-                await client.chaos(spec=schedule.spec, seed=schedule.seed),
+                await client.op("chaos", spec=schedule.spec, seed=schedule.seed),
                 "chaos schedule",
             )
             chaos_installed = True
@@ -485,10 +485,10 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
 
         chaos_report: Optional[Dict[str, Any]] = None
         if chaos_installed:
-            fetched = await client.chaos(report=True)
+            fetched = await client.op("chaos", report=True)
             if fetched.get("ok"):
                 chaos_report = fetched["payload"].get("report")
-            cleared = await client.chaos(clear=True)
+            cleared = await client.op("chaos", clear=True)
             chaos_installed = False
             if not cleared.get("ok"):  # pragma: no cover - clear never refuses
                 print(
@@ -504,7 +504,7 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
             print(f"error: {report.errors} request(s) failed", file=sys.stderr)
             exit_code = 1
         if args.verify_oracle and snapshot_payload is not None:
-            snapshot = CoordinateSnapshot.from_dict(snapshot_payload)
+            snapshot = ArraySnapshot.from_dict(snapshot_payload)
             if schedule is not None:
                 # Partial responses cannot match the full-stream checksum;
                 # check each response against the (healthy-subset) oracle.
@@ -621,7 +621,7 @@ async def _load_async(args: argparse.Namespace, schedule=None) -> int:
     finally:
         if chaos_installed:
             try:
-                await client.chaos(clear=True)
+                await client.op("chaos", clear=True)
             except (ConnectionError, OSError):  # pragma: no cover - best effort
                 pass
         await client.close()

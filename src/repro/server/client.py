@@ -266,18 +266,8 @@ class AsyncCoordinateClient:
         return await self.request(query_to_request(query, None), timeout=timeout)
 
     async def op(self, op: str, **fields: Any) -> Dict[str, Any]:
-        """Send one non-query operation (``version``, ``stats``, ...)."""
+        """Send one non-query operation (``version``, ``stats``, ``chaos``, ...)."""
         return await self.request({"op": op, **fields})
-
-    async def chaos(self, **fields: Any) -> Dict[str, Any]:
-        """Send one ``chaos`` control-plane request.
-
-        ``chaos(spec="shard-kill@40+60:shard=1", seed=0)`` installs a
-        fault schedule, ``chaos(report=True)`` fetches the deterministic
-        chaos report, ``chaos(clear=True)`` force-clears every active
-        fault and detaches the injector.
-        """
-        return await self.request({"op": "chaos", **fields})
 
     async def publish_full(
         self, node_ids, components, heights=None, *, source: str = ""

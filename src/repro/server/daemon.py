@@ -78,7 +78,36 @@ from repro.server.protocol import (
 from repro.server.sharding import ServeResult, ShardedCoordinateStore
 from repro.service.planner import QueryError
 
-__all__ = ["CoordinateServer", "RequestEngine", "ServerThread"]
+__all__ = [
+    "CLOSE_ERRORS",
+    "CoordinateServer",
+    "RequestEngine",
+    "ServerThread",
+    "close_connection",
+]
+
+#: What ending a connection may raise that is no error: the peer went away
+#: (``OSError`` covers resets and broken pipes) or a server stop cancelled
+#: the handler.  A connection task that ends cancelled makes Python 3.11's
+#: stream callback log an error, so both fronts' handlers swallow these.
+CLOSE_ERRORS = (OSError, asyncio.CancelledError)
+
+
+async def close_connection(writer: asyncio.StreamWriter, open_gauge=None) -> None:
+    """Close one client connection quietly, then count it closed.
+
+    The one close path of the TCP daemon and the HTTP gateway.  A stop
+    may cancel the handler while it waits here; the open-connections
+    gauge (when given) is decremented whatever happens.
+    """
+    try:
+        writer.close()
+        await writer.wait_closed()
+    except CLOSE_ERRORS:
+        pass
+    finally:
+        if open_gauge is not None:
+            open_gauge.dec()
 
 
 class RequestEngine:
@@ -700,25 +729,15 @@ class CoordinateServer:
             failed: asyncio.Future = asyncio.get_running_loop().create_future()
             failed.set_result({"id": None, "ok": False, "error": str(exc)})
             await responses.put((None, failed))
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown with this connection open: end the handler
-            # quietly, as the gateway does.  A connection task that ends
-            # cancelled makes Python 3.11's stream callback log an error.
-            pass
+        except CLOSE_ERRORS:
+            pass  # the peer went away, or a stop cancelled this handler
         finally:
             await responses.put(None)
             try:
                 await writer_task
             except asyncio.CancelledError:
                 pass  # the shutdown cancelled the writer too
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._g_connections_open.dec()
+            await close_connection(writer, self._g_connections_open)
             if shutdown_requested:
                 self.stop()
 

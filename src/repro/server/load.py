@@ -88,9 +88,10 @@ def synthetic_arrays(
     """``(node_ids, components (n, d), heights (n,))`` of a clustered universe.
 
     Deterministic in ``(n, seed, clusters, dims)``.  The single source of
-    the synthetic population: :func:`synthetic_coordinates` (the CLI's
-    ``--synthetic``) and ``bench_server.py`` both build from it, so the
-    populations they serve are identical by construction.
+    the synthetic population: the ``("synthetic", ...)`` store source (the
+    CLI's ``--synthetic``), :func:`synthetic_coordinates` and
+    ``bench_server.py`` all build from it, so the populations they serve
+    are identical by construction.
     """
     if n < 2:
         raise ValueError("synthetic universes need at least two nodes")

@@ -45,7 +45,7 @@ Operations
 ``events``    -> ``{"events": [...], "stats": {...}}`` -- the structured
                  event log tail; optional integer ``limit``
 ``nodes``     -> ``{"node_ids": [...], "version": int}``
-``snapshot``  -> the full snapshot dict (``CoordinateSnapshot.to_dict``)
+``snapshot``  -> the full snapshot dict (``ArraySnapshot.to_dict``)
 ``ping``      -> ``{"pong": true}``
 ``hello``     -> ``{"protocol_version": int, "ops": [...]}``
 ``publish``   -> ``nodes``, ``components``, optional ``heights``/
@@ -192,14 +192,29 @@ def frame_length(header: bytes) -> int:
         )
     return length
 
+
 def decode_frame(body: bytes) -> Dict[str, Any]:
-    """Parse a frame body into a request/response object."""
+    """Parse a frame body into a request/response object.
+
+    The one request decoder of both transports (the gateway parses its
+    HTTP bodies here too), so a body is refused on both or on neither,
+    with the same message.  That includes an ``id`` no answer could
+    echo: ``json.loads`` reads ``NaN`` and ``Infinity`` literals, but
+    :func:`encode_body` cannot write them.  A non-finite number anywhere
+    else is left to the op's own validation.
+    """
     try:
         payload = json.loads(body)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from None
+        raise ProtocolError(f"body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise ProtocolError("frame body must be a JSON object")
+        raise ProtocolError("body must be a JSON object")
+    echoed = payload.get("id")
+    if not isinstance(echoed, (str, int, type(None))):
+        try:
+            json.dumps(echoed, allow_nan=False)
+        except ValueError as exc:
+            raise ProtocolError(f"body has an 'id' no answer can echo: {exc}") from None
     return payload
 
 

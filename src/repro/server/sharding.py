@@ -44,14 +44,17 @@ finish on it).
 ``ArraySnapshot``; a delta becomes
 :func:`~repro.service.snapshot.apply_delta` of the serving one, the same
 function a single store applies, so versions and insertion order are
-*definitionally* the oracle's.  Object batches (``from_coordinates``,
-``ingest_collector``) publish as deltas.  Each shard index derives from
-the previous generation's with the delta's rows of that shard
-(``delta_applied``); when that declines, or for ``linear``,
-:func:`~repro.service.index.index_over` builds it over the shard's rows,
-picked by a per-row owner array kept for the serving generation.  A
-delta routes every id already served by that array and hashes only the
-ids that join; one that keeps the population shares the array as is.
+*definitionally* the oracle's.  Every constructor publishes one delta:
+``from_snapshot`` and the synthetic and snapshot-file sources build it
+from arrays, with no per-node ``Coordinate``; only the object batches of
+``from_coordinates`` and ``ingest_collector`` start from objects.  Each
+shard index derives from the previous generation's with the delta's rows
+of that shard (``delta_applied``); when that declines, or for
+``linear``, :func:`~repro.service.index.index_over` builds it over the
+shard's rows, picked by a per-row owner array kept for the serving
+generation.  A delta routes every id already served by that array and
+hashes only the ids that join; one that keeps the population shares the
+array as is.
 
 **The cache across a publish.** Answers are cached under
 ``(version, query)``.  A delta publish, before its swap, re-keys to the
@@ -97,7 +100,7 @@ from repro.service.planner import (
     survivors,
 )
 from repro.service.publish import EpochDelta
-from repro.service.snapshot import ArraySnapshot, CoordinateSnapshot, apply_delta
+from repro.service.snapshot import ArraySnapshot, apply_delta
 
 __all__ = [
     "HEALTH_SECTIONS",
@@ -589,23 +592,19 @@ class ShardedCoordinateStore:
         keep = survivors(entries, delta, generation.snapshot, generation.global_seq)
         return [entry for entry, kept in zip(entries, keep) if kept]
 
-    def _publish_mapping(
-        self, coordinates: Mapping[str, Coordinate], *, source: str = ""
+    def ingest_collector(
+        self, collector, *, level: str = "application", source: str = ""
     ) -> ShardGeneration:
-        """Publish an object batch as a delta; an empty batch publishes nothing.
+        """Publish every node's latest coordinate from a metrics collector.
 
-        Existing nodes update in place and new nodes append in iteration
-        order, exactly as a single store commits them.
+        The batch is one delta: existing nodes update in place and new
+        nodes append in iteration order, exactly as a single store
+        commits them.  An empty batch publishes nothing.
         """
+        coordinates = collector.latest_coordinates(level=level)
         if not coordinates:
             return self._generation
         return self.publish_delta(EpochDelta.from_coordinates(coordinates, source=source))
-
-    def ingest_collector(self, collector, *, level: str = "application", source: str = "") -> ShardGeneration:
-        """Publish every node's latest coordinate from a metrics collector."""
-        return self._publish_mapping(
-            collector.latest_coordinates(level=level), source=source
-        )
 
     def _index_over_rows(
         self, snapshot: ArraySnapshot, owners: np.ndarray, shard: int
@@ -1086,13 +1085,15 @@ class ShardedCoordinateStore:
     def from_snapshot(
         cls, snapshot, *, shards: int = 2, index_kind: str = "vptree", **kwargs
     ) -> "ShardedCoordinateStore":
-        """A store pre-loaded with one snapshot's coordinates.
+        """A store pre-loaded with one :class:`ArraySnapshot`'s arrays.
 
-        The generation is republished (version restarts at 1); use the
-        publish methods directly to preserve external version numbering.
+        The generation is republished (version restarts at 1; an empty
+        snapshot publishes nothing); use the publish methods directly to
+        preserve external version numbering.
         """
         store = cls(shards, index_kind=index_kind, **kwargs)
-        store._publish_mapping(snapshot.coordinates, source=snapshot.source)
+        if len(snapshot):
+            store.publish_delta(EpochDelta(*snapshot.arrays(), source=snapshot.source))
         return store
 
     @classmethod
@@ -1106,7 +1107,8 @@ class ShardedCoordinateStore:
         **kwargs,
     ) -> "ShardedCoordinateStore":
         store = cls(shards, index_kind=index_kind, **kwargs)
-        store._publish_mapping(coordinates, source=source)
+        if coordinates:
+            store.publish_delta(EpochDelta.from_coordinates(coordinates, source=source))
         return store
 
     @classmethod
@@ -1125,9 +1127,9 @@ class ShardedCoordinateStore:
         the publish methods) or one of:
 
         * ``("synthetic", (n, seed))`` --
-          :func:`repro.server.load.synthetic_coordinates`;
-        * ``("snapshot", path)`` -- a saved coordinate snapshot (republished
-          from version 1);
+          :func:`repro.server.load.synthetic_arrays`;
+        * ``("snapshot", path)`` -- a saved :class:`ArraySnapshot` file
+          (republished from version 1);
         * ``("scenario", name_or_spec)`` -- a registered scenario name or a
           :class:`~repro.scenarios.spec.ScenarioSpec`, run through the
           serial kernel; its final ``level`` coordinates are published.
@@ -1137,20 +1139,16 @@ class ShardedCoordinateStore:
             return store
         kind, value = data
         if kind == "synthetic":
-            from repro.server.load import synthetic_coordinates
+            from repro.server.load import synthetic_arrays
 
             n, seed = value
             store.publish_delta(
-                EpochDelta.from_coordinates(
-                    synthetic_coordinates(n, seed=seed), source=f"synthetic-{n}"
-                )
+                EpochDelta(*synthetic_arrays(n, seed=seed), source=f"synthetic-{n}")
             )
         elif kind == "snapshot":
-            snapshot = CoordinateSnapshot.load(value)
+            snapshot = ArraySnapshot.load(value)
             store.publish_delta(
-                EpochDelta.from_coordinates(
-                    dict(snapshot.coordinates), source=snapshot.source or str(value)
-                )
+                EpochDelta(*snapshot.arrays(), source=snapshot.source or str(value))
             )
         elif kind == "scenario":
             from repro.engine.kernel import run_scenario

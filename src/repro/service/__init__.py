@@ -28,7 +28,7 @@ from repro.service.planner import (
     QUERY_KINDS,
     answer_query,
 )
-from repro.service.snapshot import CoordinateSnapshot, SnapshotStore
+from repro.service.snapshot import SnapshotStore
 from repro.service.workload import (
     QUERY_MIXES,
     WorkloadReport,
@@ -38,7 +38,6 @@ from repro.service.workload import (
 )
 
 __all__ = [
-    "CoordinateSnapshot",
     "EpochDelta",
     "EpochPublisher",
     "INDEX_KINDS",

@@ -142,9 +142,11 @@ class EpochDelta:
 class EpochPublisher(Protocol):
     """Anything that can accept coordinate epochs, full or incremental.
 
-    Implemented by :class:`repro.service.snapshot.SnapshotStore`,
-    :class:`repro.server.sharding.ShardedCoordinateStore` and
-    :class:`repro.server.live.LiveServingHarness`; consumed by
+    Implemented by the serving
+    :class:`repro.server.sharding.ShardedCoordinateStore`, by
+    :class:`repro.server.live.LiveServingHarness` and by
+    :class:`repro.service.snapshot.SnapshotStore`, whose staged object
+    commits are deltas too; consumed by
     :func:`repro.netsim.batch.run_batch_simulation` (``publish_store=``).
     """
 

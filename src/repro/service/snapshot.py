@@ -1,41 +1,23 @@
 """Versioned coordinate snapshots: the query service's write path.
 
-Coordinate producers (netsim hosts via their run's
-:class:`~repro.metrics.collector.MetricsCollector`, trace replays, or any
-``{node_id: Coordinate}`` stream) feed a :class:`SnapshotStore`.  Updates
-are *staged* until :meth:`SnapshotStore.commit` publishes them as a new
-immutable :class:`CoordinateSnapshot` with a monotonically increasing
-version, so the read path always works against a consistent point-in-time
-view:
+Every published coordinate generation is one immutable
+:class:`ArraySnapshot` (node ids plus ``(n, d)`` component and ``(n,)``
+height arrays), and a snapshot file or wire ``snapshot`` payload loads
+back into the same type (:meth:`ArraySnapshot.load` reads exactly the
+bytes :meth:`ArraySnapshot.save` writes).  An open snapshot never
+changes, so results are attributable to a version: the serving cache
+keys on it, and a per-version spatial index is built once and memoised.
 
-* an open snapshot never changes -- ingest arriving mid-query cannot bleed
-  into it (readers hold a frozen mapping; writers build the next version
-  on the side);
-* query results are attributable to a version, which is what makes the
-  serving store's result cache sound (cache keys include the version, so
-  serving a cached result can never mix coordinate generations);
-* per-version spatial indexes are built lazily and memoised, so a batch of
-  queries against one version pays one index build.
-
-Two snapshot representations share one duck-typed read API:
-
-* :class:`CoordinateSnapshot` -- the object-based form (a frozen
-  ``{node_id: Coordinate}`` mapping), fed by ``apply``/``commit`` staging;
-  this is the correctness oracle the array path is checked against.
-* :class:`ArraySnapshot` -- the array-backed form: node ids plus ``(n, d)``
-  component and ``(n,)`` height arrays, published whole via
-  :meth:`SnapshotStore.publish_epoch` or incrementally via
-  :meth:`SnapshotStore.publish_delta` (:func:`apply_delta`: copy-on-write
-  of the touched rows only, sharing the id list and row map with the base
-  when no node joins or leaves; see :mod:`repro.service.publish`).  The
-  sharded serving store publishes its generations through the same
-  constructor and :func:`apply_delta`.  A batch simulation hands its
-  state arrays straight in -- no per-node object materialisation -- and a
-  ``dense`` index adopts them without copying.
+A version is a whole epoch, whose arrays are adopted without copying,
+or :func:`apply_delta` of the previous one (copy-on-write of the touched
+rows; see :mod:`repro.service.publish`).  :class:`SnapshotStore` adds an
+object front end for ``{node_id: Coordinate}`` producers (a run's
+:class:`~repro.metrics.collector.MetricsCollector`, trace replays):
+updates are *staged* until :meth:`SnapshotStore.commit` applies them as
+one :class:`~repro.service.publish.EpochDelta`.
 
 Thread-safety: staging, commits and index memoisation take an internal
-lock; published snapshots are immutable and safe to read from any thread
-without coordination.
+lock; published snapshots are safe to read from any thread.
 """
 
 from __future__ import annotations
@@ -43,7 +25,6 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,153 +34,18 @@ from repro.overlay.knn import CoordinateIndex
 from repro.service.index import INDEX_KINDS, index_over
 from repro.service.publish import EpochDelta
 
-__all__ = ["ArraySnapshot", "CoordinateSnapshot", "SnapshotStore", "apply_delta"]
-
-
-def _as_array_snapshot(snapshot) -> "ArraySnapshot":
-    """``snapshot`` itself when array-backed, else its object form lifted."""
-    if isinstance(snapshot, ArraySnapshot):
-        return snapshot
-    node_ids = snapshot.node_ids()
-    if not node_ids:
-        return ArraySnapshot(
-            snapshot.version, [], np.empty((0, 1)), source=snapshot.source
-        )
-    return ArraySnapshot(
-        snapshot.version,
-        node_ids,
-        np.asarray(
-            [snapshot.coordinates[node_id].components for node_id in node_ids],
-            dtype=np.float64,
-        ),
-        np.asarray(
-            [snapshot.coordinates[node_id].height for node_id in node_ids],
-            dtype=np.float64,
-        ),
-        source=snapshot.source,
-    )
-
-
-class CoordinateSnapshot:
-    """An immutable, versioned point-in-time view of node coordinates."""
-
-    __slots__ = ("version", "coordinates", "source")
-
-    def __init__(
-        self,
-        version: int,
-        coordinates: Mapping[str, Coordinate],
-        *,
-        source: str = "",
-    ) -> None:
-        self.version = version
-        #: Read-only mapping; the backing dict is owned by the snapshot and
-        #: never mutated after construction.
-        self.coordinates: Mapping[str, Coordinate] = MappingProxyType(dict(coordinates))
-        #: Free-form provenance label (scenario name, trace id, ...).
-        self.source = source
-
-    def __len__(self) -> int:
-        return len(self.coordinates)
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self.coordinates
-
-    def coordinate_of(self, node_id: str) -> Optional[Coordinate]:
-        return self.coordinates.get(node_id)
-
-    def node_ids(self) -> List[str]:
-        return list(self.coordinates)
-
-    def items(self) -> Iterator[Tuple[str, Coordinate]]:
-        return iter(self.coordinates.items())
-
-    # -- serialisation -------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": self.version,
-            "source": self.source,
-            "coordinates": {
-                node_id: {
-                    "components": list(coordinate.components),
-                    "height": coordinate.height,
-                }
-                for node_id, coordinate in self.coordinates.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CoordinateSnapshot":
-        if not isinstance(payload, Mapping):
-            raise ValueError(
-                "malformed snapshot: top-level JSON must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        entries = payload.get("coordinates")
-        if not isinstance(entries, Mapping):
-            raise ValueError("malformed snapshot: missing 'coordinates' mapping")
-        coordinates = {}
-        for node_id, entry in entries.items():
-            try:
-                components = entry["components"]
-            except (TypeError, KeyError):
-                raise ValueError(
-                    f"malformed snapshot: entry for {node_id!r} has no 'components'"
-                ) from None
-            try:
-                coordinates[node_id] = Coordinate(components, entry.get("height", 0.0))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"malformed snapshot: entry for {node_id!r}: {exc}"
-                ) from None
-        try:
-            version = int(payload.get("version", 1))
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"malformed snapshot: 'version' must be an integer, "
-                f"got {payload.get('version')!r}"
-            ) from None
-        return cls(version, coordinates, source=str(payload.get("source", "")))
-
-    def save(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: Path) -> "CoordinateSnapshot":
-        """Load a snapshot JSON file.
-
-        Every failure mode a caller can hit -- missing file, unreadable
-        file, invalid JSON, valid JSON of the wrong shape -- surfaces as
-        ``OSError`` or ``ValueError`` with the offending path in the
-        message, so command-line front ends can report one clear line
-        instead of a traceback.
-        """
-        try:
-            text = Path(path).read_text()
-        except FileNotFoundError:
-            raise FileNotFoundError(f"snapshot file {path} does not exist") from None
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"snapshot file {path} is not valid JSON: {exc}") from None
-        try:
-            return cls.from_dict(payload)
-        except ValueError as exc:
-            raise ValueError(f"snapshot file {path}: {exc}") from None
+__all__ = ["ArraySnapshot", "SnapshotStore", "apply_delta"]
 
 
 class ArraySnapshot:
     """An immutable, versioned snapshot backed by flat NumPy arrays.
 
-    Same read API as :class:`CoordinateSnapshot` (duck-typed: ``version``,
-    ``coordinate_of``, ``node_ids``, ``items``, ``coordinates``, ...), but
-    the backing store is three aligned arrays instead of a mapping of
-    per-node objects.  The arrays are *adopted*, not copied, and marked
-    read-only -- the zero-copy half of the simulation -> service bridge.
-    ``Coordinate`` objects are materialised lazily, one per
-    ``coordinate_of`` lookup; batch consumers (the ``dense`` index) never
-    materialise any.
+    Three aligned arrays (:meth:`arrays`) back the read API (``version``,
+    ``coordinate_of``, ``node_ids``, ``items``, ...).  The arrays are
+    *adopted*, not copied, and marked read-only -- the zero-copy half of
+    the simulation -> service bridge.  ``Coordinate`` objects are
+    materialised lazily, one per ``coordinate_of`` lookup; batch
+    consumers (the ``dense`` index) never materialise any.
     """
 
     __slots__ = (
@@ -209,7 +55,6 @@ class ArraySnapshot:
         "_components",
         "_heights",
         "_row_of",
-        "_mapping",
     )
 
     def __init__(
@@ -251,7 +96,6 @@ class ArraySnapshot:
         self._components = components
         self._heights = heights
         self._row_of: Optional[Dict[str, int]] = None
-        self._mapping: Optional[Mapping[str, Coordinate]] = None
 
     def _derived(
         self, version: int, components: np.ndarray, heights: np.ndarray, source: str
@@ -274,7 +118,6 @@ class ArraySnapshot:
         derived._components = components
         derived._heights = heights
         derived._row_of = self.row_index
-        derived._mapping = None
         return derived
 
     # -- array access (the zero-copy read path) ------------------------
@@ -282,7 +125,7 @@ class ArraySnapshot:
         """``(node_ids, components (n, d), heights (n,))``, no copies."""
         return self._node_ids, self._components, self._heights
 
-    # -- CoordinateSnapshot-compatible API -----------------------------
+    # -- per-node read API ----------------------------------------------
     def __len__(self) -> int:
         return len(self._node_ids)
 
@@ -315,18 +158,6 @@ class ArraySnapshot:
                 self._components[row].tolist(), float(self._heights[row])
             )
 
-    @property
-    def coordinates(self) -> Mapping[str, Coordinate]:
-        """Object-based view, materialised once on first use.
-
-        Exists so object-path consumers (non-dense index builds, commits
-        layered on top of an array epoch) keep working; the hot read path
-        never touches it.
-        """
-        if self._mapping is None:
-            self._mapping = MappingProxyType(dict(self.items()))
-        return self._mapping
-
     # -- serialisation -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -341,12 +172,102 @@ class ArraySnapshot:
             },
         }
 
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "ArraySnapshot":
+        """The snapshot :meth:`to_dict` describes.
+
+        ``version`` defaults to 1, ``source`` to ``""`` and a row's
+        ``height`` to 0.0; every row needs the first row's dimensionality.
+        A malformed payload raises a one-line ``ValueError`` that names
+        the offending entry.
+        """
+        if not isinstance(payload, Mapping):
+            raise ValueError(
+                "malformed snapshot: top-level JSON must be an object, "
+                f"got {type(payload).__name__}"
+            )
+        entries = payload.get("coordinates")
+        if not isinstance(entries, Mapping):
+            raise ValueError("malformed snapshot: missing 'coordinates' mapping")
+        try:
+            version = int(payload.get("version", 1))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"malformed snapshot: 'version' must be an integer, "
+                f"got {payload.get('version')!r}"
+            ) from None
+        node_ids = list(entries)
+        rows: List[Any] = []
+        heights: List[Any] = []
+        for node_id, entry in entries.items():
+            try:
+                rows.append(entry["components"])
+            except (TypeError, KeyError):
+                raise ValueError(
+                    f"malformed snapshot: entry for {node_id!r} has no 'components'"
+                ) from None
+            heights.append(entry.get("height", 0.0))
+        try:
+            return cls(
+                version,
+                node_ids,
+                np.array(rows, dtype=np.float64) if rows else np.empty((0, 1)),
+                np.array(heights, dtype=np.float64),
+                source=str(payload.get("source", "")),
+            )
+        except (TypeError, ValueError) as exc:
+            reason = _bad_entry(node_ids, rows, heights) or exc
+            raise ValueError(f"malformed snapshot: {reason}") from None
+
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
+    @classmethod
+    def load(cls, path: Path) -> "ArraySnapshot":
+        """Load a file :meth:`save` wrote.
 
-def apply_delta(base, delta: EpochDelta) -> ArraySnapshot:
+        Every failure (missing or unreadable file, invalid JSON, a
+        malformed snapshot) is an ``OSError`` or ``ValueError`` whose
+        one-line message names the path, for command-line front ends.
+        """
+        try:
+            text = Path(path).read_text()
+        except FileNotFoundError:
+            raise FileNotFoundError(f"snapshot file {path} does not exist") from None
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"snapshot file {path} is not valid JSON: {exc}") from None
+        try:
+            return cls.from_dict(payload)
+        except ValueError as exc:
+            raise ValueError(f"snapshot file {path}: {exc}") from None
+
+
+def _bad_entry(
+    node_ids: Sequence[str], rows: Sequence[Any], heights: Sequence[Any]
+) -> Optional[str]:
+    """The first entry :meth:`ArraySnapshot.from_dict` cannot take, and why."""
+    first = None
+    for node_id, row, height in zip(node_ids, rows, heights):
+        if not isinstance(row, (list, tuple)):
+            kind = type(row).__name__
+            return f"entry for {node_id!r}: 'components' must be a list, got {kind}"
+        try:
+            dimensions = Coordinate(row, height).dimensions
+        except (TypeError, ValueError) as exc:
+            return f"entry for {node_id!r}: {exc}"
+        first = first or dimensions
+        if dimensions != first:
+            return (
+                f"entry for {node_id!r} is {dimensions}-dimensional, "
+                f"the first entry is {first}-dimensional"
+            )
+    return None
+
+
+def apply_delta(base: ArraySnapshot, delta: EpochDelta) -> ArraySnapshot:
     """``base`` with ``delta`` applied, as the next version's ArraySnapshot.
 
     Copy-on-write: the base arrays are copied once, only the touched rows
@@ -368,7 +289,6 @@ def apply_delta(base, delta: EpochDelta) -> ArraySnapshot:
             delta.heights,
             source=source,
         )
-    base = _as_array_snapshot(base)
     node_ids, components, heights = base.arrays()
     changed = delta.node_ids
     if not changed and not delta.removed_ids:
@@ -450,8 +370,8 @@ class SnapshotStore:
         self.history = history
         self._lock = threading.Lock()
         self._staged: Dict[str, Optional[Coordinate]] = {}
-        self._latest = CoordinateSnapshot(0, {})
-        self._versions: Dict[int, CoordinateSnapshot] = {0: self._latest}
+        self._latest = ArraySnapshot(0, [], np.empty((0, 1)))
+        self._versions: Dict[int, ArraySnapshot] = {0: self._latest}
         self._indexes: Dict[int, CoordinateIndex] = {}
         self._ingested = 0
 
@@ -496,25 +416,32 @@ class SnapshotStore:
         with self._lock:
             return self._ingested
 
-    def commit(self, *, source: str = "") -> CoordinateSnapshot:
+    def commit(self, *, source: str = "") -> ArraySnapshot:
         """Publish staged updates as a new immutable version.
 
-        A no-op commit (nothing staged) returns the current snapshot
-        without minting a new version.
+        The staged updates become one
+        :class:`~repro.service.publish.EpochDelta` applied to the latest
+        version (:func:`apply_delta`): existing nodes update in place,
+        retired ones are compacted out and new ones append in staging
+        order.  A no-op commit (nothing staged) returns the current
+        snapshot without minting a new version.
         """
         with self._lock:
             if not self._staged:
                 return self._latest
-            merged = dict(self._latest.coordinates)
-            for node_id, coordinate in self._staged.items():
-                if coordinate is None:
-                    merged.pop(node_id, None)
-                else:
-                    merged[node_id] = coordinate
-            self._staged.clear()
-            snapshot = CoordinateSnapshot(
-                self._latest.version + 1, merged, source=source or self._latest.source
+            upserts = {
+                node_id: coordinate
+                for node_id, coordinate in self._staged.items()
+                if coordinate is not None
+            }
+            retired = [
+                node_id for node_id, coordinate in self._staged.items() if coordinate is None
+            ]
+            snapshot = apply_delta(
+                self._latest,
+                EpochDelta.from_coordinates(upserts, removed_ids=retired, source=source),
             )
+            self._staged.clear()
             self._publish_locked(snapshot)
             return snapshot
 
@@ -570,22 +497,14 @@ class SnapshotStore:
         """Apply an incremental epoch on top of the latest version.
 
         The incremental half of the
-        :class:`~repro.service.publish.EpochPublisher` protocol.  The new
-        :class:`ArraySnapshot` is :func:`apply_delta` of the latest one:
-        copy-on-write of the touched rows, byte for byte the population a
-        from-scratch publish of the final state would hold.  A delta that
-        leaves the population unchanged (the steady state: rows move,
-        nobody joins or leaves) does no per-node Python work at all.
-        When the base version's spatial index is memoised, the new
-        version's index is *derived* from it incrementally
-        (``delta_applied``) instead of rebuilt, which is what makes
-        millisecond epoch rollover possible at low churn; past the
+        :class:`~repro.service.publish.EpochPublisher` protocol: the new
+        version is :func:`apply_delta` of the latest one.  When the base
+        version's spatial index is memoised, the new version's index is
+        *derived* from it (``delta_applied``) instead of rebuilt; past the
         overlay budget the derivation declines and the next query
-        compacts via an ordinary full build.
-
-        An empty delta still mints a new version (sharing the base
-        arrays), keeping delta-fed and full-fed stores in version
-        lockstep.
+        compacts via an ordinary full build.  An empty delta still mints
+        a new version (sharing the base arrays), keeping delta-fed and
+        full-fed stores in version lockstep.
         """
         if not isinstance(delta, EpochDelta):
             raise TypeError(
@@ -616,7 +535,7 @@ class SnapshotStore:
             return snapshot
 
     # -- read path ------------------------------------------------------
-    def latest(self) -> CoordinateSnapshot:
+    def latest(self) -> ArraySnapshot:
         """The most recently committed snapshot (version 0 when empty)."""
         with self._lock:
             return self._latest
@@ -625,7 +544,7 @@ class SnapshotStore:
     def version(self) -> int:
         return self.latest().version
 
-    def at(self, version: int) -> CoordinateSnapshot:
+    def at(self, version: int) -> ArraySnapshot:
         """A retained historical version; raises KeyError once evicted."""
         with self._lock:
             try:
@@ -636,7 +555,7 @@ class SnapshotStore:
                     f"(history={self.history}, latest={self._latest.version})"
                 ) from None
 
-    def index_for(self, snapshot: Optional[CoordinateSnapshot] = None) -> CoordinateIndex:
+    def index_for(self, snapshot: Optional[ArraySnapshot] = None) -> CoordinateIndex:
         """A spatial index over ``snapshot`` (default: latest), memoised.
 
         The index is built once per version and shared by all queries
@@ -649,9 +568,9 @@ class SnapshotStore:
         if index is not None:
             return index
         # Built outside the lock so a large build never blocks ingest.  A
-        # dense index adopts an array snapshot's arrays: no per-node
-        # objects anywhere on the path.
-        index = index_over(self.index_kind, *_as_array_snapshot(target).arrays())
+        # dense index adopts the snapshot's arrays: no per-node objects
+        # anywhere on the path.
+        index = index_over(self.index_kind, *target.arrays())
         with self._lock:
             if target.version not in self._versions:
                 # A reader holding an already-evicted snapshot: hand it the

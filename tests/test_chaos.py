@@ -663,11 +663,11 @@ class TestChaosWire:
 
         async def scenario(address):
             async with await AsyncCoordinateClient.connect(*address) as client:
-                installed = await client.chaos(spec="shard-kill@5+10:shard=1", seed=4)
-                duplicate = await client.chaos(spec="shard-kill@5+10:shard=1")
-                report = await client.chaos(report=True)
-                cleared = await client.chaos(clear=True)
-                empty = await client.chaos(report=True)
+                installed = await client.op("chaos", spec="shard-kill@5+10:shard=1", seed=4)
+                duplicate = await client.op("chaos", spec="shard-kill@5+10:shard=1")
+                report = await client.op("chaos", report=True)
+                cleared = await client.op("chaos", clear=True)
+                empty = await client.op("chaos", report=True)
                 return installed, duplicate, report, cleared, empty
 
         with serve_in_thread(store) as handle:
@@ -687,9 +687,9 @@ class TestChaosWire:
 
         async def scenario(address):
             async with await AsyncCoordinateClient.connect(*address) as client:
-                bad_spec = await client.chaos(spec="warp@1+1")
-                bad_seed = await client.chaos(spec="shard-kill@0+1:shard=0", seed=True)
-                no_spec = await client.chaos()
+                bad_spec = await client.op("chaos", spec="warp@1+1")
+                bad_seed = await client.op("chaos", spec="shard-kill@0+1:shard=0", seed=True)
+                no_spec = await client.op("chaos")
                 return bad_spec, bad_seed, no_spec
 
         with serve_in_thread(store) as handle:
@@ -708,13 +708,13 @@ class TestChaosWire:
 
         async def scenario(address):
             async with await AsyncCoordinateClient.connect(*address) as client:
-                await client.chaos(spec="shard-kill@40+60:shard=1", seed=0)
+                await client.op("chaos", spec="shard-kill@40+60:shard=1", seed=0)
             report = await asyncio.to_thread(
                 run_load, address, queries, mode="closed", concurrency=1
             )
             async with await AsyncCoordinateClient.connect(*address) as client:
-                chaos = await client.chaos(report=True)
-                await client.chaos(clear=True)
+                chaos = await client.op("chaos", report=True)
+                await client.op("chaos", clear=True)
             return report, chaos["payload"]["report"]
 
         with serve_in_thread(store) as handle:
@@ -740,12 +740,12 @@ class TestChaosWire:
 
         async def scenario(address):
             async with await AsyncCoordinateClient.connect(*address) as client:
-                await client.chaos(spec="admission-burst@10+20:amount=4", seed=0)
+                await client.op("chaos", spec="admission-burst@10+20:amount=4", seed=0)
             report = await asyncio.to_thread(
                 run_load, address, queries, mode="closed", concurrency=1
             )
             async with await AsyncCoordinateClient.connect(*address) as client:
-                await client.chaos(clear=True)
+                await client.op("chaos", clear=True)
             return report
 
         with serve_in_thread(store, admission_limit=4) as handle:
@@ -777,7 +777,8 @@ class TestChaosWire:
 
             async def scenario(address):
                 async with await AsyncCoordinateClient.connect(*address) as client:
-                    await client.chaos(
+                    await client.op(
+                        "chaos",
                         spec=(
                             "shard-kill@30+40:shard=0,"
                             "admission-burst@80+10:amount=4"
@@ -794,9 +795,9 @@ class TestChaosWire:
                     deterministic_timing=True,
                 )
                 async with await AsyncCoordinateClient.connect(*address) as client:
-                    chaos = await client.chaos(report=True)
+                    chaos = await client.op("chaos", report=True)
                     events = await client.op("events")
-                    await client.chaos(clear=True)
+                    await client.op("chaos", clear=True)
                 return report, chaos, events
 
             with serve_in_thread(store, admission_limit=4) as handle:

@@ -44,7 +44,7 @@ from repro.gateway.tenants import build_store
 from repro.server.client import AsyncCoordinateClient
 from repro.server.daemon import CoordinateServer
 from repro.server.load import run_load_async, synthetic_coordinates
-from repro.server.protocol import encode_body, query_to_request
+from repro.server.protocol import HEADER, encode_body, frame_length, query_to_request
 from repro.server.sharding import ShardedCoordinateStore
 from repro.service.planner import Query
 from repro.service.workload import generate_queries, run_workload
@@ -626,6 +626,35 @@ class TestRoutes:
         envelope = json.loads(body)
         assert envelope["id"] == 1 and envelope["ok"] is False
         assert "finite" in envelope["error"]
+
+    @pytest.mark.parametrize("echoed", ["NaN", "Infinity", "-Infinity", "1e999", "[NaN]"])
+    def test_an_unechoable_id_is_refused_alike_on_both_transports(self, gateway, echoed):
+        # One body, both transports: refused at decode with the same
+        # envelope -- HTTP 400, and an ok:false frame before the daemon
+        # drops the stream -- instead of an answer no encoder can write.
+        address, _ = gateway
+        body = f'{{"id":{echoed},"op":"ping"}}'.encode()
+        status, _, http_body = http_request(
+            address, "POST", "/v1/acme/query", headers=(("X-API-Key", ACME_KEY),), body=body
+        )
+
+        async def tcp_exchange(tcp_address):
+            reader, writer = await asyncio.open_connection(*tcp_address)
+            writer.write(HEADER.pack(len(body)) + body)
+            await writer.drain()
+            header = await reader.readexactly(HEADER.size)
+            frame = await reader.readexactly(frame_length(header))
+            closed = await reader.read() == b""
+            writer.close()
+            return frame, closed
+
+        store = ShardedCoordinateStore.from_coordinates(synthetic_coordinates(8, seed=1))
+        with CoordinateServer(store).run_in_thread() as handle:
+            frame, closed = asyncio.run(tcp_exchange(handle.address))
+        assert status == 400
+        assert http_body == frame and closed
+        assert json.loads(frame)["ok"] is False
+        assert "no answer can echo" in json.loads(frame)["error"]
 
     def test_malformed_http_closes_the_connection(self, gateway):
         address, _ = gateway

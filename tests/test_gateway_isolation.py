@@ -200,12 +200,12 @@ class TestChaosIsolation:
             acme, globex = await clients(address)
             try:
                 globex_before = await globex.op("knn", target=SHARED_NODE, k=5)
-                install = await acme.chaos(
-                    spec="shard-kill@0+100:shard=1", seed=0
+                install = await acme.op(
+                    "chaos", spec="shard-kill@0+100:shard=1", seed=0
                 )
                 acme_degraded = await acme.op("knn", target=SHARED_NODE, k=5)
                 globex_during = await globex.op("knn", target=SHARED_NODE, k=5)
-                cleared = await acme.chaos(clear=True)
+                cleared = await acme.op("chaos", clear=True)
                 acme_after = await acme.op("knn", target=SHARED_NODE, k=5)
                 return (
                     install,

@@ -14,8 +14,9 @@ The load-bearing guarantees:
 * a traced hit shows only the cache probe, admission and the request;
 * a frame body cut short by the peer ends that connection cleanly and is
   counted, and the daemon keeps serving;
-* stopping the daemon or the gateway with an idle client connection open
-  logs no ``asyncio`` error.
+* stopping the daemon or the gateway with an idle client connection open,
+  or one cut off inside a request, logs no ``asyncio`` error, closes it
+  and leaves no connection counted open.
 """
 
 from __future__ import annotations
@@ -190,6 +191,15 @@ def test_every_request_counts_once_on_either_path(steps):
     assert len(submitted) == requests - hits
 
 
+async def _until(condition, watchdog_s=10.0):
+    """Poll ``condition`` on the loop until it holds (the watchdog only
+    turns a hang into a failure)."""
+    deadline = asyncio.get_running_loop().time() + watchdog_s
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
 class TestTruncatedFrame:
     def test_a_body_cut_short_is_counted_and_the_daemon_keeps_serving(self, caplog):
         store = _store()
@@ -201,7 +211,11 @@ class TestTruncatedFrame:
             await writer.drain()
             writer.close()
             await writer.wait_closed()
-            assert await reader.read() == b""  # the daemon ended the connection
+            assert await reader.read() == b""  # this end is closed
+            # The client's close says nothing about the daemon having read
+            # the cut frame: wait for the daemon to count it before the
+            # ping, or the stop can cancel that handler first.
+            await _until(lambda: server.engine.error_stats()["total"])
             reader, writer = await asyncio.open_connection(*address)
             writer.write(encode_frame({"id": 7, "op": "ping"}))
             await writer.drain()
@@ -221,6 +235,25 @@ class TestTruncatedFrame:
 
 
 class TestStopWithAnIdleConnection:
+    #: A request cut off inside its body: the handler is parked on a read.
+    HALF_SENT = {
+        "daemon": HEADER.pack(100) + b'{"id":1,"op":',
+        "gateway": (
+            b"POST /v1/acme/query HTTP/1.1\r\nX-API-Key: acme-secret-0001\r\n"
+            b"Content-Length: 100\r\n\r\n{\"id\":1,"
+        ),
+    }
+
+    @staticmethod
+    def _server(front):
+        if front == "daemon":
+            return CoordinateServer(_store())
+        return GatewayServer(
+            parse_gateway_config(
+                {"tenants": [{"name": "acme", "api_key": "acme-secret-0001"}]}
+            )
+        )
+
     @staticmethod
     def _round_trip(front, address):
         """One complete exchange on a fresh connection."""
@@ -235,14 +268,7 @@ class TestStopWithAnIdleConnection:
 
     @pytest.mark.parametrize("front", ["daemon", "gateway"])
     def test_stopping_logs_no_asyncio_error(self, front, caplog):
-        if front == "daemon":
-            server = CoordinateServer(_store())
-        else:
-            server = GatewayServer(
-                parse_gateway_config(
-                    {"tenants": [{"name": "acme", "api_key": "acme-secret-0001"}]}
-                )
-            )
+        server = self._server(front)
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             handle = server.run_in_thread()
             address = handle.start()
@@ -253,3 +279,18 @@ class TestStopWithAnIdleConnection:
                 self._round_trip(front, address)
                 handle.stop()
         assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    @pytest.mark.parametrize("front", ["daemon", "gateway"])
+    def test_stopping_with_a_half_sent_request_closes_it_quietly(self, front, caplog):
+        server = self._server(front)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            handle = server.run_in_thread()
+            address = handle.start()
+            with socket.create_connection(address, timeout=5.0) as half:
+                half.sendall(self.HALF_SENT[front])
+                self._round_trip(front, address)
+                handle.stop()
+                assert half.recv(1) == b""  # the stop closed it
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+        if front == "daemon":
+            assert server.registry.gauge("daemon_connections_open").value == 0

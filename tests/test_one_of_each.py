@@ -41,7 +41,7 @@ from repro.server.protocol import HEADER, decode_frame, encode_frame, frame_leng
 from repro.server.sharding import ShardedCoordinateStore, shard_of
 from repro.service.index import INDEX_KINDS, DenseIndex, _VPNode
 from repro.service.planner import Query, QueryError
-from repro.service.snapshot import SnapshotStore
+from repro.service.snapshot import ArraySnapshot, SnapshotStore
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -381,6 +381,25 @@ class TestOneOfEachInTheSourceTree:
         ]
         assert appliers == ["service/snapshot.py"]
         assert not hasattr(SnapshotStore, "from_snapshot")
+
+    def test_one_snapshot_type(self):
+        # A served generation, a snapshot file and a wire dump are one
+        # type: no object snapshot beside it, no lift, no object view.
+        import repro.service.snapshot as snapshot
+
+        snapshot_classes = [
+            name
+            for name, value in vars(snapshot).items()
+            if inspect.isclass(value)
+            and value.__module__ == snapshot.__name__
+            and name.endswith("Snapshot")
+        ]
+        assert snapshot_classes == ["ArraySnapshot"]
+        assert not hasattr(ArraySnapshot, "coordinates")
+        for path in self._modules(""):
+            text = path.read_text()
+            for gone in ("CoordinateSnapshot", "_as_array_snapshot"):
+                assert gone not in text, f"{gone} in {path.relative_to(SRC)}"
 
     def test_no_shims_and_no_warnings_under_src(self):
         for path in self._modules(""):

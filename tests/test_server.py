@@ -42,7 +42,7 @@ from repro.server.sharding import ShardGeneration, ShardedCoordinateStore, shard
 from repro.service.index import INDEX_KINDS
 from repro.service.planner import Query, QueryError
 from repro.service.publish import EpochDelta
-from repro.service.snapshot import SnapshotStore
+from repro.service.snapshot import ArraySnapshot, SnapshotStore
 from repro.service.workload import generate_queries, payload_checksum, run_workload
 
 SHARD_COUNTS = (1, 2, 3, 5)
@@ -320,6 +320,25 @@ class TestDaemon:
         assert report.offered_qps == 5000.0
         _, expected = oracle_payloads(coords, queries[:100])
         assert report.checksum == expected
+
+    def test_snapshot_dump_is_an_array_snapshot_dict(self):
+        # The wire dump reads back into the served type, field for field.
+        rng = np.random.default_rng(4)
+        ids = [f"h{i:02d}" for i in range(12)]
+        store = ShardedCoordinateStore(2)
+        store.publish_epoch(
+            ids, rng.normal(scale=50.0, size=(12, 3)), rng.uniform(0.0, 4.0, 12),
+            source="dump",
+        )
+
+        async def scenario(address):
+            async with await AsyncCoordinateClient.connect(*address) as client:
+                return await client.op("snapshot")
+
+        with serve_in_thread(store) as handle:
+            dump = asyncio.run(scenario(handle.address))["payload"]
+        assert ArraySnapshot.from_dict(dump).to_dict() == dump
+        assert dump == store.generation().snapshot.to_dict()
 
     def test_admin_ops(self):
         coords = synthetic_coordinates(16, seed=2)

@@ -22,7 +22,7 @@ from repro.service.index import (
 )
 from repro.service.planner import LRUTTLCache, Query, QueryError
 from repro.service.publish import EpochDelta
-from repro.service.snapshot import ArraySnapshot, CoordinateSnapshot, SnapshotStore
+from repro.service.snapshot import ArraySnapshot, SnapshotStore
 from repro.service.workload import (
     QUERY_MIXES,
     generate_queries,
@@ -39,6 +39,18 @@ def _random_coordinates(rng, n, *, with_heights=False):
             rng.normal(scale=60.0, size=3).tolist(), height=height
         )
     return coordinates
+
+
+def _snapshot_of(version, coordinates, *, source=""):
+    """The :class:`ArraySnapshot` holding a ``{node_id: Coordinate}`` mapping."""
+    ids = list(coordinates)
+    return ArraySnapshot(
+        version,
+        ids,
+        [coordinates[node_id].components for node_id in ids],
+        [coordinates[node_id].height for node_id in ids],
+        source=source,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -440,17 +452,17 @@ class TestDenseBatchAndArrays:
 
     def test_array_snapshot_read_api_matches_object_snapshot(self):
         ids, components, heights, coordinates, _ = self._universe(n=40)
-        objectified = CoordinateSnapshot(3, coordinates, source="obj")
         arrayified = ArraySnapshot(3, ids, components, heights, source="arr")
-        assert len(arrayified) == len(objectified)
-        assert arrayified.node_ids() == objectified.node_ids()
+        assert len(arrayified) == len(coordinates)
+        assert arrayified.node_ids() == list(coordinates)
         assert (ids[7] in arrayified) and ("nope" not in arrayified)
-        assert arrayified.coordinate_of(ids[7]) == objectified.coordinate_of(ids[7])
+        assert arrayified.coordinate_of(ids[7]) == coordinates[ids[7]]
         assert arrayified.coordinate_of("nope") is None
-        assert dict(arrayified.items()) == dict(objectified.items())
-        assert (
-            arrayified.to_dict()["coordinates"] == objectified.to_dict()["coordinates"]
-        )
+        assert dict(arrayified.items()) == coordinates
+        assert arrayified.to_dict()["coordinates"] == {
+            node_id: {"components": list(c.components), "height": c.height}
+            for node_id, c in coordinates.items()
+        }
 
     def test_array_snapshot_arrays_are_frozen(self):
         ids, components, heights, _, _ = self._universe(n=10)
@@ -560,8 +572,8 @@ class TestSnapshotStore:
         assert held.coordinate_of("a") == Coordinate([1.0, 0.0])
         assert "b" not in held
         assert store.latest().coordinate_of("a") == Coordinate([9.0, 0.0])
-        with pytest.raises(TypeError):
-            held.coordinates["a"] = Coordinate([0.0, 0.0])  # read-only proxy
+        with pytest.raises(ValueError):
+            held.arrays()[1][0, 0] = 0.0  # read-only arrays
 
     def test_retire_removes_on_next_commit(self):
         store = SnapshotStore.from_coordinates(
@@ -627,17 +639,17 @@ class TestSnapshotStore:
         assert system_store.commit().coordinate_of("host1") == Coordinate([1.0, 1.0])
 
     def test_snapshot_json_roundtrip(self, tmp_path):
-        snapshot = CoordinateSnapshot(
+        snapshot = _snapshot_of(
             3,
             {"a": Coordinate([1.5, -2.5], height=0.5), "b": Coordinate([0.0, 4.0])},
             source="roundtrip",
         )
         path = tmp_path / "snap.json"
         snapshot.save(path)
-        loaded = CoordinateSnapshot.load(path)
+        loaded = ArraySnapshot.load(path)
         assert loaded.version == 3
         assert loaded.source == "roundtrip"
-        assert dict(loaded.coordinates) == dict(snapshot.coordinates)
+        assert dict(loaded.items()) == dict(snapshot.items())
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
@@ -1034,9 +1046,7 @@ class TestServiceCli:
     @pytest.fixture()
     def snapshot_path(self, tmp_path):
         rng = np.random.default_rng(21)
-        snapshot = CoordinateSnapshot(
-            1, _random_coordinates(rng, 30), source="cli-test"
-        )
+        snapshot = _snapshot_of(1, _random_coordinates(rng, 30), source="cli-test")
         path = tmp_path / "snap.json"
         snapshot.save(path)
         return path
@@ -1072,6 +1082,23 @@ class TestServiceCli:
         bad.write_text(json.dumps({"coordinates": {"a": {"components": [None, 2.0]}}}))
         assert main(["query", "--snapshot", str(bad), "info"]) == 2
         assert "malformed snapshot" in capsys.readouterr().err
+        # A snapshot has one dimensionality: rows of different lengths are
+        # refused at load, by every command, naming the file and the row.
+        bad.write_text(
+            json.dumps(
+                {"coordinates": {"a": {"components": [1, 2]}, "b": {"components": [1, 2, 3]}}}
+            )
+        )
+        for command in (
+            ["query", "--snapshot", str(bad), "info"],
+            ["query", "--snapshot", str(bad), "knn", "a"],
+            ["query", "--snapshot", str(bad), "workload", "--count", "5"],
+            ["serve-daemon", "--snapshot", str(bad)],
+        ):
+            assert main(command) == 2, command
+            err = capsys.readouterr().err
+            assert f"snapshot file {bad}: malformed snapshot: entry for 'b'" in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_unparseable_and_missing_snapshots_are_one_line_errors(
         self, capsys, tmp_path
@@ -1133,6 +1160,15 @@ class TestServiceCli:
         assert "identical results: True" in out
         assert "cache hit rate" in out
 
+    def test_served_snapshot_file_loads_and_saves_byte_for_byte(self, tmp_path):
+        from repro.analysis.cli import main
+
+        served = tmp_path / "served.json"
+        assert main(["serve", "mesh-replay", "--out", str(served)]) == 0
+        copy = tmp_path / "copy.json"
+        ArraySnapshot.load(served).save(copy)
+        assert copy.read_bytes() == served.read_bytes()
+
     def test_serve_writes_snapshot_and_serves_queries(self, capsys, tmp_path):
         from repro.analysis.cli import main
         from repro.scenarios import ScenarioSpec
@@ -1161,6 +1197,6 @@ class TestServiceCli:
         out = capsys.readouterr().out
         assert "snapshot v1: 6 node coordinates" in out
         assert "identical results: True" in out
-        snapshot = CoordinateSnapshot.load(out_path)
+        snapshot = ArraySnapshot.load(out_path)
         assert len(snapshot) == 6
         assert snapshot.source == name

@@ -108,6 +108,9 @@ class GatewayServer:
         #: (requests, sheds, auth failures, per-route latency).  Tenant
         #: serving telemetry lives in each tenant's own registry.
         self.registry = registry if registry is not None else TelemetryRegistry()
+        self._g_connections_open = self.registry.gauge(
+            "gateway_connections_open", "Currently open client connections."
+        )
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -156,6 +159,7 @@ class GatewayServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._g_connections_open.inc()
         try:
             while True:
                 try:
@@ -195,7 +199,7 @@ class GatewayServer:
         except CLOSE_ERRORS:
             pass  # the peer went away, or a stop cancelled this handler
         finally:
-            await close_connection(writer)
+            await close_connection(writer, self._g_connections_open)
 
     def _count(self, route: str) -> None:
         self.registry.counter(

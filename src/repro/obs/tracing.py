@@ -15,11 +15,12 @@ points keep this safe to leave in hot paths:
   allocation, no clock reads; the cost is a flag check.
 * **Explicit trace propagation.**  Per-request tracing hands a
   :class:`TraceRecorder` down the call chain as an argument rather than
-  via ``contextvars`` -- the daemon executes queries with
-  ``loop.run_in_executor``, and context variables do not follow values
-  across executor threads.  A request carrying ``"trace": true`` gets a
-  recorder, every span it passes through appends a stage entry, and the
-  stages come back in the response payload.
+  via ``contextvars``, so it reaches exactly the spans of the request
+  that carries it, on whatever thread they run.  The daemon answers every
+  query on its event loop; only publishes and snapshot dumps cross to its
+  executor threads, and those are not traced.  A request carrying
+  ``"trace": true`` gets a recorder, every span it passes through appends
+  a stage entry, and the stages come back in the response payload.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class TraceRecorder:
     """Collects per-stage durations for one traced request.
 
     Appends are guarded only by the GIL; a single request's spans are
-    recorded either on the event loop or on the one executor thread
-    serving it, so entries stay ordered within each thread of execution.
+    recorded on the one thread serving it (the daemon's event loop, or an
+    in-process caller), so entries stay in order.
     """
 
     __slots__ = ("stages",)

@@ -3,8 +3,8 @@
 The serving logic is split in two layers:
 
 * :class:`RequestEngine` -- the transport-agnostic half: bounded
-  admission, thread-pool query execution, the chaos control plane and
-  every wire operation's handler.  ``await engine.process(request)``
+  admission, query execution on the event loop, the chaos control plane
+  and every wire operation's handler.  ``await engine.process(request)``
   turns one protocol request object into one response object, no socket
   involved.  The multi-tenant HTTP gateway (:mod:`repro.gateway`) runs
   one engine per tenant, which is what makes its responses byte-identical
@@ -31,13 +31,15 @@ length-prefixed JSON protocol (:mod:`repro.server.protocol`) over TCP:
   value as a retry-after hint which
   :meth:`~repro.server.client.AsyncCoordinateClient.request_with_retry`
   honors in place of its exponential backoff schedule.
-* **Non-blocking serving** -- a cache hit is answered on the event loop
-  (:meth:`~repro.server.sharding.ShardedCoordinateStore.serve_cached`
-  takes one short lock and does no index work), so the common case of a
-  read-mostly service never pays a thread hop.  Misses, publishes and
-  snapshot dumps run on a small thread pool, so a long scatter-gather at
-  50k nodes never stalls the loop's frame reading, and NumPy-backed
-  shard kernels can overlap.
+* **Queries on the loop** -- every query, hit or miss, is answered on
+  the event loop by one
+  :meth:`~repro.server.sharding.ShardedCoordinateStore.serve` call,
+  which probes the cache once.  A read-mostly service's answers are
+  short CPU work under the GIL, so a thread hop would only add a queue
+  wait and a GIL handoff to each miss.  An injected gray-failure delay
+  is a wait, not work: it is an ``asyncio.sleep`` that yields the loop.
+  Only publishes and snapshot dumps, which are long, run on a
+  two-worker thread pool.
 * **Zero-downtime ingest** -- the store's publish methods are plain
   thread-safe calls; a simulation thread streams epochs straight into
   the serving store (``run_batch_simulation(publish_store=...)``) while
@@ -75,7 +77,7 @@ from repro.server.protocol import (
     request_to_publish,
     request_to_query,
 )
-from repro.server.sharding import ServeResult, ShardedCoordinateStore
+from repro.server.sharding import ShardedCoordinateStore
 from repro.service.planner import QueryError
 
 __all__ = [
@@ -116,12 +118,11 @@ class RequestEngine:
     Everything between "a protocol request object arrived" and "here is
     its response object" lives here: the atomic admission decision, the
     deterministic chaos schedule hooks, query execution, and the per-op
-    handlers.  An admitted query probes the result cache on the event
-    loop and is answered there on a hit; misses, publishes and snapshot
-    dumps go to the thread pool.  Both paths build the same envelope.
-    The TCP daemon and the HTTP gateway are both thin shells over
-    :meth:`process`, so their answers for the same store state are
-    byte-identical by construction.
+    handlers.  An admitted query is answered on the event loop by one
+    ``store.serve`` call, hit or miss; only publishes and snapshot dumps
+    go to the thread pool.  The TCP daemon and the HTTP gateway are both
+    thin shells over :meth:`process`, so their answers for the same store
+    state are byte-identical by construction.
     """
 
     def __init__(
@@ -129,7 +130,6 @@ class RequestEngine:
         store: ShardedCoordinateStore,
         *,
         admission_limit: int = 1024,
-        executor_workers: Optional[int] = None,
         registry: Optional[TelemetryRegistry] = None,
         retry_after_ms: Optional[float] = None,
         admission_stats_extra: Optional[Callable[[], Dict[str, Any]]] = None,
@@ -151,9 +151,11 @@ class RequestEngine:
         #: Extra fields the transport merges into the ``stats`` op's
         #: admission section (the TCP daemon adds connection counters).
         self._admission_stats_extra = admission_stats_extra
+        #: Publishes and snapshot dumps only.  Publishes are serialised by
+        #: the store's ingest lock, so a second worker only lets a dump
+        #: run beside one.
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers or max(2, store.shards),
-            thread_name_prefix=thread_name_prefix,
+            max_workers=2, thread_name_prefix=thread_name_prefix
         )
         #: The admission decision stays an atomic check-and-increment
         #: under this lock; the registry instruments mirror the counts.
@@ -274,8 +276,8 @@ class RequestEngine:
         """
         request_id = request.get("id")
         op = request.get("op")
-        # Per-request tracing is explicitly propagated (not contextvars:
-        # those do not follow values into run_in_executor threads).
+        # Per-request tracing is passed explicitly, as an argument, down
+        # to the store's spans.
         trace = TraceRecorder() if request.get("trace") else None
         span_op = op if isinstance(op, str) and op in OPS else "invalid"
         try:
@@ -344,13 +346,14 @@ class RequestEngine:
             except (ProtocolError, QueryError) as exc:
                 return {"id": request_id, "ok": False, "error": str(exc)}
             if query is not None:
-                hit = self.store.serve_cached(query, trace=trace)
-                if hit is not None:
-                    return self._query_response(request_id, hit)
-                loop = asyncio.get_running_loop()
-                return await loop.run_in_executor(
-                    self._executor, self._serve_query, request_id, query, trace
-                )
+                if chaos is not None and query.kind != "pairwise":
+                    delay_ms = chaos.serve_delay_ms()
+                    if delay_ms > 0.0:
+                        # Injected gray failure: the slow shard's extra
+                        # service time, charged to every scatter query.
+                        # A wait, not work, so it yields the loop.
+                        await asyncio.sleep(delay_ms / 1e3)
+                return self._serve_query(request_id, query, trace)
             if op == "ping":
                 return {"id": request_id, "ok": True, "payload": {"pong": True}}
             if op == "hello":
@@ -560,7 +563,7 @@ class RequestEngine:
     def _serve_query(
         self, request_id: Any, query, trace: Optional[TraceRecorder] = None
     ) -> Dict[str, Any]:
-        """Executed on the thread pool: pin a generation, serve, respond."""
+        """Answer one admitted query on the loop: serve it and respond."""
         try:
             result = self.store.serve(query, trace=trace)
         except QueryError as exc:
@@ -568,11 +571,6 @@ class RequestEngine:
             if events is not None:
                 events.emit("shard_error", query_kind=query.kind, error=str(exc))
             return {"id": request_id, "ok": False, "error": str(exc)}
-        return self._query_response(request_id, result)
-
-    @staticmethod
-    def _query_response(request_id: Any, result: ServeResult) -> Dict[str, Any]:
-        """The wire envelope of one served query, hit or miss alike."""
         response = {
             "id": request_id,
             "ok": True,
@@ -589,7 +587,12 @@ class RequestEngine:
 
 
 class CoordinateServer:
-    """Serve a sharded coordinate store over the wire protocol (TCP)."""
+    """Serve a sharded coordinate store over the wire protocol (TCP).
+
+    The loop reads frames and answers every query itself, through its
+    :class:`RequestEngine`; only publishes and snapshot dumps leave it,
+    for the engine's two-worker pool.
+    """
 
     def __init__(
         self,
@@ -599,7 +602,6 @@ class CoordinateServer:
         port: int = 0,
         max_in_flight_per_connection: int = 32,
         admission_limit: int = 1024,
-        executor_workers: Optional[int] = None,
         registry: Optional[TelemetryRegistry] = None,
         trace_spans: bool = False,
         retry_after_ms: Optional[float] = None,
@@ -618,7 +620,6 @@ class CoordinateServer:
         self.engine = RequestEngine(
             store,
             admission_limit=admission_limit,
-            executor_workers=executor_workers,
             registry=self.registry,
             retry_after_ms=retry_after_ms,
             admission_stats_extra=self._connection_stats,

@@ -67,10 +67,9 @@ changes nothing about it.
 
 Thread-safety: publishes are serialised by an ingest lock; serving reads
 one volatile reference and immutable data plus a small stats lock, so any
-number of threads (or event-loop executors) can query concurrently with
-ingest.  :meth:`ShardedCoordinateStore.serve_cached` is the part of
-serving that never sleeps and does no index work -- a cache hit -- so
-the daemon runs it on its event loop and sends only misses to its pool.
+number of threads can query concurrently with ingest.
+:meth:`ShardedCoordinateStore.serve` never sleeps, so the daemon calls it
+on its event loop for every query, hit or miss.
 """
 
 from __future__ import annotations
@@ -433,7 +432,8 @@ class ShardedCoordinateStore:
         #: A :class:`repro.chaos.injector.ChaosInjector` when a fault
         #: schedule is active; the store consults it at publish entry
         #: (never under the ingest lock -- see the injector's lock-order
-        #: note) and for the injected gray-failure delay while serving.
+        #: note) and counts degraded answers into it.  The gray-failure
+        #: delay is the daemon's to wait out, not the store's.
         self.chaos = None
 
     # ------------------------------------------------------------------
@@ -778,42 +778,16 @@ class ShardedCoordinateStore:
     def version(self) -> int:
         return self._generation.version
 
-    def serve_cached(
-        self, query: Query, *, trace: Optional[TraceRecorder] = None
-    ) -> Optional[ServeResult]:
-        """The current generation's cached answer to ``query``, or None.
-
-        Safe to call on an event loop: it takes only the short stats lock
-        and does no index work.  A hit is counted exactly as
-        :meth:`serve` counts one; a miss is not counted, because the
-        caller's next step is :meth:`serve`, which probes again and counts
-        what it finds.  Returns None without probing while a chaos
-        schedule is installed (the gray-failure delay sleeps inside
-        :meth:`serve`) or any shard is down (degraded answers bypass the
-        cache).
-        """
-        if self.chaos is not None or self._down_shards:
-            return None
-        pinned = self._generation
-        hit = self._cached(pinned, query, trace, count_miss=False)
-        if hit is not None:
-            self._observe_age(pinned)
-        return hit
-
     def _cached(
         self,
         pinned: ShardGeneration,
         query: Query,
         trace: Optional[TraceRecorder],
-        *,
-        count_miss: bool,
     ) -> Optional[ServeResult]:
         """The one cache-hit branch: probe ``(version, query)``, count a hit."""
         with make_span(self.registry, "store.cache", trace, {"kind": query.kind}):
             with self._stats_lock:
-                found, payload = self.cache.get(
-                    (pinned.version, query), count_miss=count_miss
-                )
+                found, payload = self.cache.get((pinned.version, query))
         if not found:
             return None
         stats = self._serve_stats[query.kind]
@@ -856,20 +830,17 @@ class ShardedCoordinateStore:
         Passing a :class:`TraceRecorder` collects per-stage durations
         (cache probe, per-shard scatter, merge) for this one request even
         when the registry's spans are globally disabled.
+
+        It never sleeps, so an event loop may call it: an injected
+        gray-failure delay is waited out by the caller
+        (:class:`~repro.server.daemon.RequestEngine`) before it calls this.
         """
         pinned = generation if generation is not None else self._generation
         self._observe_age(pinned)
-        chaos = self.chaos
-        if chaos is not None:
-            delay_ms = chaos.serve_delay_ms()
-            if delay_ms > 0.0 and query.kind != "pairwise":
-                # Injected gray failure: the slow shard's extra service
-                # time, charged to every scatter query.
-                time.sleep(delay_ms / 1e3)
         down = self._down_shards
         degraded = bool(down) and query.kind != "pairwise"
         if not degraded:
-            hit = self._cached(pinned, query, trace, count_miss=True)
+            hit = self._cached(pinned, query, trace)
             if hit is not None:
                 return hit
         stats = self._serve_stats[query.kind]
@@ -887,6 +858,7 @@ class ShardedCoordinateStore:
             raise
         elapsed_ms = (self._timer() - started) * 1e3
         if degraded:
+            chaos = self.chaos
             if chaos is not None:
                 chaos.note_degraded()
             stats.served.inc()
@@ -968,7 +940,7 @@ class ShardedCoordinateStore:
                 continue  # serve() raises the canonical error
             if query in scheduled:
                 continue  # a duplicate: hits the cache in the per-query pass
-            hit = self._cached(pinned, query, None, count_miss=True)
+            hit = self._cached(pinned, query, None)
             if hit is not None:
                 self._observe_age(pinned)
                 slots[position] = hit

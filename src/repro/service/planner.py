@@ -419,16 +419,11 @@ class LRUTTLCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Any, *, count_miss: bool = True) -> Tuple[bool, Any]:
-        """(found, value); a hit becomes the most recently used entry.
-
-        ``count_miss=False`` leaves a miss uncounted, for a caller whose
-        miss is followed by a counted lookup of the same request.
-        """
+    def get(self, key: Any) -> Tuple[bool, Any]:
+        """(found, value); a hit becomes the most recently used entry."""
         value = self._entries.get(key, _ABSENT)
         if value is _ABSENT:
-            if count_miss:
-                self.misses += 1
+            self.misses += 1
             return False, None
         self._entries.move_to_end(key)
         self.hits += 1

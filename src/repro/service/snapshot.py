@@ -177,9 +177,10 @@ class ArraySnapshot:
         """The snapshot :meth:`to_dict` describes.
 
         ``version`` defaults to 1, ``source`` to ``""`` and a row's
-        ``height`` to 0.0; every row needs the first row's dimensionality.
-        A malformed payload raises a one-line ``ValueError`` that names
-        the offending entry.
+        ``height`` to 0.0.  Components and heights must be JSON numbers (a
+        numeric string or a boolean is refused, not converted), and every
+        row needs the first row's dimensionality.  A malformed payload
+        raises a one-line ``ValueError`` that names the offending entry.
         """
         if not isinstance(payload, Mapping):
             raise ValueError(
@@ -201,12 +202,22 @@ class ArraySnapshot:
         heights: List[Any] = []
         for node_id, entry in entries.items():
             try:
-                rows.append(entry["components"])
+                row = entry["components"]
             except (TypeError, KeyError):
                 raise ValueError(
                     f"malformed snapshot: entry for {node_id!r} has no 'components'"
                 ) from None
-            heights.append(entry.get("height", 0.0))
+            height = entry.get("height", 0.0)
+            if not (
+                isinstance(row, (list, tuple))
+                and _NUMBERS.issuperset(map(type, row))
+                and type(height) in _NUMBERS
+            ):
+                raise ValueError(
+                    f"malformed snapshot: {_not_numbers(node_id, row, height)}"
+                )
+            rows.append(row)
+            heights.append(height)
         try:
             return cls(
                 version,
@@ -245,15 +256,30 @@ class ArraySnapshot:
             raise ValueError(f"snapshot file {path}: {exc}") from None
 
 
+#: The Python types JSON numbers decode to (``bool`` is not one of them).
+_NUMBERS = frozenset((int, float))
+
+
+def _not_numbers(node_id: str, row: Any, height: Any) -> str:
+    """Why one entry's components or height are not JSON numbers."""
+    if not isinstance(row, (list, tuple)):
+        kind = type(row).__name__
+        return f"entry for {node_id!r}: 'components' must be a list, got {kind}"
+    for value in row:
+        if type(value) not in _NUMBERS:
+            return (
+                f"entry for {node_id!r}: 'components' must be JSON numbers, "
+                f"got {value!r}"
+            )
+    return f"entry for {node_id!r}: 'height' must be a JSON number, got {height!r}"
+
+
 def _bad_entry(
     node_ids: Sequence[str], rows: Sequence[Any], heights: Sequence[Any]
 ) -> Optional[str]:
     """The first entry :meth:`ArraySnapshot.from_dict` cannot take, and why."""
     first = None
     for node_id, row, height in zip(node_ids, rows, heights):
-        if not isinstance(row, (list, tuple)):
-            kind = type(row).__name__
-            return f"entry for {node_id!r}: 'components' must be a list, got {kind}"
         try:
             dimensions = Coordinate(row, height).dimensions
         except (TypeError, ValueError) as exc:

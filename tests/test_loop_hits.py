@@ -1,16 +1,19 @@
-"""Cache hits are answered on the event loop; only misses take the pool.
+"""Every query is answered on the event loop; only publishes and
+snapshot dumps take the engine's thread pool.
 
 The load-bearing guarantees:
 
-* after one miss, repeated hits submit nothing to the engine's thread
-  pool -- and a hit's response is the miss's but for ``cached``;
-* the loop-side probe stands aside whenever :meth:`serve` must run: with
-  a chaos schedule installed (the gray-failure delay sleeps inside it) or
-  a shard down (degraded answers bypass the cache in both directions);
+* no query op submits anything to the pool -- a miss, a hit, a query
+  under an installed chaos schedule or one served degraded with a shard
+  down -- and a hit's response is the miss's but for ``cached``;
+* ``publish`` and ``snapshot`` still run on the pool;
+* an injected gray-failure delay is waited out without blocking the
+  loop: on the daemon and on the gateway, a ping sent while a slowed
+  query waits is answered first;
 * every request is counted exactly once -- cache hits + misses, served,
-  cache-hit counters and the publish-to-serve age histogram -- whichever
-  path answered it (a hypothesis property over hit / miss / publish
-  streams);
+  cache-hit counters and the publish-to-serve age histogram -- whether
+  the cache answered it or not (a hypothesis property over hit / miss /
+  publish streams);
 * a traced hit shows only the cache probe, admission and the request;
 * a frame body cut short by the peer ends that connection cleanly and is
   counted, and the daemon keeps serving;
@@ -34,6 +37,8 @@ from repro.chaos.schedule import FaultSchedule
 from repro.core.coordinate import Coordinate
 from repro.gateway.app import GatewayServer
 from repro.gateway.config import parse_gateway_config
+from repro.gateway.client import GatewayClient
+from repro.server.client import AsyncCoordinateClient
 from repro.server.daemon import CoordinateServer, RequestEngine
 from repro.server.protocol import HEADER, decode_frame, encode_frame, frame_length
 from repro.server.sharding import ShardedCoordinateStore
@@ -76,14 +81,14 @@ class TestHitsStayOnTheLoop:
     def test_hits_after_one_miss_submit_nothing(self):
         engine, submitted = _counting_engine(_store())
         responses = _run(engine, [{**KNN, "id": n} for n in range(6)])
-        assert submitted == ["_serve_query"]
+        assert submitted == []
         assert [r["cached"] for r in responses] == [False] + [True] * 5
         miss = responses[0]
         for hit in responses[1:]:
             assert hit["payload"] is miss["payload"]
             assert {**hit, "id": 0, "cached": False} == {**miss, "id": 0}
 
-    def test_a_chaos_schedule_sends_hits_to_the_pool(self):
+    def test_a_chaos_schedule_keeps_queries_on_the_loop(self):
         store = _store()
         engine, submitted = _counting_engine(store)
 
@@ -101,9 +106,9 @@ class TestHitsStayOnTheLoop:
         finally:
             engine.shutdown()
         assert [r["cached"] for r in before + during] == [False] + [True] * 5
-        assert submitted == ["_serve_query"] * 4  # the miss, then every hit
+        assert submitted == []
 
-    def test_a_down_shard_sends_hits_to_the_pool_and_bypasses_the_cache(self):
+    def test_a_down_shard_serves_on_the_loop_uncached(self):
         store = _store(cache_entries=64)
         engine, submitted = _counting_engine(store)
 
@@ -123,11 +128,28 @@ class TestHitsStayOnTheLoop:
         for response in degraded:
             assert response["partial"] and response["missing_shards"] == [1]
             assert not response["cached"]
-        assert submitted == ["_serve_query"] * 4  # the miss and each degraded one
+        assert submitted == []
         # Nothing degraded was cached, and the full answer survived.
         assert restored["cached"] and "partial" not in restored
         assert restored["payload"] is healthy[0]["payload"]
         assert len(store.cache) == 1
+
+    def test_publish_and_snapshot_still_take_the_pool(self):
+        engine, submitted = _counting_engine(_store())
+        published, snapshot = _run(
+            engine,
+            [
+                {
+                    "op": "publish",
+                    "delta": True,
+                    "nodes": ["n00"],
+                    "components": [[9.0, 9.0]],
+                },
+                {"op": "snapshot"},
+            ],
+        )
+        assert published["ok"] and snapshot["ok"]
+        assert submitted == ["_serve_publish", "to_dict"]
 
     def test_a_traced_hit_shows_only_probe_admission_and_request(self):
         engine, _ = _counting_engine(_store())
@@ -187,8 +209,8 @@ def test_every_request_counts_once_on_either_path(steps):
         registry.counter("store_cache_hits_total", kind=kind).value for kind in QUERY_KINDS
     ) == hits
     assert registry.histogram("store_serve_generation_age_ms").count == requests
-    # Only misses paid the thread hop.
-    assert len(submitted) == requests - hits
+    # No query took the thread pool, hit or miss.
+    assert submitted == []
 
 
 async def _until(condition, watchdog_s=10.0):
@@ -198,6 +220,68 @@ async def _until(condition, watchdog_s=10.0):
     while not condition():
         assert asyncio.get_running_loop().time() < deadline, "condition never held"
         await asyncio.sleep(0.001)
+
+
+class TestGrayDelayYieldsTheLoop:
+    """A gray-failure delay is waited out on the loop, never slept on it."""
+
+    SPEC = "shard-slow@0+1000000:shard=0:delay_ms=300"
+
+    @staticmethod
+    def _front(front):
+        """``(server, engine, connect)``: one front, the engine answering
+        its queries and a ``connect(host, port)`` for its client."""
+        if front == "daemon":
+            server = CoordinateServer(_store())
+            return server, server.engine, AsyncCoordinateClient.connect
+        tenant = {"name": "acme", "api_key": "acme-secret-0001"}
+        server = GatewayServer(
+            parse_gateway_config(
+                {"tenants": [{**tenant, "data": {"synthetic": 36, "seed": 1}}]}
+            )
+        )
+
+        def connect(host, port):
+            return GatewayClient.connect(
+                f"http://{host}:{port}", tenant["name"], tenant["api_key"]
+            )
+
+        return server, server.tenants.tenants["acme"].engine, connect
+
+    @pytest.mark.parametrize("front", ["daemon", "gateway"])
+    def test_a_ping_overtakes_a_slowed_query(self, front):
+        server, engine, connect = self._front(front)
+        target = engine.store.generation().node_order[0]
+
+        async def scenario(address):
+            slow, quick = await connect(*address), await connect(*address)
+            order = []
+
+            async def send(client, request):
+                response = await client.request(request, timeout=30.0)
+                order.append(request["op"])
+                return response
+
+            try:
+                assert (await slow.op("chaos", spec=self.SPEC))["ok"]
+                nearest = asyncio.ensure_future(
+                    send(slow, {"op": "nearest", "target": target})
+                )
+                # The nearest is admitted, so it is waiting out its delay,
+                # before the ping goes out on the other connection.
+                await _until(lambda: engine.admission_stats()["in_flight"] == 1)
+                ping = await send(quick, {"op": "ping"})
+                slowed = await nearest
+            finally:
+                await slow.close()
+                await quick.close()
+            return order, ping, slowed
+
+        with server.run_in_thread() as handle:
+            order, ping, slowed = asyncio.run(scenario(handle.address))
+        assert order == ["ping", "nearest"]
+        assert ping["ok"] and ping["payload"] == {"pong": True}
+        assert slowed["ok"] and "partial" not in slowed
 
 
 class TestTruncatedFrame:
@@ -292,5 +376,4 @@ class TestStopWithAnIdleConnection:
                 handle.stop()
                 assert half.recv(1) == b""  # the stop closed it
         assert [r for r in caplog.records if r.name == "asyncio"] == []
-        if front == "daemon":
-            assert server.registry.gauge("daemon_connections_open").value == 0
+        assert server.registry.gauge(f"{front}_connections_open").value == 0

@@ -16,7 +16,7 @@ sharded store).  These tests hold the collapse in place:
 * a served payload is one shared read-only value: the miss returns the
   object the cache keeps and every hit returns it again, uncopied;
 * structurally, there is one of each under ``src/``, one serving front
-  included.
+  and one query path (every query on the event loop) included.
 """
 
 from __future__ import annotations
@@ -400,6 +400,20 @@ class TestOneOfEachInTheSourceTree:
             text = path.read_text()
             for gone in ("CoordinateSnapshot", "_as_array_snapshot"):
                 assert gone not in text, f"{gone} in {path.relative_to(SRC)}"
+
+    def test_one_query_path_on_the_loop(self):
+        # Every query is one ``store.serve`` call on the event loop: no
+        # loop-side probe beside it, no uncounted miss, no pool knob, and
+        # the pool serves only publishes and snapshot dumps.
+        for path in self._modules(""):
+            text = path.read_text()
+            for gone in ("serve_cached", "count_miss", "executor_workers"):
+                assert gone not in text, f"{gone} in {path.relative_to(SRC)}"
+        daemon = (SRC / "server" / "daemon.py").read_text()
+        hops = re.findall(r"run_in_executor\(\s*self\._executor, ([\w.]+)", daemon)
+        assert hops == ["self._serve_publish", "generation.snapshot.to_dict"]
+        serve = inspect.getsource(ShardedCoordinateStore.serve)
+        assert "sleep(" not in serve
 
     def test_no_shims_and_no_warnings_under_src(self):
         for path in self._modules(""):

@@ -1082,6 +1082,19 @@ class TestServiceCli:
         bad.write_text(json.dumps({"coordinates": {"a": {"components": [None, 2.0]}}}))
         assert main(["query", "--snapshot", str(bad), "info"]) == 2
         assert "malformed snapshot" in capsys.readouterr().err
+        # Components and heights are JSON numbers: a numeric string or a
+        # boolean is refused, never converted.
+        for entry in (
+            {"components": ["1.5", 2.0]},
+            {"components": [1.5, True]},
+            {"components": [1.5, 2.0], "height": "2"},
+            {"components": [1.5, 2.0], "height": False},
+        ):
+            bad.write_text(json.dumps({"coordinates": {"a": entry}}))
+            assert main(["query", "--snapshot", str(bad), "info"]) == 2
+            err = capsys.readouterr().err
+            assert f"snapshot file {bad}: malformed snapshot: entry for 'a'" in err
+            assert len(err.strip().splitlines()) == 1
         # A snapshot has one dimensionality: rows of different lengths are
         # refused at load, by every command, naming the file and the row.
         bad.write_text(

@@ -9,6 +9,9 @@ placement 1-median -- without touching every node:
   satisfies the triangle inequality even with Vivaldi height terms, which
   is all the vp-tree's pruning bounds require.  Queries inspect
   ``O(log n)``-ish nodes on the paper's low-dimensional embeddings.
+  The tree is one flat node table walked without touching a
+  ``Coordinate``; its leaves are ``_LEAF_SIZE``-row slices of flat arrays
+  scored by the same array kernel as the dense index.
 * :class:`DenseIndex` -- batched brute-force over flat NumPy arrays, for
   batch access.  Every query runs one pruned-and-certified kernel: a
   single query is a batch of one, and the *batch* entry points
@@ -31,12 +34,13 @@ rebuilds it, so bulk ``update_many`` loads cost one build, not n.
 
 from __future__ import annotations
 
-from heapq import heappush, heapreplace, merge
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heapify, heappush, heapreplace, merge
+from math import inf, sqrt
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coordinate import Coordinate, sequential_sum
+from repro.core.coordinate import Coordinate
 from repro.overlay.knn import CoordinateIndex
 
 __all__ = ["INDEX_KINDS", "build_index", "index_over", "VPTreeIndex", "DenseIndex"]
@@ -44,8 +48,10 @@ __all__ = ["INDEX_KINDS", "build_index", "index_over", "VPTreeIndex", "DenseInde
 #: Registered index kinds, resolvable through :func:`build_index`.
 INDEX_KINDS = ("linear", "vptree", "dense")
 
-#: Rows per vp-tree leaf slice.
-_LEAF_SIZE = 12
+#: Max rows per vp-tree leaf slice, from a per-shard sweep (25k 3-d rows,
+#: k=3, radius 20 ms, 2-vCPU host): kNN was flat from 32 to 96 rows and
+#: 1.2x slower at 12; range gained up to 128.  Each leaf is one array call.
+_LEAF_SIZE = 64
 
 #: Overlay/compaction policy for delta-derived indexes (see
 #: ``delta_applied``).  A derived index absorbs incremental epochs until
@@ -105,9 +111,10 @@ def _euclidean(components: np.ndarray, origin: np.ndarray) -> np.ndarray:
     the leading axes (one point, or one point per row).
     """
     delta = components - origin
-    acc = delta[..., 0] * delta[..., 0]
+    squares = delta * delta
+    acc = squares[..., 0]
     for j in range(1, delta.shape[-1]):
-        acc = acc + delta[..., j] * delta[..., j]
+        acc = acc + squares[..., j]
     return np.sqrt(acc)
 
 
@@ -138,20 +145,24 @@ def _distances_from(
     return _rtts(origin, target.height, components, heights)
 
 
-def _total_costs(
-    endpoints: Sequence[Coordinate], components: np.ndarray, heights: np.ndarray
-) -> np.ndarray:
+def _origins(endpoints: Sequence[Coordinate], components: np.ndarray) -> list:
+    """Each endpoint as ``(components array, height)``, checked against the rows."""
+    for endpoint in endpoints:
+        _check_dimensions(endpoint, components)
+    return [(np.asarray(e.components, dtype=np.float64), e.height) for e in endpoints]
+
+
+def _total_costs(origins: list, components: np.ndarray, heights: np.ndarray) -> np.ndarray:
     """``sequential_sum(row.distance(e) for e in endpoints)`` for every row.
 
+    ``origins`` are the endpoints as :func:`_origins` gives them.
     ``row.distance(e)`` adds the row height before the endpoint height,
     the mirror image of :func:`_distances_from` (float addition is not
     associative), and endpoints are summed in ``sequential_sum``'s order.
     """
     costs = 0.0
-    for endpoint in endpoints:
-        _check_dimensions(endpoint, components)
-        origin = np.asarray(endpoint.components, dtype=np.float64)
-        costs = costs + ((_euclidean(components, origin) + heights) + endpoint.height)
+    for origin, height in origins:
+        costs = costs + ((_euclidean(components, origin) + heights) + height)
     return costs
 
 
@@ -261,52 +272,29 @@ class _SpatialIndex(CoordinateIndex):
         raise NotImplementedError
 
 
-class _KBest:
-    """A bounded best-k collector ordered by (distance, insertion seq)."""
-
-    __slots__ = ("k", "_heap")
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        # Max-heap via negated keys: worst surviving candidate on top.
-        self._heap: List[Tuple[float, int, str]] = []
-
-    @property
-    def threshold(self) -> float:
-        """Current k-th best distance (inf until k candidates are held)."""
-        if len(self._heap) < self.k:
-            return float("inf")
-        return -self._heap[0][0]
-
-    def offer(self, distance: float, seq: int, node_id: str) -> None:
-        if len(self._heap) < self.k:
-            heappush(self._heap, (-distance, -seq, node_id))
-            return
-        worst_distance, worst_seq = -self._heap[0][0], -self._heap[0][1]
-        if distance < worst_distance or (distance == worst_distance and seq < worst_seq):
-            heapreplace(self._heap, (-distance, -seq, node_id))
-
-    def sorted_results(self) -> List[Tuple[str, float]]:
-        ranked = sorted((-d, -seq, node_id) for d, seq, node_id in self._heap)
-        return [(node_id, distance) for distance, _, node_id in ranked]
-
-
 # ----------------------------------------------------------------------
 # Vantage-point tree
 # ----------------------------------------------------------------------
-class _VPNode:
-    __slots__ = ("seq", "node_id", "coordinate", "mu", "radius", "children", "lo", "hi")
+class _VPTable(NamedTuple):
+    """A vp-tree as parallel per-node lists; node 0 is the root.
 
-    def __init__(self) -> None:
-        self.seq = 0
-        self.node_id = ""
-        self.coordinate: Optional[Coordinate] = None
-        self.mu = 0.0
-        #: Max distance from the vantage to any point in this subtree.
-        self.radius = 0.0
-        #: Inner nodes only; a leaf (no coordinate) is leaf-array rows [lo, hi).
-        self.children: List[Optional["_VPNode"]] = [None, None]
-        self.lo = self.hi = 0
+    An inner node has a vantage point (its components as a tuple of
+    floats), height, insertion seq and id, the split distance ``mu``,
+    the ``radius`` (max distance from the vantage to any point below it)
+    and the ``near`` / ``far`` child nodes.  A leaf has ``None`` for a
+    point and is the leaf-array rows ``[lo, hi)``.
+    """
+
+    points: List[Optional[Tuple[float, ...]]]
+    heights: List[float]
+    seqs: List[int]
+    ids: List[str]
+    mus: List[float]
+    radii: List[float]
+    lo: List[int]
+    hi: List[int]
+    near: List[int]
+    far: List[int]
 
 
 class VPTreeIndex(_SpatialIndex):
@@ -316,15 +304,19 @@ class VPTreeIndex(_SpatialIndex):
     structure -- and therefore traversal order and results -- is a pure
     function of the index contents.
 
-    Only the pruning walk over inner nodes is scalar (one
-    ``Coordinate.distance`` per vantage).  A leaf is a ``[lo, hi)`` slice
-    of four flat arrays in leaf order (``_leaf_ids``, ``_leaf_components``,
-    ``_leaf_heights``, ``_leaf_seqs``), scored by the oracle-exact array
-    kernel: once per leaf for ``nearest`` / ``min_cost_host``, once over
-    all reached leaves for ``within``.
+    The tree is one flat node table (:class:`_VPTable`, ``_table``),
+    built eagerly with the index.  Only the pruning walk over inner nodes
+    is scalar: each vantage distance is computed inline from the table's
+    float tuples, in ``Coordinate.distance``'s own operations and operand
+    order, and no walk touches a ``Coordinate``.  A leaf is a ``[lo, hi)``
+    slice of four flat arrays in leaf order (``_leaf_ids``,
+    ``_leaf_components``, ``_leaf_heights``, ``_leaf_seqs``) of up to
+    ``_LEAF_SIZE`` rows, scored by the oracle-exact array kernel: once
+    per leaf for ``nearest`` / ``min_cost_host``, once over all reached
+    leaves for ``within``.
 
     Incremental epochs (:meth:`delta_applied`) never restructure the
-    tree: a derived index shares its base's tree, leaf arrays and
+    tree: a derived index shares its base's node table, leaf arrays and
     per-node maps (``_coordinates`` / ``_seq``, which then describe the
     tree only), masks stale tree entries with a *tombstone* set and
     carries the changed rows in an *overlay* of four arrays of the same
@@ -337,7 +329,7 @@ class VPTreeIndex(_SpatialIndex):
 
     def __init__(self) -> None:
         super().__init__()
-        self._root: Optional[_VPNode] = None
+        self._table: Optional[_VPTable] = None
         #: Tree entries that are stale (their node changed or left).
         self._tombstones: frozenset = frozenset()
         self._leaf_ids: List[str] = []
@@ -434,40 +426,48 @@ class VPTreeIndex(_SpatialIndex):
         self._tombstones = frozenset()
         self._clear_overlay()
         entries, components, heights = self._entry_arrays()
-        self._root = None
+        self._table = None
         if not entries:
             return
+        nodes: List[tuple] = []  # the table's rows up to ``near`` / ``far``
+        near: List[int] = []
+        far: List[int] = []
         leaves: List[np.ndarray] = []
         filled = 0
-        root_holder: List[Optional[_VPNode]] = [None, None]
-        stack: List[Tuple[np.ndarray, List[Optional[_VPNode]], int]] = [
-            (np.arange(len(entries)), root_holder, 0)
-        ]
+        # (rows, parent node, the parent's child links to fill in)
+        stack: List[Tuple[np.ndarray, int, List[int]]] = [(np.arange(len(entries)), -1, near)]
         while stack:
-            rows, holder, slot = stack.pop()
-            node = _VPNode()
-            holder[slot] = node
+            rows, parent, links = stack.pop()
+            node = len(nodes)
+            if parent >= 0:
+                links[parent] = node
+            near.append(-1)
+            far.append(-1)
             if len(rows) > _LEAF_SIZE:
-                vantage = entries[rows[0]]
+                vantage = rows[0]
                 rest = rows[1:]
-                distances = _distances_from(vantage[2], components[rest], heights[rest])
+                distances = _rtts(
+                    components[vantage], heights[vantage], components[rest], heights[rest]
+                )
                 median = (len(rest) - 1) // 2
                 mu = float(np.partition(distances, median)[median])
-                far = distances > mu
+                beyond = distances > mu
                 # No far side means no split progress (duplicate-heavy
                 # group): finish as a leaf instead of chaining one
                 # vantage per level.
-                if far.any():
-                    node.seq, node.node_id, node.coordinate = vantage
-                    node.mu = mu
-                    node.radius = float(distances.max())
-                    stack.append((rest[~far], node.children, 0))
-                    stack.append((rest[far], node.children, 1))
+                if beyond.any():
+                    seq, node_id, coordinate = entries[vantage]
+                    nodes.append((
+                        coordinate.components, coordinate.height, seq, node_id,
+                        mu, float(distances.max()), 0, 0,
+                    ))
+                    stack.append((rest[~beyond], node, near))
+                    stack.append((rest[beyond], node, far))
                     continue
-            node.lo, node.hi = filled, filled + len(rows)
-            filled = node.hi
+            nodes.append((None, 0.0, -1, "", 0.0, 0.0, filled, filled + len(rows)))
+            filled += len(rows)
             leaves.append(rows)
-        self._root = root_holder[0]
+        self._table = _VPTable(*(list(column) for column in zip(*nodes)), near, far)
         order = np.concatenate(leaves).tolist()
         self._leaf_ids = [entries[row][1] for row in order]
         self._leaf_seqs = np.asarray([entries[row][0] for row in order], dtype=np.int64)
@@ -484,16 +484,17 @@ class VPTreeIndex(_SpatialIndex):
     ) -> Optional["VPTreeIndex"]:
         """A new index with the delta applied, or ``None`` to compact.
 
-        The returned index shares this one's tree and per-node maps; its
-        own state is the cumulative overlay and tombstones, so deriving
-        costs the delta plus a copy of that state, not the population.
+        The returned index shares this one's node table, leaf arrays and
+        per-node maps; its own state is the cumulative overlay and
+        tombstones, so deriving costs the delta plus a copy of that state,
+        not the population.
         This index is not mutated and keeps answering queries for its
         own generation.
         """
         self._ensure_built()
         if not changed_ids and not removed_ids:
             return self
-        if self._root is None:
+        if self._table is None:
             return None
         changed_components = np.asarray(changed_components, dtype=np.float64)
         changed_heights = np.asarray(changed_heights, dtype=np.float64)
@@ -569,7 +570,7 @@ class VPTreeIndex(_SpatialIndex):
         clone._coordinates = self._coordinates
         clone._seq = tree_seq
         clone._next_seq = next_seq
-        clone._root = self._root
+        clone._table = self._table
         clone._leaf_ids = self._leaf_ids
         clone._leaf_components = self._leaf_components
         clone._leaf_heights = self._leaf_heights
@@ -586,6 +587,9 @@ class VPTreeIndex(_SpatialIndex):
         return clone
 
     # -- queries -------------------------------------------------------
+    # Each vantage distance is ``Coordinate.distance``'s float, inline:
+    # squares summed left to right, ``sqrt``, then the two heights in its
+    # order.  Dimensions are checked up front (``zip`` would truncate).
     def nearest(
         self,
         target: Coordinate,
@@ -596,16 +600,14 @@ class VPTreeIndex(_SpatialIndex):
         if k < 1:
             raise ValueError("k must be >= 1")
         self._ensure_built()
-        if self._root is None:
+        table = self._table
+        if table is None:
             return []
+        _check_dimensions(target, self._leaf_components)
         excluded = set(exclude)
         tombstones = self._tombstones
-        best = _KBest(k)
-
-        def offer(distance: float, seq: int, node_id: str) -> None:
-            if node_id not in excluded and node_id not in tombstones:
-                best.offer(distance, seq, node_id)
-
+        # Max-heap of the best k via negated keys: worst survivor on top.
+        heap: List[Tuple[float, int, str]] = []
         # Overlay first: its exact distances tighten the pruning
         # threshold before the tree walk starts.  At most |excluded| of
         # the overlay's best k + |excluded| rows are skipped, so the k
@@ -614,46 +616,77 @@ class VPTreeIndex(_SpatialIndex):
             distances = _distances_from(target, self._ov_components, self._ov_heights)
             for row in _best_rows(distances, self._ov_seqs, k + len(excluded)).tolist():
                 node_id = self._ov_ids[row]
-                if node_id not in excluded:
-                    best.offer(float(distances[row]), int(self._ov_seqs[row]), node_id)
-        stack: List[Tuple[_VPNode, float]] = [(self._root, 0.0)]
+                if node_id not in excluded and len(heap) < k:
+                    heap.append((-float(distances[row]), -int(self._ov_seqs[row]), node_id))
+            heapify(heap)
+        threshold = -heap[0][0] if len(heap) == k else inf
+        points, vantage_heights, seqs, ids, mus, radii, los, his, nears, fars = table
+        leaf_ids, leaf_seqs = self._leaf_ids, self._leaf_seqs
+        leaf_components, leaf_heights = self._leaf_components, self._leaf_heights
+        point_t, height_t = target.components, target.height
+        origin = np.asarray(point_t, dtype=np.float64)
+        stack: List[Tuple[int, float]] = [(0, 0.0)]
         while stack:
             node, bound = stack.pop()
-            if bound > best.threshold:
+            if bound > threshold:
                 continue
-            if node.coordinate is None:
-                lo, hi = node.lo, node.hi
-                distances = _distances_from(
-                    target, self._leaf_components[lo:hi], self._leaf_heights[lo:hi]
-                )
-                threshold = best.threshold
-                for distance, seq, node_id in zip(
-                    distances.tolist(), self._leaf_seqs[lo:hi].tolist(), self._leaf_ids[lo:hi]
-                ):
-                    if distance <= threshold:
-                        offer(distance, seq, node_id)
+            point = points[node]
+            if point is None:
+                lo = los[node]
+                hi = his[node]
+                distances = _rtts(origin, height_t, leaf_components[lo:hi], leaf_heights[lo:hi])
+                candidates = [
+                    (distance, int(leaf_seqs[row]), leaf_ids[row])
+                    for row, distance in enumerate(distances.tolist(), lo)
+                    if distance <= threshold
+                ]
+            else:
+                acc = 0.0
+                for a, b in zip(point_t, point):
+                    delta = a - b
+                    acc += delta * delta
+                d_v = (sqrt(acc) + height_t) + vantage_heights[node]
+                candidates = [(d_v, seqs[node], ids[node])] if d_v <= threshold else ()
+            for distance, seq, node_id in candidates:
+                if node_id in excluded or node_id in tombstones:
+                    continue
+                entry = (-distance, -seq, node_id)
+                if len(heap) < k:
+                    heappush(heap, entry)
+                elif entry > heap[0]:
+                    heapreplace(heap, entry)
+                else:
+                    continue
+                if len(heap) == k:
+                    threshold = -heap[0][0]
+            if point is None:
                 continue
-            d_v = target.distance(node.coordinate)
-            offer(d_v, node.seq, node.node_id)
-            near_bound = _loosen(max(0.0, d_v - node.mu))
-            far_bound = _loosen(max(0.0, node.mu - d_v, d_v - node.radius))
-            near, far = node.children
-            # Push the more promising side last so it is explored first
-            # and tightens the threshold early.
-            order = ((far, far_bound), (near, near_bound))
-            if d_v > node.mu:
-                order = ((near, near_bound), (far, far_bound))
-            for child, child_bound in order:
-                if child_bound <= best.threshold:
-                    stack.append((child, child_bound))
-        return best.sorted_results()
+            mu = mus[node]
+            near_bound = d_v - mu
+            far_bound = mu - d_v if d_v <= mu else d_v - radii[node]
+            # ``_loosen`` inline; unclamped, a negative bound prunes nothing.
+            near_bound -= 1e-9 * (1.0 + near_bound)
+            far_bound -= 1e-9 * (1.0 + far_bound)
+            near, far = nears[node], fars[node]
+            if d_v > mu:  # the far side is the more promising one
+                near, far, near_bound, far_bound = far, near, far_bound, near_bound
+            # Push the more promising side (``near`` from here) last so it
+            # is explored first and tightens the threshold early.
+            if far_bound <= threshold:
+                stack.append((far, far_bound))
+            if near_bound <= threshold:
+                stack.append((near, near_bound))
+        ranked = sorted(heap, reverse=True)
+        return [(node_id, -distance) for distance, _, node_id in ranked]
 
     def within(self, target: Coordinate, radius_ms: float) -> List[Tuple[str, float]]:
         if radius_ms < 0.0:
             raise ValueError("radius_ms must be non-negative")
         self._ensure_built()
-        if self._root is None:
+        table = self._table
+        if table is None:
             return []
+        _check_dimensions(target, self._leaf_components)
         tombstones = self._tombstones
         hits: List[Tuple[float, int, str]] = []
         if self._ov_ids:
@@ -662,34 +695,47 @@ class VPTreeIndex(_SpatialIndex):
                 hits.append(
                     (float(distances[row]), int(self._ov_seqs[row]), self._ov_ids[row])
                 )
+        points, vantage_heights, seqs, ids, mus, radii, los, his, nears, fars = table
+        point_t, height_t = target.components, target.height
         reached: List[np.ndarray] = []  # leaf rows, scored after the walk
-        stack: List[_VPNode] = [self._root]
+        stack: List[int] = [0]
         while stack:
             node = stack.pop()
-            if node.coordinate is None:
-                reached.append(np.arange(node.lo, node.hi))
+            point = points[node]
+            if point is None:
+                reached.append(np.arange(los[node], his[node]))
                 continue
-            d_v = target.distance(node.coordinate)
-            if d_v <= radius_ms and node.node_id not in tombstones:
-                hits.append((d_v, node.seq, node.node_id))
-            near, far = node.children
-            if _loosen(max(0.0, d_v - node.mu)) <= radius_ms:
-                stack.append(near)
-            if _loosen(max(0.0, node.mu - d_v, d_v - node.radius)) <= radius_ms:
-                stack.append(far)
+            acc = 0.0
+            for a, b in zip(point_t, point):
+                delta = a - b
+                acc += delta * delta
+            d_v = (sqrt(acc) + height_t) + vantage_heights[node]
+            if d_v <= radius_ms and ids[node] not in tombstones:
+                hits.append((d_v, seqs[node], ids[node]))
+            mu = mus[node]
+            near_bound = d_v - mu
+            far_bound = mu - d_v if d_v <= mu else d_v - radii[node]
+            # ``_loosen`` inline; unclamped, a negative bound prunes nothing.
+            if near_bound - 1e-9 * (1.0 + near_bound) <= radius_ms:
+                stack.append(nears[node])
+            if far_bound - 1e-9 * (1.0 + far_bound) <= radius_ms:
+                stack.append(fars[node])
         if reached:  # every reached leaf row scored in one call
             rows = np.concatenate(reached)
-            distances = _distances_from(
-                target, self._leaf_components[rows], self._leaf_heights[rows]
+            distances = _rtts(
+                np.asarray(point_t, dtype=np.float64), height_t,
+                self._leaf_components[rows], self._leaf_heights[rows],
             )
             inside = distances <= radius_ms
             rows = rows[inside]
-            for row, distance, seq in zip(
-                rows.tolist(), distances[inside].tolist(), self._leaf_seqs[rows].tolist()
-            ):
-                node_id = self._leaf_ids[row]
-                if node_id not in tombstones:
-                    hits.append((distance, seq, node_id))
+            leaf_ids = self._leaf_ids
+            hits += [
+                (distance, seq, leaf_ids[row])
+                for row, distance, seq in zip(
+                    rows.tolist(), distances[inside].tolist(), self._leaf_seqs[rows].tolist()
+                )
+                if leaf_ids[row] not in tombstones
+            ]
         hits.sort()
         return [(node_id, distance) for distance, _, node_id in hits]
 
@@ -697,51 +743,63 @@ class VPTreeIndex(_SpatialIndex):
         if not endpoints:
             raise ValueError("min_cost_host needs at least one endpoint")
         self._ensure_built()
-        if self._root is None:
+        table = self._table
+        if table is None:
             raise ValueError("cannot run min_cost_host on an empty index")
+        origins = _origins(endpoints, self._leaf_components)
         tombstones = self._tombstones
-        best_cost = float("inf")
+        best_cost = inf
         best_seq = -1
         best_host: Optional[str] = None
-
-        def offer(cost: float, seq: int, node_id: str) -> None:
-            nonlocal best_cost, best_seq, best_host
-            if cost < best_cost or (cost == best_cost and seq < best_seq):
-                best_cost, best_seq, best_host = cost, seq, node_id
-
         if self._ov_ids:
-            costs = _total_costs(endpoints, self._ov_components, self._ov_heights)
+            ov_origins = _origins(endpoints, self._ov_components)
+            costs = _total_costs(ov_origins, self._ov_components, self._ov_heights)
             cheapest = np.flatnonzero(costs == costs.min())
             row = int(cheapest[np.argmin(self._ov_seqs[cheapest])])
-            offer(float(costs[row]), int(self._ov_seqs[row]), self._ov_ids[row])
-        stack: List[Tuple[_VPNode, float]] = [(self._root, 0.0)]
+            best_cost, best_seq = float(costs[row]), int(self._ov_seqs[row])
+            best_host = self._ov_ids[row]
+        points, vantage_heights, seqs, ids, mus, radii, los, his, nears, fars = table
+        leaf_ids, leaf_seqs = self._leaf_ids, self._leaf_seqs
+        leaf_components, leaf_heights = self._leaf_components, self._leaf_heights
+        ends = [(endpoint.components, endpoint.height) for endpoint in endpoints]
+        stack: List[Tuple[int, float]] = [(0, 0.0)]
         while stack:
             node, bound = stack.pop()
             if bound > best_cost:
                 continue
-            if node.coordinate is None:
-                lo, hi = node.lo, node.hi
-                costs = _total_costs(
-                    endpoints, self._leaf_components[lo:hi], self._leaf_heights[lo:hi]
-                )
-                for cost, seq, node_id in zip(
-                    costs.tolist(), self._leaf_seqs[lo:hi].tolist(), self._leaf_ids[lo:hi]
-                ):
-                    if cost <= best_cost and node_id not in tombstones:
-                        offer(cost, seq, node_id)
+            point = points[node]
+            if point is None:
+                lo = los[node]
+                hi = his[node]
+                costs = _total_costs(origins, leaf_components[lo:hi], leaf_heights[lo:hi])
+                for row, cost in enumerate(costs.tolist(), lo):
+                    if cost <= best_cost and leaf_ids[row] not in tombstones:
+                        seq = int(leaf_seqs[row])
+                        if cost < best_cost or seq < best_seq:
+                            best_cost, best_seq, best_host = cost, seq, leaf_ids[row]
                 continue
-            per_endpoint = [node.coordinate.distance(endpoint) for endpoint in endpoints]
-            if node.node_id not in tombstones:
-                offer(sequential_sum(per_endpoint), node.seq, node.node_id)
-            near, far = node.children
-            near_bound = _loosen(sum(max(0.0, d - node.mu) for d in per_endpoint))
+            # ``Coordinate.distance`` from the vantage: its height first.
+            vantage_height, mu, radius = vantage_heights[node], mus[node], radii[node]
+            cost = near_bound = far_bound = 0.0
+            for point_e, height_e in ends:
+                acc = 0.0
+                for a, b in zip(point, point_e):
+                    delta = a - b
+                    acc += delta * delta
+                d = (sqrt(acc) + vantage_height) + height_e
+                cost += d
+                near_bound += max(0.0, d - mu)
+                far_bound += max(0.0, mu - d, d - radius)
+            if cost <= best_cost and ids[node] not in tombstones:
+                seq = seqs[node]
+                if cost < best_cost or seq < best_seq:
+                    best_cost, best_seq, best_host = cost, seq, ids[node]
+            near_bound = _loosen(near_bound)
             if near_bound <= best_cost:
-                stack.append((near, near_bound))
-            far_bound = _loosen(
-                sum(max(0.0, node.mu - d, d - node.radius) for d in per_endpoint)
-            )
+                stack.append((nears[node], near_bound))
+            far_bound = _loosen(far_bound)
             if far_bound <= best_cost:
-                stack.append((far, far_bound))
+                stack.append((fars[node], far_bound))
         if best_host is None:
             # Every tree entry tombstoned and no overlay survivors: the
             # live population is empty, same failure as the oracle's.
@@ -1159,9 +1217,10 @@ class DenseIndex(_SpatialIndex):
         self._ensure_built()
         if not self._ids or len(self) == 0:
             raise ValueError("cannot run min_cost_host on an empty index")
-        cost = _total_costs(endpoints, self._components, self._heights)
+        origins = _origins(endpoints, self._components)
+        cost = _total_costs(origins, self._components, self._heights)
         if self._ov_ids:
-            overlay = _total_costs(endpoints, self._ov_components, self._ov_heights)
+            overlay = _total_costs(origins, self._ov_components, self._ov_heights)
             cost = np.concatenate([cost, overlay])
         if self._masked_rows.size:
             cost[self._masked_rows] = np.inf

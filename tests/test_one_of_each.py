@@ -39,7 +39,8 @@ from repro.gateway.tenants import build_store
 from repro.server.daemon import CoordinateServer
 from repro.server.protocol import HEADER, decode_frame, encode_frame, frame_length
 from repro.server.sharding import ShardedCoordinateStore, shard_of
-from repro.service.index import INDEX_KINDS, DenseIndex, _VPNode
+import repro.service.index as index_module
+from repro.service.index import INDEX_KINDS, DenseIndex, VPTreeIndex, _VPTable, index_over
 from repro.service.planner import Query, QueryError
 from repro.service.snapshot import ArraySnapshot, SnapshotStore
 
@@ -342,7 +343,7 @@ class TestOneOfEachInTheSourceTree:
             f"{path.relative_to(SRC).as_posix()}:{number}"
             for path in self._modules("service")
             for number, line in enumerate(path.read_text().splitlines(), start=1)
-            if "acc = acc + delta" in line
+            if "acc = acc + squares" in line
         ]
         assert len(lines) == 1 and lines[0].startswith("service/index.py:"), lines
 
@@ -366,7 +367,28 @@ class TestOneOfEachInTheSourceTree:
         for module in ("server/sharding.py", "service/planner.py"):
             assert "deepcopy" not in (SRC / module).read_text(), module
         # vp-tree leaves are slices of flat arrays, not per-row lists.
-        assert "bucket" not in _VPNode.__slots__
+        assert "bucket" not in _VPTable._fields
+
+    def test_the_vp_tree_walks_touch_no_coordinate(self):
+        # The walks read the flat node table: no per-vantage
+        # ``Coordinate.distance`` call and no ``Coordinate`` built.
+        for method in (VPTreeIndex.nearest, VPTreeIndex.within, VPTreeIndex.min_cost_host):
+            source = inspect.getsource(method)
+            assert ".distance(" not in source, method.__name__
+            assert "Coordinate(" not in source, method.__name__
+        for gone in ("_VPNode", "_KBest"):
+            assert not hasattr(index_module, gone), gone
+
+    def test_a_delta_generation_shares_the_vp_tree_node_table(self):
+        rng = np.random.default_rng(3)
+        ids = [f"n{i}" for i in range(300)]
+        components = rng.normal(scale=50.0, size=(300, 3))
+        base = index_over("vptree", ids, components, np.zeros(300))
+        first = base.delta_applied(ids[:2], components[:2] + 1.0, np.zeros(2))
+        second = first.delta_applied(["late"], components[:1], np.zeros(1), ids[5:6])
+        assert base._table is not None
+        assert first._table is base._table
+        assert second._table is base._table
 
     def test_a_shard_is_its_index(self):
         # The sharded store publishes straight into generations: no inner

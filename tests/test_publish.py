@@ -40,9 +40,9 @@ from repro.server.protocol import (
 import repro.server.sharding as sharding_module
 from repro.server.sharding import HEALTH_SECTIONS, ShardedCoordinateStore
 from repro.overlay.knn import CoordinateIndex
+import repro.service.index as index_module
 from repro.service.index import (
     INDEX_KINDS,
-    _LEAF_SIZE,
     DenseIndex,
     VPTreeIndex,
     _overlay_budget,
@@ -393,9 +393,8 @@ class TestVPTreeArrayOverlay:
         return derived
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize(
-        "overlay_rows", [1, _LEAF_SIZE, _overlay_budget(N) - 1]
-    )
+    # One row, a mid-sized overlay and a full budget.
+    @pytest.mark.parametrize("overlay_rows", [1, 12, _overlay_budget(N) - 1])
     def test_queries_equal_linear_oracle_after_a_delta_chain(self, overlay_rows, seed):
         rng = np.random.default_rng(seed)
         node_ids, components, heights = _initial_population(self.N, 2, seed)
@@ -464,7 +463,7 @@ def _same_answer(index_call, oracle_call):
 class TestVPTreeFlatLeavesProperty:
     """Flat-leaf vp-tree queries against the linear oracle, tie order included."""
 
-    @given(
+    CASES = dict(
         dims=st.integers(1, 4),
         with_heights=st.booleans(),
         n=st.integers(1, 150),
@@ -472,8 +471,23 @@ class TestVPTreeFlatLeavesProperty:
         removals=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+
+    @given(**CASES)
     @settings(max_examples=60, deadline=None)
     def test_queries_equal_linear_oracle(self, dims, with_heights, n, overlay, removals, seed):
+        self._check(dims, with_heights, n, overlay, removals, seed)
+
+    @given(**CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_queries_equal_linear_oracle_on_small_leaves(
+        self, dims, with_heights, n, overlay, removals, seed
+    ):
+        # 4-row leaves: universes this small build deep trees.
+        with mock.patch.object(index_module, "_LEAF_SIZE", 4):
+            self._check(dims, with_heights, n, overlay, removals, seed)
+
+    @staticmethod
+    def _check(dims, with_heights, n, overlay, removals, seed):
         rng = np.random.default_rng(seed)
 
         def point():
@@ -488,7 +502,8 @@ class TestVPTreeFlatLeavesProperty:
             oracle.update(node_id, coordinate)
             index.update(node_id, coordinate)
         budget = _overlay_budget(n)
-        rows = {"none": 0, "one": 1, "leaf": _LEAF_SIZE, "budget": budget - 1}[overlay]
+        leaf = index_module._LEAF_SIZE
+        rows = {"none": 0, "one": 1, "leaf": leaf, "budget": budget - 1}[overlay]
         # Overlay members: some existing nodes (stale tree entries), the
         # rest late joiners; removals hit other existing nodes.
         existing = [str(i) for i in rng.permutation(node_ids)]

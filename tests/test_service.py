@@ -12,8 +12,8 @@ import pytest
 from repro.core.coordinate import Coordinate
 from repro.overlay.knn import CoordinateIndex
 from repro.server.sharding import ShardedCoordinateStore
+import repro.service.index as index_module
 from repro.service.index import (
-    _LEAF_SIZE,
     INDEX_KINDS,
     DenseIndex,
     VPTreeIndex,
@@ -207,20 +207,88 @@ class TestIndexesMatchOracle:
         with pytest.raises(ValueError, match="uniform dimensionality"):
             index.nearest(Coordinate([0.0, 0.0, 0.0]), 1)
 
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
+    def test_heights_on_both_sides_add_in_the_oracles_order(self, kind):
+        # ``(e + h_a) + h_b`` and ``(e + h_b) + h_a`` differ in the last
+        # bit for a good share of random heights, so every node and every
+        # target carries one: an index adding them in any other order than
+        # ``Coordinate.distance`` does cannot match the oracle.
+        rng = np.random.default_rng(48)
+
+        def point():
+            return Coordinate(
+                rng.normal(scale=60.0, size=3).tolist(), float(rng.uniform(0.0, 9.0))
+            )
+
+        coordinates = {f"h{i:03d}": point() for i in range(300)}
+        oracle = CoordinateIndex()
+        oracle.update_many(coordinates)
+        index = build_index(kind)
+        index.update_many(coordinates)
+        for _ in range(60):
+            target = point()
+            assert index.nearest(target, 20) == oracle.nearest(target, 20)
+            assert index.within(target, 60.0) == oracle.within(target, 60.0)
+            endpoints = [target, point(), point()]
+            assert index.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    @pytest.mark.parametrize("nodes", [3, 300])
+    def test_a_target_of_the_wrong_dimensionality_is_refused(self, kind, nodes):
+        # Refused before any distance: a vp-tree walk zipping a 2-d or
+        # 4-d target against 3-d vantages would otherwise truncate it.
+        index = build_index(kind)
+        index.update_many(_random_coordinates(np.random.default_rng(47), nodes))
+        if kind == "vptree":
+            index._ensure_built()
+            root_is_a_leaf = index._table.points[0] is None
+            assert root_is_a_leaf == (nodes <= index_module._LEAF_SIZE)
+        inside = Coordinate([0.0, 0.0, 0.0])
+        for wrong in (Coordinate([1.0, 2.0]), Coordinate([1.0, 2.0, 3.0, 4.0])):
+            queries = (
+                lambda: index.nearest(wrong, 3),
+                lambda: index.nearest(wrong, 3, exclude=index.node_ids()[:1]),
+                lambda: index.within(wrong, 50.0),
+                lambda: index.min_cost_host([wrong]),
+                lambda: index.min_cost_host([inside, wrong]),
+            )
+            for query in queries:
+                with pytest.raises(ValueError, match="coordinate dimensionality mismatch"):
+                    query()
+
+
+class TestIndexesMatchOracleOnSmallLeaves(TestIndexesMatchOracle):
+    """The oracle suite again with 4-row vp-tree leaves, so its 100-400-row
+    universes build deep trees (the dense cases repeat unchanged)."""
+
+    @pytest.fixture(autouse=True)
+    def _small_leaves(self, monkeypatch):
+        monkeypatch.setattr(index_module, "_LEAF_SIZE", SMALL_LEAF)
+
 
 # ----------------------------------------------------------------------
 # vp-tree leaves as slices of flat arrays
 # ----------------------------------------------------------------------
+#: The leaf size the small-leaf suites patch in: deep trees on the few
+#: hundred rows an oracle check can afford.
+SMALL_LEAF = 4
+
+
 def _inner_nodes(index):
-    """The vp-tree's inner nodes in build (stack) order, and its leaves."""
-    inner, leaves, stack = [], [], [index._root]
+    """The vp-tree's inner nodes in build (stack) order, and its leaves.
+
+    Both are node numbers into ``index._table``, each reached once.
+    """
+    table = index._table
+    inner, leaves, stack = [], [], [0]
     while stack:
         node = stack.pop()
-        if node.coordinate is None:
+        if table.points[node] is None:
             leaves.append(node)
         else:
             inner.append(node)
-            stack.extend(node.children)
+            stack.extend((table.near[node], table.far[node]))
+    assert sorted(inner + leaves) == list(range(len(table.points)))
     return inner, leaves
 
 
@@ -229,7 +297,7 @@ def _reference_splits(entries):
     splits, stack = [], [entries]
     while stack:
         group = stack.pop()
-        if len(group) <= _LEAF_SIZE:
+        if len(group) <= index_module._LEAF_SIZE:
             continue
         _, node_id, vantage = group[0]
         rest = group[1:]
@@ -270,13 +338,19 @@ class TestVPTreeFlatLeaves:
         for coordinates in self._universes():
             index = self._built(coordinates)
             inner, leaves = _inner_nodes(index)
-            spans = sorted((leaf.lo, leaf.hi) for leaf in leaves)
+            table = index._table
+            spans = sorted((table.lo[leaf], table.hi[leaf]) for leaf in leaves)
             assert spans[0][0] == 0 and spans[-1][1] == len(index._leaf_ids)
             assert all(lo < hi for lo, hi in spans)
             assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
             # Leaf rows plus the inner nodes' vantages: every built id once.
-            held = index._leaf_ids + [node.node_id for node in inner]
+            held = index._leaf_ids + [table.ids[node] for node in inner]
             assert sorted(held) == sorted(coordinates)
+            for node in inner:
+                coordinate = coordinates[table.ids[node]]
+                assert table.points[node] == coordinate.components
+                assert table.heights[node] == coordinate.height
+                assert table.seqs[node] == index._seq[table.ids[node]]
             for row, node_id in enumerate(index._leaf_ids):
                 coordinate = coordinates[node_id]
                 assert index._leaf_components[row].tolist() == list(coordinate.components)
@@ -288,7 +362,8 @@ class TestVPTreeFlatLeaves:
             index = self._built(coordinates)
             inner, _ = _inner_nodes(index)
             assert inner, "each universe is large enough to split"
-            built = [(node.node_id, node.mu, node.radius) for node in inner]
+            table = index._table
+            built = [(table.ids[node], table.mus[node], table.radii[node]) for node in inner]
             entries = [(seq, node_id, c) for seq, (node_id, c) in enumerate(coordinates.items())]
             assert built == _reference_splits(entries)
 
@@ -296,7 +371,7 @@ class TestVPTreeFlatLeaves:
         index = self._built(next(self._universes()))
         clone = index.delta_applied(["n00001"], np.asarray([[1.0, 2.0, 3.0]]), np.zeros(1))
         assert clone is not None and clone is not index
-        assert clone._root is index._root
+        assert clone._table is index._table
         for name in ("_leaf_ids", "_leaf_components", "_leaf_heights", "_leaf_seqs"):
             assert getattr(clone, name) is getattr(index, name), name
 
@@ -380,6 +455,45 @@ class TestVPTreeFlatLeaves:
         assert base.coordinate_of("n00001") == coordinates["n00001"]
         assert "late" not in base and "n00004" in clone
 
+    def test_a_5k_row_tree_with_an_overlay_matches_the_oracle(self):
+        rng = np.random.default_rng(23)
+        coordinates = _random_coordinates(rng, 5000, with_heights=True)
+        ids = list(coordinates)
+        base = self._built(coordinates)
+        oracle = CoordinateIndex()
+        oracle.update_many(coordinates)
+        # One delta: 40 rows move, 10 join and 10 leave.
+        moved = ids[::125]
+        changed = {
+            node_id: Coordinate(rng.normal(scale=60.0, size=3).tolist(), 0.5)
+            for node_id in moved + [f"late{i}" for i in range(10)]
+        }
+        removed = ids[7::500]
+        index = base.delta_applied(
+            list(changed),
+            np.asarray([coordinate.components for coordinate in changed.values()]),
+            np.asarray([coordinate.height for coordinate in changed.values()]),
+            removed,
+        )
+        assert index is not None and len(index._ov_ids) == 50
+        assert index._table is base._table
+        oracle.update_many(changed)
+        for node_id in removed:
+            oracle.remove(node_id)
+        probes = [oracle.coordinate_of(ids[int(i)]) for i in rng.integers(1, 5000, 8)]
+        probes = [p for p in probes if p is not None] + [changed[moved[0]]]
+        probes += [Coordinate(rng.normal(scale=70.0, size=3).tolist()) for _ in range(4)]
+        for probe in probes:
+            closest = [node_id for node_id, _ in oracle.nearest(probe, 2)]
+            for exclude in ((), closest + removed[:1] + moved[:1]):
+                for k in (1, 3, 12):
+                    want = oracle.nearest(probe, k, exclude=exclude)
+                    assert index.nearest(probe, k, exclude=exclude) == want
+            for radius in (0.0, 15.0, 40.0):
+                assert index.within(probe, radius) == oracle.within(probe, radius)
+        for endpoints in (probes[:1], probes[:3], probes[-4:]):
+            assert index.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
+
     @staticmethod
     def _rebuilt(oracle):
         live = [oracle.coordinate_of(node_id) for node_id in oracle.node_ids()]
@@ -411,6 +525,14 @@ class TestVPTreeFlatLeaves:
             assert index.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
             assert rebuilt.min_cost_host(endpoints) == oracle.min_cost_host(endpoints)
         assert index.nearest_to_node(live[-1], 3) == oracle.nearest_to_node(live[-1], 3)
+
+
+class TestVPTreeFlatLeavesOnSmallLeaves(TestVPTreeFlatLeaves):
+    """The flat-leaf suite again with 4-row leaves: deep trees."""
+
+    @pytest.fixture(autouse=True)
+    def _small_leaves(self, monkeypatch):
+        monkeypatch.setattr(index_module, "_LEAF_SIZE", SMALL_LEAF)
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,24 @@ def run_experiments(
     return reports
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The experiment parser: everything but the scenario and serving groups."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description=(
+            "Regenerate the paper's figures and tables from the reproduction "
+            "('repro fig05 table1'), or drive declarative scenarios "
+            "('repro scenarios list|run|sweep ...')."
+        ),
+    )
+    parser.add_argument("experiments", nargs="*", help="experiment ids (e.g. fig05 table1)")
+    parser.add_argument("--all", action="store_true", help="run every experiment")
+    parser.add_argument("--list", action="store_true", help="list available experiments")
+    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+    parser.add_argument("--output", type=Path, default=None, help="directory for report files")
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "scenarios":
@@ -105,19 +123,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return serving_main(argv)
 
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Regenerate the paper's figures and tables from the reproduction "
-            "('repro fig05 table1'), or drive declarative scenarios "
-            "('repro scenarios list|run|sweep ...')."
-        ),
-    )
-    parser.add_argument("experiments", nargs="*", help="experiment ids (e.g. fig05 table1)")
-    parser.add_argument("--all", action="store_true", help="run every experiment")
-    parser.add_argument("--list", action="store_true", help="list available experiments")
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument("--output", type=Path, default=None, help="directory for report files")
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list:

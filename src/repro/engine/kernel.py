@@ -471,7 +471,7 @@ def _queries_workload(
 
     When the run produced its coordinates as arrays (vectorized backend),
     the indexed leg publishes them through the array path
-    (``publish_epoch``) -- with the ``dense`` index the whole dataset ->
+    (``publish_epoch``) -- with a spatial index the whole dataset ->
     simulation -> snapshot -> answered-workload pipeline never
     materialises per-node objects.  The oracle leg always uses the
     object-based ingest (``from_coordinates``), so whenever the indexed

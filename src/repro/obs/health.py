@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,7 +211,7 @@ class HealthTracker:
         # Previous-epoch state for the incremental deltas.
         self._prev_node_ids: Optional[Sequence[str]] = None
         self._prev_ids: Optional[Tuple[str, ...]] = None
-        self._prev_index_of: Optional[Dict[str, int]] = None
+        self._prev_index_of: Optional[Mapping[str, int]] = None
         self._prev_components: Optional[np.ndarray] = None
         self._prev_heights: Optional[np.ndarray] = None
         self._prev_centroid: Optional[np.ndarray] = None
@@ -304,6 +304,7 @@ class HealthTracker:
         *,
         version: Optional[int] = None,
         time_s: Optional[float] = None,
+        row_index: Optional[Mapping[str, int]] = None,
     ) -> HealthSnapshot:
         """Fold one published epoch into the health stream.
 
@@ -312,7 +313,9 @@ class HealthTracker:
         afterwards; the per-node work is done only for rows that differ
         from the retained ones (see the module docstring).  Passing the
         previous epoch's ``node_ids`` object again skips comparing the
-        populations.
+        populations.  ``row_index``, the publisher's own ``{node_id:
+        row}`` map over ``node_ids`` (a snapshot's ``row_index``), is
+        read and retained instead of a map the tracker would build.
         """
         ids = self._prev_ids if node_ids is self._prev_node_ids else tuple(node_ids)
         components = np.ascontiguousarray(components, dtype=np.float64)
@@ -329,16 +332,18 @@ class HealthTracker:
             raise ValueError(f"heights must be ({len(ids)},); got {heights.shape}")
         if self._pair_ids is None:
             self._materialise_samples(ids)
-        if self._prev_index_of is not None and (
+        same_rows = self._prev_index_of is not None and (
             ids is self._prev_ids or ids == self._prev_ids
-        ):
+        )
+        # Without a row-for-row correspondence to the retained epoch,
+        # nothing can be skipped.
+        moved = self._moved_rows(components, heights) if same_rows else None
+        if row_index is not None:
+            index_of = row_index
+        elif same_rows:
             index_of = self._prev_index_of
-            moved = self._moved_rows(components, heights)
         else:
             index_of = {node_id: row for row, node_id in enumerate(ids)}
-            # No row-for-row correspondence with the retained epoch:
-            # nothing can be skipped.
-            moved = None
 
         errors = self._observe_errors(index_of, components, heights, time_s)
         drift_velocity, disp_median, disp_p95 = self._observe_drift(
@@ -399,7 +404,7 @@ class HealthTracker:
     # -- relative error -------------------------------------------------
     def _observe_errors(
         self,
-        index_of: Dict[str, int],
+        index_of: Mapping[str, int],
         components: np.ndarray,
         heights: np.ndarray,
         time_s: Optional[float],
@@ -457,7 +462,7 @@ class HealthTracker:
     def _observe_drift(
         self,
         ids: Tuple[str, ...],
-        index_of: Dict[str, int],
+        index_of: Mapping[str, int],
         components: np.ndarray,
         heights: np.ndarray,
         time_s: Optional[float],
@@ -630,7 +635,7 @@ class HealthTracker:
     def _observe_churn(
         self,
         ids: Tuple[str, ...],
-        index_of: Dict[str, int],
+        index_of: Mapping[str, int],
         components: np.ndarray,
         heights: np.ndarray,
         moved: Optional[np.ndarray],

@@ -13,8 +13,8 @@ Usage::
     repro query --snapshot snapshot.json knn n0012 --k 5
     repro query --snapshot snapshot.json pairwise n0012 n0040
     repro query --snapshot snapshot.json centroid n0001 n0002 n0003
-    repro query --snapshot snapshot.json workload --count 2000 --mix mixed \
-        --index vptree --compare-linear
+    repro query --snapshot snapshot.json --index vptree \
+        workload --count 2000 --mix mixed --compare-linear
 
     # Serve a saved snapshot over TCP on 4 shards
     repro serve-daemon --snapshot snapshot.json --shards 4 --port 9917

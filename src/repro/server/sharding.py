@@ -668,12 +668,14 @@ class ShardedCoordinateStore:
             retained=len(self._generations),
             shard_sizes=list(generation.shard_sizes),
         )
-        # Health observes the same frozen arrays the generation serves;
-        # no wall time is passed, so its values stay a pure function of
-        # the publish stream (per-epoch drift/error units).
+        # Health observes the same frozen arrays the generation serves,
+        # and keeps the snapshot's row map rather than a copy of it; no
+        # wall time is passed, so its values stay a pure function of the
+        # publish stream (per-epoch drift/error units).
         observe_started = self._timer()
+        snapshot = generation.snapshot
         self.health_tracker.observe_epoch(
-            *generation.snapshot.arrays(), version=generation.version
+            *snapshot.arrays(), version=generation.version, row_index=snapshot.row_index
         )
         self._h_health_observe_ms[mode].observe(
             (self._timer() - observe_started) * 1e3

@@ -17,8 +17,11 @@ placement 1-median -- without touching every node:
   single query is a batch of one, and the *batch* entry points
   (``knn_batch_by_id`` / ``range_batch_by_id``, used by the store to
   answer a whole same-version batch in one NumPy call) feed it many
-  targets at once.  It is the only kind that ingests an array-backed
-  snapshot without materialising per-node objects.
+  targets at once.
+
+Both kinds are built from arrays and hold no ``Coordinate`` per row: a
+snapshot's rows go straight into the build (:func:`index_over`), and
+lookups make a ``Coordinate`` on demand.
 
 Exactness contract: every query returns *identical* results to the linear
 oracle -- same node sets, same predicted RTTs (the exact same
@@ -28,8 +31,9 @@ insertion-ordered dict; the traversals below therefore track a per-node
 insertion sequence number and never prune on bound *equality*, only on
 strict excess.
 
-Rebuilds are lazy: mutations mark the structure dirty and the next query
-rebuilds it, so bulk ``update_many`` loads cost one build, not n.
+Mutations (``update`` / ``remove``) edit a ``{node_id: Coordinate}`` map
+and the next query feeds it through the same array build, so bulk
+``update_many`` loads cost one build, not n.
 """
 
 from __future__ import annotations
@@ -70,18 +74,43 @@ def _overlay_budget(population: int) -> int:
     return max(_OVERLAY_COMPACT_MIN, int(_OVERLAY_COMPACT_FRACTION * population))
 
 
-def _changed_coordinates(
-    changed_ids: Sequence[str],
+def _checked_rows(
+    node_ids: Sequence[str],
     components: np.ndarray,
-    heights: np.ndarray,
-) -> List[Tuple[str, Coordinate]]:
-    """Materialise a delta's rows as ``(node_id, Coordinate)`` pairs."""
+    heights: Optional[np.ndarray] = None,
+) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """``node_ids`` as a list and the rows as float64 arrays, checked.
+
+    Refuses what ``Coordinate`` would refuse of any row -- no dimensions,
+    a negative or non-finite height, a non-finite component -- with one
+    vectorised test per case.  ``heights`` defaults to zeros.
+    """
+    ids = list(node_ids)
     components = np.asarray(components, dtype=np.float64)
-    heights = np.asarray(heights, dtype=np.float64)
-    return [
-        (node_id, Coordinate(components[position].tolist(), float(heights[position])))
-        for position, node_id in enumerate(changed_ids)
-    ]
+    if components.ndim != 2:
+        raise ValueError("components must be a (n, d) array")
+    if len(ids) != components.shape[0]:
+        raise ValueError(f"{len(ids)} node ids for {components.shape[0]} coordinate rows")
+    if heights is None:
+        heights = np.zeros(len(ids), dtype=np.float64)
+    else:
+        heights = np.asarray(heights, dtype=np.float64)
+        if heights.shape != (len(ids),):
+            raise ValueError("heights must be a (n,) array aligned with node_ids")
+    if ids and components.shape[1] == 0:
+        raise ValueError("a coordinate needs at least one dimension")
+    for bad, refusal in (
+        (heights < 0.0, "height must be non-negative"),
+        (~np.isfinite(components).all(axis=1), "coordinate components must be finite"),
+        (~np.isfinite(heights), "height must be finite"),
+    ):
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(
+                f"{refusal}: {ids[row]!r} has components {components[row].tolist()}, "
+                f"height {heights[row]}"
+            )
+    return ids, components, heights
 
 
 def _loosen(bound: float) -> float:
@@ -203,73 +232,117 @@ def index_over(
 ) -> CoordinateIndex:
     """A finished ``kind`` index over aligned rows, inserted in row order.
 
-    ``dense`` adopts the arrays without copying (pass frozen ones); the
-    other kinds materialise one ``Coordinate`` per row.  The index is
-    finalised eagerly, so concurrent readers of a published index never
-    trigger (and race on) a lazy rebuild.
+    The spatial kinds build straight from the arrays, with no
+    ``Coordinate`` per row, and refuse any row a ``Coordinate`` would:
+    ``dense`` adopts them without copying (pass frozen ones) and
+    ``vptree`` gathers its leaf arrays from them.  The linear oracle
+    materialises one ``Coordinate`` per row.  The index is finalised
+    eagerly, so concurrent readers of a published index never trigger
+    (and race on) a lazy rebuild.
     """
     index = build_index(kind)
-    if isinstance(index, DenseIndex):
+    if isinstance(index, _SpatialIndex):
         index.ingest_arrays(node_ids, components, heights)
         return index
-    index.update_many(dict(_changed_coordinates(node_ids, components, heights)))
-    if isinstance(index, _SpatialIndex):
-        index._ensure_built()
+    rows = np.asarray(components, dtype=np.float64).tolist()
+    index.update_many({
+        node_id: Coordinate(row, height)
+        for node_id, row, height in zip(
+            node_ids, rows, np.asarray(heights, dtype=np.float64).tolist()
+        )
+    })
     return index
 
 
 class _SpatialIndex(CoordinateIndex):
-    """Shared bookkeeping: insertion sequence numbers and lazy rebuilds."""
+    """One array ingest, one hydrate and lazy rebuilds for the spatial kinds.
+
+    A built index (``_array_only``) holds its rows only in its subclass's
+    arrays, each with an insertion sequence number, and ``_coordinates``
+    is empty.  Every build goes through :meth:`_build`, from a snapshot's
+    arrays (:meth:`ingest_arrays`) or from objects.  ``update`` /
+    ``remove`` first hydrate ``_coordinates`` from the arrays (live ids in
+    sequence order) and then edit it as the linear oracle does, so its
+    order *is* the insertion order; the next query builds from it, with
+    positions as sequence numbers.
+    """
 
     def __init__(self) -> None:
         super().__init__()
-        self._seq: Dict[str, int] = {}
-        self._next_seq = 0
-        self._dirty = True
+        self._array_only = False
+
+    @classmethod
+    def from_arrays(
+        cls,
+        node_ids: Sequence[str],
+        components: np.ndarray,
+        heights: Optional[np.ndarray] = None,
+    ) -> "_SpatialIndex":
+        index = cls()
+        index.ingest_arrays(node_ids, components, heights)
+        return index
+
+    def ingest_arrays(
+        self,
+        node_ids: Sequence[str],
+        components: np.ndarray,
+        heights: Optional[np.ndarray] = None,
+    ) -> None:
+        """Replace the contents with aligned rows, inserted in row order.
+
+        Rows are checked as ``Coordinate`` checks them.  ``dense``
+        references the arrays, so callers must treat them as frozen
+        afterwards; ``vptree`` keeps gathered copies.
+        """
+        self._adopt(*_checked_rows(node_ids, components, heights))
+
+    def _adopt(
+        self, node_ids: List[str], components: np.ndarray, heights: np.ndarray
+    ) -> None:
+        self._coordinates = {}
+        self._array_only = True
+        self._build(node_ids, components, heights)
+
+    def _build(
+        self, node_ids: List[str], components: np.ndarray, heights: np.ndarray
+    ) -> None:  # pragma: no cover - abstract
+        """Replace the contents with these rows, their row numbers as sequences."""
+        raise NotImplementedError
+
+    def _hydrate_objects(self) -> None:
+        """Materialise ``_coordinates`` from the arrays, before a mutation."""
+        if self._array_only:
+            self._coordinates = {
+                node_id: self.coordinate_of(node_id) for node_id in self.node_ids()
+            }
+            self._array_only = False
 
     # -- maintenance ---------------------------------------------------
     def update(self, node_id: str, coordinate: Coordinate) -> None:
-        if node_id not in self._seq:
-            self._seq[node_id] = self._next_seq
-            self._next_seq += 1
+        self._hydrate_objects()
         super().update(node_id, coordinate)
-        self._dirty = True
 
     def remove(self, node_id: str) -> None:
-        self._seq.pop(node_id, None)
+        self._hydrate_objects()
         super().remove(node_id)
-        self._dirty = True
 
-    def _entries(self) -> List[Tuple[int, str, Coordinate]]:
-        """(seq, node_id, coordinate), in insertion order."""
-        return [
-            (self._seq[node_id], node_id, coordinate)
-            for node_id, coordinate in self._coordinates.items()
-        ]
-
-    def _entry_arrays(
-        self,
-    ) -> Tuple[List[Tuple[int, str, Coordinate]], np.ndarray, np.ndarray]:
-        """:meth:`_entries` and their ``(n, d)`` components / ``(n,)`` heights."""
-        entries = self._entries()
-        dims = entries[0][2].dimensions if entries else 0
-        for _, node_id, coordinate in entries:
+    def _entry_arrays(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """``_coordinates`` as ids, ``(n, d)`` components and ``(n,)`` heights."""
+        coordinates = list(self._coordinates.values())
+        dims = coordinates[0].dimensions if coordinates else 0
+        for node_id, coordinate in self._coordinates.items():
             if coordinate.dimensions != dims:
                 raise ValueError(
                     f"{type(self).__name__} needs uniform dimensionality; "
                     f"{node_id!r} has {coordinate.dimensions}, expected {dims}"
                 )
-        components = np.asarray([c.components for _, _, c in entries], dtype=np.float64)
-        heights = np.asarray([c.height for _, _, c in entries], dtype=np.float64)
-        return entries, components.reshape(len(entries), dims), heights
+        components = np.asarray([c.components for c in coordinates], dtype=np.float64)
+        heights = np.asarray([c.height for c in coordinates], dtype=np.float64)
+        return list(self._coordinates), components.reshape(len(coordinates), dims), heights
 
     def _ensure_built(self) -> None:
-        if self._dirty:
-            self._rebuild()
-            self._dirty = False
-
-    def _rebuild(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+        if not self._array_only:
+            self._adopt(*self._entry_arrays())
 
 
 # ----------------------------------------------------------------------
@@ -315,14 +388,20 @@ class VPTreeIndex(_SpatialIndex):
     per leaf for ``nearest`` / ``min_cost_host``, once over all reached
     leaves for ``within``.
 
+    Built, the index holds no ``Coordinate``: besides the table and the
+    leaf arrays it keeps one ``{node_id: seq}`` map (``_seq``, in sequence
+    order) and a per-seq placement array (``_where``: the entry's leaf
+    row, or ``~node`` for a vantage), from which ``coordinate_of`` makes
+    a ``Coordinate`` on demand.  Sequence numbers are build row numbers.
+
     Incremental epochs (:meth:`delta_applied`) never restructure the
-    tree: a derived index shares its base's node table, leaf arrays and
-    per-node maps (``_coordinates`` / ``_seq``, which then describe the
-    tree only), masks stale tree entries with a *tombstone* set and
-    carries the changed rows in an *overlay* of four arrays of the same
-    shape, scored the same way.  The lookups (``coordinate_of``,
-    ``in``, ``len``, ``node_ids``) resolve the overlay first.  Results
-    stay byte-identical to a from-scratch rebuild because every float is
+    tree: a derived index shares its base's node table, leaf arrays,
+    ``_seq`` and ``_where`` (which then describe the tree only), masks
+    stale tree entries with a *tombstone* set and carries the changed
+    rows in an *overlay* of four arrays of the same shape, scored the
+    same way.  The lookups (``coordinate_of``, ``in``, ``len``,
+    ``node_ids``) resolve the overlay first.  Results stay byte-identical
+    to a from-scratch rebuild because every float is
     ``Coordinate.distance``'s own and overlay rows keep their original
     insertion sequence (relative order is all the tie-break needs).
     """
@@ -332,13 +411,15 @@ class VPTreeIndex(_SpatialIndex):
         self._table: Optional[_VPTable] = None
         #: Tree entries that are stale (their node changed or left).
         self._tombstones: frozenset = frozenset()
+        #: Tree entry id -> insertion seq, in seq order.
+        self._seq: Dict[str, int] = {}
+        #: Per tree seq: its leaf row, or ``~node`` for a vantage.
+        self._where = np.empty(0, dtype=np.int64)
+        self._next_seq = 0
         self._leaf_ids: List[str] = []
         self._leaf_components = np.empty((0, 0), dtype=np.float64)
         self._leaf_heights = np.empty(0, dtype=np.float64)
         self._leaf_seqs = np.empty(0, dtype=np.int64)
-        #: True once a derivation shares ``_coordinates`` / ``_seq``: a
-        #: mutation copies them first (:meth:`_own_maps`).
-        self._maps_shared = False
         self._clear_overlay()
 
     def _clear_overlay(self) -> None:
@@ -352,90 +433,71 @@ class VPTreeIndex(_SpatialIndex):
         #: Overlay rows whose node has no tree entry at all.
         self._ov_fresh = 0
 
-    # -- maintenance ---------------------------------------------------
-    def update(self, node_id: str, coordinate: Coordinate) -> None:
-        self._own_maps()
-        super().update(node_id, coordinate)
-
-    def remove(self, node_id: str) -> None:
-        self._own_maps()
-        super().remove(node_id)
-
-    def _own_maps(self) -> None:
-        """Private per-node maps holding every live node, before a mutation.
-
-        A derived index folds its overlay in (keeping each node's
-        sequence) and drops its tombstones; the tree it shared is rebuilt
-        on the next query.
-        """
-        if not self._maps_shared:
-            return
-        live = self.node_ids()
-        self._seq = {node_id: self._seq_of(node_id) for node_id in live}
-        self._coordinates = {node_id: self.coordinate_of(node_id) for node_id in live}
-        self._tombstones = frozenset()
-        self._clear_overlay()
-        self._maps_shared = False
-        self._dirty = True
-
     # -- lookups (overlay first) ---------------------------------------
-    def _seq_of(self, node_id: str) -> Optional[int]:
-        slot = self._ov_slot.get(node_id)
-        if slot is not None:
-            return int(self._ov_seqs[slot])
-        if node_id in self._tombstones:
-            return None
-        return self._seq.get(node_id)
-
     def __len__(self) -> int:
+        if not self._array_only:
+            return super().__len__()
         # Tombstones are tree entries, none of them live; overlay rows
         # are all live and none is a live tree entry.
-        return len(self._coordinates) - len(self._tombstones) + len(self._ov_ids)
+        return len(self._seq) - len(self._tombstones) + len(self._ov_ids)
 
     def __contains__(self, node_id: str) -> bool:
+        if not self._array_only:
+            return super().__contains__(node_id)
         if node_id in self._ov_slot:
             return True
-        return node_id not in self._tombstones and node_id in self._coordinates
+        return node_id not in self._tombstones and node_id in self._seq
 
     def coordinate_of(self, node_id: str) -> Optional[Coordinate]:
+        if not self._array_only:
+            return super().coordinate_of(node_id)
         slot = self._ov_slot.get(node_id)
         if slot is not None:
             return Coordinate(
                 self._ov_components[slot].tolist(), float(self._ov_heights[slot])
             )
-        if node_id in self._tombstones:
+        seq = None if node_id in self._tombstones else self._seq.get(node_id)
+        if seq is None:
             return None
-        return self._coordinates.get(node_id)
+        row = int(self._where[seq])
+        if row < 0:
+            return Coordinate(self._table.points[~row], self._table.heights[~row])
+        return Coordinate(self._leaf_components[row].tolist(), float(self._leaf_heights[row]))
 
     def node_ids(self) -> List[str]:
         """Live ids in insertion-sequence order (a rebuild's order)."""
+        if not self._array_only:
+            return super().node_ids()
         if not (self._ov_ids or self._tombstones):
-            return list(self._coordinates)
-        tombstones, seqs = self._tombstones, self._seq
+            return list(self._seq)
+        tombstones = self._tombstones
         # The tree map is in sequence order already.
         tree = (
-            (seqs[node_id], node_id)
-            for node_id in self._coordinates
+            (seq, node_id)
+            for node_id, seq in self._seq.items()
             if node_id not in tombstones
         )
         order = np.argsort(self._ov_seqs, kind="stable").tolist()
         overlay = ((int(self._ov_seqs[slot]), self._ov_ids[slot]) for slot in order)
         return [node_id for _, node_id in merge(tree, overlay)]
 
-    def _rebuild(self) -> None:
+    def _build(
+        self, node_ids: List[str], components: np.ndarray, heights: np.ndarray
+    ) -> None:
         self._tombstones = frozenset()
         self._clear_overlay()
-        entries, components, heights = self._entry_arrays()
-        self._table = None
-        if not entries:
-            return
+        self._seq = dict(zip(node_ids, range(len(node_ids))))
+        self._next_seq = len(node_ids)
+        where = np.empty(len(node_ids), dtype=np.int64)
         nodes: List[tuple] = []  # the table's rows up to ``near`` / ``far``
         near: List[int] = []
         far: List[int] = []
-        leaves: List[np.ndarray] = []
+        leaves: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
         filled = 0
         # (rows, parent node, the parent's child links to fill in)
-        stack: List[Tuple[np.ndarray, int, List[int]]] = [(np.arange(len(entries)), -1, near)]
+        stack: List[Tuple[np.ndarray, int, List[int]]] = (
+            [(np.arange(len(node_ids)), -1, near)] if node_ids else []
+        )
         while stack:
             rows, parent, links = stack.pop()
             node = len(nodes)
@@ -444,7 +506,7 @@ class VPTreeIndex(_SpatialIndex):
             near.append(-1)
             far.append(-1)
             if len(rows) > _LEAF_SIZE:
-                vantage = rows[0]
+                vantage = int(rows[0])
                 rest = rows[1:]
                 distances = _rtts(
                     components[vantage], heights[vantage], components[rest], heights[rest]
@@ -456,10 +518,10 @@ class VPTreeIndex(_SpatialIndex):
                 # group): finish as a leaf instead of chaining one
                 # vantage per level.
                 if beyond.any():
-                    seq, node_id, coordinate = entries[vantage]
+                    where[vantage] = ~node
                     nodes.append((
-                        coordinate.components, coordinate.height, seq, node_id,
-                        mu, float(distances.max()), 0, 0,
+                        tuple(components[vantage].tolist()), float(heights[vantage]),
+                        vantage, node_ids[vantage], mu, float(distances.max()), 0, 0,
                     ))
                     stack.append((rest[~beyond], node, near))
                     stack.append((rest[beyond], node, far))
@@ -467,10 +529,13 @@ class VPTreeIndex(_SpatialIndex):
             nodes.append((None, 0.0, -1, "", 0.0, 0.0, filled, filled + len(rows)))
             filled += len(rows)
             leaves.append(rows)
-        self._table = _VPTable(*(list(column) for column in zip(*nodes)), near, far)
-        order = np.concatenate(leaves).tolist()
-        self._leaf_ids = [entries[row][1] for row in order]
-        self._leaf_seqs = np.asarray([entries[row][0] for row in order], dtype=np.int64)
+        columns = (list(column) for column in zip(*nodes))
+        self._table = _VPTable(*columns, near, far) if nodes else None
+        order = np.concatenate(leaves)
+        where[order] = np.arange(len(order))
+        self._where = where
+        self._leaf_ids = [node_ids[row] for row in order.tolist()]
+        self._leaf_seqs = order
         self._leaf_components = components[order]
         self._leaf_heights = heights[order]
 
@@ -484,8 +549,8 @@ class VPTreeIndex(_SpatialIndex):
     ) -> Optional["VPTreeIndex"]:
         """A new index with the delta applied, or ``None`` to compact.
 
-        The returned index shares this one's node table, leaf arrays and
-        per-node maps; its own state is the cumulative overlay and
+        The returned index shares this one's node table, leaf arrays,
+        ``_seq`` and ``_where``; its own state is the cumulative overlay and
         tombstones, so deriving costs the delta plus a copy of that state,
         not the population.
         This index is not mutated and keeps answering queries for its
@@ -537,7 +602,7 @@ class VPTreeIndex(_SpatialIndex):
         tombstones = self._tombstones.union(stale) if stale else self._tombstones
         # The footprint is every distinct touched node: hidden tree
         # entries plus overlay rows with no tree entry.
-        live = len(self._coordinates) - len(tombstones) + len(slot_of)
+        live = len(tree_seq) - len(tombstones) + len(slot_of)
         if len(tombstones) + fresh > _overlay_budget(live):
             return None
         ov_ids = self._ov_ids + appended_ids
@@ -567,8 +632,9 @@ class VPTreeIndex(_SpatialIndex):
             ov_seqs = ov_seqs[keep]
             slot_of = {node_id: slot for slot, node_id in enumerate(ov_ids)}
         clone = VPTreeIndex()
-        clone._coordinates = self._coordinates
+        clone._array_only = True
         clone._seq = tree_seq
+        clone._where = self._where
         clone._next_seq = next_seq
         clone._table = self._table
         clone._leaf_ids = self._leaf_ids
@@ -582,8 +648,6 @@ class VPTreeIndex(_SpatialIndex):
         clone._ov_seqs = ov_seqs
         clone._ov_slot = slot_of
         clone._ov_fresh = fresh
-        clone._maps_shared = self._maps_shared = True
-        clone._dirty = False
         return clone
 
     # -- queries -------------------------------------------------------
@@ -844,9 +908,9 @@ class DenseIndex(_SpatialIndex):
     over its insertion-ordered dict, so dense results (batched or not) are
     byte-identical to the oracle, ties included.
 
-    :meth:`ingest_arrays` adopts snapshot arrays directly (no per-node
-    object materialisation); later ``update``/``remove`` calls hydrate the
-    object-based maintenance state first, keeping the mutable API intact.
+    :meth:`ingest_arrays` adopts snapshot arrays as they are, without a
+    copy; ``update`` / ``remove`` hydrate objects first (see
+    :class:`_SpatialIndex`).
     """
 
     def __init__(self) -> None:
@@ -856,7 +920,6 @@ class DenseIndex(_SpatialIndex):
         self._heights = np.empty(0, dtype=np.float64)
         self._row_seq = np.empty(0, dtype=np.int64)
         self._row_of: Optional[Dict[str, int]] = None
-        self._array_only = False
         #: Lazily built float32 pruning twins (see the batch kernels).
         self._prune = None
         # -- incremental-epoch overlay state (see delta_applied) -------
@@ -887,56 +950,16 @@ class DenseIndex(_SpatialIndex):
         self._masked_rows = np.empty(0, dtype=np.int64)
         self._base_rows = None
 
-    # -- array ingestion (the zero-copy path) --------------------------
-    def ingest_arrays(
-        self,
-        node_ids: Sequence[str],
-        components: np.ndarray,
-        heights: Optional[np.ndarray] = None,
+    def _build(
+        self, node_ids: List[str], components: np.ndarray, heights: np.ndarray
     ) -> None:
-        """Adopt snapshot arrays as the index contents (no copy).
-
-        Replaces any previous contents.  Insertion sequence becomes the
-        row order.  The arrays are referenced, not copied; callers must
-        treat them as frozen afterwards.
-        """
-        components = np.asarray(components, dtype=np.float64)
-        if components.ndim != 2:
-            raise ValueError("components must be a (n, d) array")
-        ids = list(node_ids)
-        if len(ids) != components.shape[0]:
-            raise ValueError(
-                f"{len(ids)} node ids for {components.shape[0]} coordinate rows"
-            )
-        if heights is None:
-            heights = np.zeros(len(ids), dtype=np.float64)
-        else:
-            heights = np.asarray(heights, dtype=np.float64)
-            if heights.shape != (len(ids),):
-                raise ValueError("heights must be a (n,) array aligned with node_ids")
-        self._ids = ids
+        self._ids = node_ids
         self._components = components
         self._heights = heights
-        self._row_seq = np.arange(len(ids), dtype=np.int64)
+        self._row_seq = np.arange(len(node_ids), dtype=np.int64)
         self._row_of = None
         self._prune = None
-        self._coordinates.clear()
-        self._seq.clear()
-        self._next_seq = 0
-        self._array_only = True
-        self._dirty = False
         self._clear_overlay()
-
-    @classmethod
-    def from_arrays(
-        cls,
-        node_ids: Sequence[str],
-        components: np.ndarray,
-        heights: Optional[np.ndarray] = None,
-    ) -> "DenseIndex":
-        index = cls()
-        index.ingest_arrays(node_ids, components, heights)
-        return index
 
     # -- incremental epochs --------------------------------------------
     def _base_row_index(self) -> Dict[str, int]:
@@ -965,7 +988,7 @@ class DenseIndex(_SpatialIndex):
         self._ensure_built()
         if not changed_ids and not removed_ids:
             return self
-        if not self._array_only or self._n_base == 0:
+        if self._n_base == 0:
             return None
         changed_components = np.asarray(changed_components, dtype=np.float64)
         changed_heights = np.asarray(changed_heights, dtype=np.float64)
@@ -1016,7 +1039,6 @@ class DenseIndex(_SpatialIndex):
             return None
         clone = DenseIndex()
         clone._array_only = True
-        clone._dirty = False
         clone._components = self._components
         clone._heights = self._heights
         clone._prune = self._prune
@@ -1047,38 +1069,6 @@ class DenseIndex(_SpatialIndex):
         clone._row_of = None
         clone._base_rows = base_rows
         return clone
-
-    def _hydrate_objects(self) -> None:
-        """Materialise the object-based maintenance state from the arrays.
-
-        Overlay rows keep their original seqs; the flat arrays go stale.
-        """
-        if not self._array_only:
-            return
-        for node_id in self.node_ids():
-            self._seq[node_id] = int(self._row_seq[self._row_index[node_id]])
-            self._coordinates[node_id] = self.coordinate_of(node_id)
-        self._next_seq = (max(self._seq.values()) + 1) if self._seq else 0
-        self._clear_overlay()
-        self._array_only = False
-        self._dirty = True
-
-    # -- maintenance ---------------------------------------------------
-    def update(self, node_id: str, coordinate: Coordinate) -> None:
-        self._hydrate_objects()
-        super().update(node_id, coordinate)
-
-    def remove(self, node_id: str) -> None:
-        self._hydrate_objects()
-        super().remove(node_id)
-
-    def _rebuild(self) -> None:
-        entries, self._components, self._heights = self._entry_arrays()
-        self._ids = [node_id for _, node_id, _ in entries]
-        self._row_seq = np.asarray([seq for seq, _, _ in entries], dtype=np.int64)
-        self._row_of = None
-        self._prune = None
-        self._clear_overlay()
 
     @property
     def _row_index(self) -> Dict[str, int]:

@@ -44,8 +44,9 @@ class ArraySnapshot:
     ``coordinate_of``, ``node_ids``, ``items``, ...).  The arrays are
     *adopted*, not copied, and marked read-only -- the zero-copy half of
     the simulation -> service bridge.  ``Coordinate`` objects are
-    materialised lazily, one per ``coordinate_of`` lookup; batch
-    consumers (the ``dense`` index) never materialise any.
+    materialised lazily, one per ``coordinate_of`` lookup; the spatial
+    indexes (``vptree``, ``dense``) are built from the arrays and never
+    materialise any.
     """
 
     __slots__ = (
@@ -594,8 +595,8 @@ class SnapshotStore:
         if index is not None:
             return index
         # Built outside the lock so a large build never blocks ingest.  A
-        # dense index adopts the snapshot's arrays: no per-node objects
-        # anywhere on the path.
+        # spatial index is built from the snapshot's arrays: no per-node
+        # objects anywhere on the path.
         index = index_over(self.index_kind, *target.arrays())
         with self._lock:
             if target.version not in self._versions:

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import main, run_experiments
+import repro.server.cli as serving_cli
+from repro.analysis.cli import EXPERIMENTS, SERVING_COMMANDS, build_parser, main, run_experiments
+from repro.scenarios.cli import build_parser as build_scenarios_parser
 from repro.scenarios import ScenarioSpec
 from repro.scenarios.registry import _REGISTRY, register
 
@@ -36,6 +41,56 @@ class TestMain:
     def test_named_experiment_prints_report(self, capsys):
         assert main(["fig06", "--seed", "1"]) == 0
         assert "Figure 6" in capsys.readouterr().out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _documented_commands():
+    """Every ``repro ...`` / ``python -m repro.analysis.cli ...`` command line
+    in README.md's code blocks and the serving CLI's docstring, as argv
+    after the program name."""
+    readme = ROOT.joinpath("README.md").read_text()
+    texts = re.findall(r"```[a-z]*\n(.*?)```", readme, re.S)
+    texts.append(serving_cli.__doc__)
+    commands = []
+    for text in texts:
+        for line in text.replace("\\\n", " ").splitlines():
+            # Leading environment assignments, then the program name.
+            command = re.match(
+                r"\s*(?:[A-Z_]+=\S*\s+)*(?:python -m repro\.analysis\.cli|repro)\s(.*)", line
+            )
+            if command:
+                words = shlex.split(command.group(1), comments=True)
+                commands.append(words[:-1] if words[-1:] == ["&"] else words)
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_the_documented_commands_cover_every_group(self):
+        groups = {argv[0] for argv in _documented_commands()}
+        assert {"scenarios", "fig05", "serve", "query", "serve-daemon", "load", "gateway"} <= groups
+
+    @pytest.mark.parametrize("argv", _documented_commands(), ids=" ".join)
+    def test_every_documented_command_parses(self, argv):
+        # The dispatch of ``main``, parsing only: nothing runs.
+        if argv[0] == "scenarios":
+            build_scenarios_parser().parse_args(argv[1:])
+        elif argv[0] in SERVING_COMMANDS:
+            serving_cli.build_parser().parse_args(argv)
+        else:
+            args = build_parser().parse_args(argv)
+            assert set(args.experiments) <= set(EXPERIMENTS)
+
+    def test_an_option_after_its_subcommand_is_refused(self, capsys):
+        # What the README's workload replay said before: ``--index``
+        # belongs to ``query``, not to ``workload``.
+        with pytest.raises(SystemExit) as exit_info:
+            serving_cli.build_parser().parse_args(
+                "query --snapshot s.json workload --index vptree".split()
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --index vptree" in capsys.readouterr().err
 
 
 @pytest.fixture()

@@ -543,6 +543,51 @@ class TestIncrementalEqualsFull:
         assert run() == (first, unmoved, after)
 
 
+class TestStoreHealthReadsTheSnapshotRowMap:
+    def test_the_tracker_keeps_the_served_row_map_and_its_output(self):
+        from repro.server.sharding import ShardedCoordinateStore
+        from repro.service.publish import EpochDelta
+
+        rng = np.random.default_rng(13)
+        n = 150
+        node_ids = [f"h{i:03d}" for i in range(n)]
+        base = rng.uniform(-80.0, 80.0, size=(n, 3))
+        store = ShardedCoordinateStore(2, index_kind="vptree")
+        tracker = store.health_tracker
+        # The same stream, fed without the map: the tracker builds its own.
+        reference = HealthTracker(seed=tracker.seed, registry=TelemetryRegistry())
+
+        def observed(generation):
+            ids, components, heights = generation.snapshot.arrays()
+            want = reference.observe_epoch(
+                ids, components, heights, version=generation.version
+            )
+            assert tracker.snapshots[-1].to_dict() == want.to_dict()
+            assert tracker.summary() == reference.summary()
+            assert tracker._prev_index_of is generation.snapshot.row_index
+            return generation.snapshot.row_index
+
+        first = observed(store.publish_epoch(node_ids, base, np.zeros(n)))
+        assert reference._prev_index_of is not first  # a copy of its own
+        # A delta that keeps the population shares the retained map.
+        moved = observed(
+            store.publish_delta(EpochDelta(node_ids[:5], base[:5] + 1.5, np.zeros(5)))
+        )
+        assert moved is first
+        # One that changes it carries a new map, read rather than rebuilt.
+        changed = observed(
+            store.publish_delta(
+                EpochDelta(["late"], base[:1] - 2.0, np.zeros(1), removed_ids=(node_ids[7],))
+            )
+        )
+        assert changed is not first and "late" in changed
+        # A full publish swaps in its own map, the population unchanged
+        # or not, so no retired snapshot's map outlives it.
+        restored = observed(store.publish_epoch(node_ids, base + 0.5, np.zeros(n)))
+        again = observed(store.publish_epoch(node_ids, base + 1.0, np.zeros(n)))
+        assert again is not restored and again == restored == first
+
+
 # ----------------------------------------------------------------------
 # The accuracy regression gate
 # ----------------------------------------------------------------------

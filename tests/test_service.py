@@ -390,9 +390,10 @@ class TestVPTreeFlatLeaves:
         base = index = self._rebuilt(oracle)
         seen = set(oracle.node_ids()) | {"ghost"}
         fresh = 0
-        no_rows = mock.patch(
-            "repro.service.index._changed_coordinates",
-            side_effect=AssertionError("delta_applied built a Coordinate per row"),
+        no_rows = mock.patch.object(
+            Coordinate,
+            "__init__",
+            side_effect=AssertionError("delta_applied built a Coordinate"),
         )
         for step in range(40):
             live = oracle.node_ids()
@@ -417,8 +418,8 @@ class TestVPTreeFlatLeaves:
                 )
             if derived is None:
                 break
-            assert derived._coordinates is base._coordinates
             assert derived._seq is base._seq
+            assert derived._where is base._where
             index = derived
             for node_id, coordinate in changed.items():
                 oracle.update(node_id, coordinate)
@@ -533,6 +534,176 @@ class TestVPTreeFlatLeavesOnSmallLeaves(TestVPTreeFlatLeaves):
     @pytest.fixture(autouse=True)
     def _small_leaves(self, monkeypatch):
         monkeypatch.setattr(index_module, "_LEAF_SIZE", SMALL_LEAF)
+
+
+# ----------------------------------------------------------------------
+# Spatial indexes built from arrays
+# ----------------------------------------------------------------------
+def _arrays_of(coordinates):
+    """``(ids, components, heights)`` rows of a ``{node_id: Coordinate}`` map."""
+    ids = list(coordinates)
+    components = np.asarray([coordinates[i].components for i in ids], dtype=np.float64)
+    heights = np.asarray([coordinates[i].height for i in ids], dtype=np.float64)
+    return ids, components.reshape(len(ids), -1), heights
+
+
+class TestArrayBuiltIndexes:
+    def _universes(self):
+        rng = np.random.default_rng(31)
+        for dims in (1, 3, 4):
+            yield {
+                f"u{i:03d}": Coordinate(
+                    rng.normal(scale=40.0, size=dims).tolist(),
+                    float(abs(rng.normal(scale=2.0))) if i % 3 == 0 else 0.0,
+                )
+                for i in range(260)
+            }
+        # A tie-heavy 2-d lattice with duplicate points.
+        yield {
+            f"t{i:03d}": Coordinate(
+                rng.integers(-3, 4, size=2).astype(float).tolist(), float(i % 2)
+            )
+            for i in range(230)
+        }
+
+    @pytest.mark.parametrize("leaf", [None, SMALL_LEAF])
+    def test_an_array_built_vp_tree_is_the_object_built_one(self, leaf, monkeypatch):
+        if leaf is not None:
+            monkeypatch.setattr(index_module, "_LEAF_SIZE", leaf)
+        for coordinates in self._universes():
+            by_objects = VPTreeIndex()
+            by_objects.update_many(coordinates)
+            by_objects._ensure_built()
+            by_arrays = index_over("vptree", *_arrays_of(coordinates))
+            assert by_arrays._table == by_objects._table
+            assert by_arrays._leaf_ids == by_objects._leaf_ids
+            for name in ("_leaf_components", "_leaf_heights", "_leaf_seqs", "_where"):
+                a, b = getattr(by_arrays, name), getattr(by_objects, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert by_arrays._seq == by_objects._seq
+            # The vantages are the walk's plain float tuples, and the
+            # splits those of the scalar reference builder.
+            inner, _ = _inner_nodes(by_arrays)
+            table = by_arrays._table
+            for node in inner:
+                assert all(type(x) is float for x in table.points[node])
+                assert type(table.heights[node]) is float and type(table.seqs[node]) is int
+            entries = [(seq, node_id, c) for seq, (node_id, c) in enumerate(coordinates.items())]
+            built = [(table.ids[node], table.mus[node], table.radii[node]) for node in inner]
+            assert built == _reference_splits(entries)
+            # Lookups make each Coordinate on demand, the very one inserted.
+            assert by_arrays.node_ids() == list(coordinates)
+            for node_id, coordinate in coordinates.items():
+                assert by_arrays.coordinate_of(node_id) == coordinate
+            assert not by_arrays._coordinates
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS)
+    def test_index_over_builds_no_coordinate_for_the_spatial_kinds(self, kind, monkeypatch):
+        ids, components, heights = _arrays_of(
+            _random_coordinates(np.random.default_rng(32), 300, with_heights=True)
+        )
+        built = []
+        init = Coordinate.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Coordinate, "__init__", counting)
+        index = index_over(kind, ids, components, heights)
+        assert len(built) == (300 if kind == "linear" else 0)
+        assert len(index) == 300
+
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
+    def test_mutating_array_built_and_derived_indexes_matches_the_oracle(self, kind):
+        rng = np.random.default_rng(33)
+        # Inserted in descending id order, so no order but insertion's holds.
+        coordinates = dict(reversed(_random_coordinates(rng, 200, with_heights=True).items()))
+        ids = list(coordinates)
+        moved = {ids[3]: Coordinate([1.0, 2.0, 3.0], 0.5), "late": Coordinate([4.0, 5.0, 6.0])}
+        base = index_over(kind, *_arrays_of(coordinates))
+        derived = base.delta_applied(*_arrays_of(moved), [ids[9]])
+        assert derived is not None and derived is not base
+        base_oracle, derived_oracle = CoordinateIndex(), CoordinateIndex()
+        for oracle in (base_oracle, derived_oracle):
+            oracle.update_many(coordinates)
+        derived_oracle.update_many(moved)
+        derived_oracle.remove(ids[9])
+        edits = (
+            ("update", ids[5], Coordinate([-7.0, 0.0, 7.0], 1.5)),  # an existing row moves
+            ("update", "fresh", Coordinate([0.0, 0.0, 0.0])),  # a new node appends
+            ("remove", ids[0], None),  # the first row leaves
+            ("update", ids[0], Coordinate([3.0, 3.0, 3.0])),  # and comes back last
+            ("remove", ids[1], None),
+        )
+        for index, oracle in ((base, base_oracle), (derived, derived_oracle)):
+            for op, node_id, coordinate in edits:
+                if op == "update":
+                    index.update(node_id, coordinate)
+                    oracle.update(node_id, coordinate)
+                else:
+                    index.remove(node_id)
+                    oracle.remove(node_id)
+            assert index.node_ids() == oracle.node_ids()
+            assert len(index) == len(oracle)
+            for node_id in ids + ["late", "fresh", "ghost"]:
+                assert (node_id in index) == (node_id in oracle)
+                assert index.coordinate_of(node_id) == oracle.coordinate_of(node_id)
+            live = oracle.node_ids()
+            probes = [oracle.coordinate_of(i) for i in live[:3] + live[-2:]]
+            probes.append(Coordinate(rng.normal(scale=60.0, size=3).tolist()))
+            for probe in probes:
+                for k in (1, 7):
+                    for exclude in ((), live[:2]):
+                        want = oracle.nearest(probe, k, exclude=exclude)
+                        assert index.nearest(probe, k, exclude=exclude) == want
+                assert index.within(probe, 45.0) == oracle.within(probe, 45.0)
+            assert index.min_cost_host(probes[:3]) == oracle.min_cost_host(probes[:3])
+            assert index.nearest_to_node(live[-1], 4) == oracle.nearest_to_node(live[-1], 4)
+            assert not index._coordinates  # the query built it back into arrays
+        # Neither mutation reached the other generation.
+        assert base.node_ids()[-2:] == ["fresh", ids[0]]
+        assert "late" not in base and ids[9] not in derived
+
+    #: (what breaks a row, Coordinate's own refusal) -- row 2 of 4 rows.
+    BAD_ROWS = {
+        "no-dimensions": (lambda c, h: (np.empty((4, 0)), h), "at least one dimension"),
+        "nan-component": (lambda c, h: (_with(c, (2, 1), np.nan), h), "components must be finite"),
+        "inf-component": (lambda c, h: (_with(c, (2, 0), -np.inf), h), "components must be finite"),
+        "negative-height": (lambda c, h: (c, _with(h, 2, -0.5)), "height must be non-negative"),
+        "nan-height": (lambda c, h: (c, _with(h, 2, np.nan)), "height must be finite"),
+        "inf-height": (lambda c, h: (c, _with(h, 2, np.inf)), "height must be finite"),
+    }
+
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_rows_a_coordinate_refuses_are_refused(self, kind, case):
+        breaks, refusal = self.BAD_ROWS[case]
+        components, heights = breaks(np.ones((4, 3)), np.zeros(4))
+        ids = ["a", "b", "c", "d"]
+        with pytest.raises(ValueError, match=refusal):
+            Coordinate(components[2].tolist(), float(heights[2]))
+        with pytest.raises(ValueError, match=refusal):
+            index_over(kind, ids, components, heights)
+        index = build_index(kind)
+        index.update("z", Coordinate([1.0]))
+        with pytest.raises(ValueError, match=refusal):
+            index.ingest_arrays(ids, components, heights)
+        # A refused ingest leaves the previous contents in place.
+        assert index.node_ids() == ["z"]
+
+    @pytest.mark.parametrize("kind", ["vptree", "dense"])
+    def test_an_empty_ingest_is_an_empty_index(self, kind):
+        index = index_over(kind, [], np.empty((0, 0)), np.empty(0))
+        assert len(index) == 0 and index.node_ids() == []
+        assert index.nearest(Coordinate([0.0, 0.0]), 3) == []
+
+
+def _with(array, at, value):
+    """A copy of ``array`` with ``value`` written at ``at``."""
+    array = array.copy()
+    array[at] = value
+    return array
 
 
 # ----------------------------------------------------------------------

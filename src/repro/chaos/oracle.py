@@ -1,8 +1,8 @@
 """Healthy-subset oracle checking for degraded (partial) responses.
 
 A partial response served while shard S is down must be *exactly* the
-full scatter-gather answer minus shard S's candidates -- nothing
-re-ranked, no tie order disturbed.  :func:`verify_chaos_responses`
+full answer minus shard S's rows -- nothing re-ranked, no tie order
+disturbed.  :func:`verify_chaos_responses`
 checks that: it mirrors the daemon's snapshot into an in-process
 :class:`~repro.server.sharding.ShardedCoordinateStore` with the same
 shard count (the blake2b shard assignment is stable across processes)

@@ -12,11 +12,11 @@ Fault kinds
 -----------
 
 ``shard-kill``
-    The shard drops out of the scatter set at request ``at``; queries are
-    served *degraded* (``"partial": true`` plus the missing-shard list)
-    from the healthy subset.  After ``duration`` requests the store
-    rebuilds the shard's index from the last generation's snapshot and
-    re-admits it.  Requires ``shard``.
+    The shard's rows drop out of the answering index at request ``at``;
+    queries are served *degraded* (``"partial": true`` plus the
+    missing-shard list) from an index over the healthy shards' rows.
+    After ``duration`` requests the store installs the last generation's
+    full index and re-admits the shard.  Requires ``shard``.
 ``shard-slow``
     Gray failure: every scatter query pays an extra ``delay_ms`` of
     service time while the fault is active.  Requires ``shard`` (the

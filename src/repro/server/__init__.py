@@ -6,10 +6,10 @@ this package turns them into a *served* concern:
 * :mod:`repro.server.protocol` -- the length-prefixed JSON wire protocol
   shared by the daemon and its clients;
 * :mod:`repro.server.sharding` -- :class:`ShardedCoordinateStore`, N
-  hash-partitioned shards (each one pluggable index over its rows of the
-  generation's snapshot) behind a scatter-gather router whose answers are
-  byte-identical to the single-store oracle, with atomic zero-downtime
-  generation rollover.  It is
+  hash-partitioned shards of rows answered through one pluggable index
+  per generation (in snapshot order, so answers are byte-identical to the
+  single-store oracle; a healthy-subset index while shards are down),
+  with atomic zero-downtime generation rollover.  It is
   the one serving front: the daemon, the gateway and every in-process
   caller (``repro serve``/``query``, scenario workloads, benchmarks)
   answer through it, in-process ones usually as a one-shard store;

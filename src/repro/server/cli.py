@@ -961,7 +961,7 @@ def _add_server_parsers(groups) -> None:
     serve.add_argument("--port", type=int, default=0, help="0 picks an ephemeral port")
     serve.add_argument("--shards", type=int, default=2, help="shard count")
     serve.add_argument(
-        "--index", choices=INDEX_KINDS, default="vptree", help="per-shard index kind"
+        "--index", choices=INDEX_KINDS, default="vptree", help="index kind"
     )
     serve.add_argument("--history", type=int, default=4, help="retained generations")
     serve.add_argument("--cache-entries", type=int, default=8192)

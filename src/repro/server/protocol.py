@@ -71,7 +71,7 @@ The payload is byte-identical to the full scatter minus those shards
 
 Any request may additionally set ``"trace": true``; the response then
 carries a ``trace`` list of per-stage ``{"stage", ..., "ms"}`` entries
-(admission, cache probe, per-shard scatter, merge) for that one request.
+(admission, cache probe, index scan, payload shaping) for that one request.
 
 Protocol version
 ----------------

@@ -1,44 +1,47 @@
-"""Sharded live coordinate stores with scatter-gather query routing.
+"""Sharded live coordinate stores with one index per generation.
 
 :class:`ShardedCoordinateStore` partitions the node population across N
-shards by a stable hash of the node id.  A shard is its index: each
-generation holds one whole-population
-:class:`~repro.service.snapshot.ArraySnapshot` and, per shard, one
-pluggable spatial index over that shard's rows; cross-shard queries
-scatter to every shard and merge the partial answers.
+shards by a stable hash of the node id.  A shard is a set of rows, not
+an index: each generation holds one whole-population
+:class:`~repro.service.snapshot.ArraySnapshot`, a per-row owner array
+(the partition) and one pluggable spatial index over the rows of the
+shards that are up, and a shard that is down is answered around by an
+index over the other shards' rows.
 
 **One serving front.** The daemon, the gateway and every in-process
 caller answer through this store; an in-process caller that wants a
 single store uses ``shards=1``.  A generation answers a query by handing
-its shard indexes to :func:`repro.service.planner.answer_query`, the one
-payload executor; :meth:`ShardedCoordinateStore.serve_batch` answers a
-whole batch from one generation, grouping a one-shard ``dense`` store's
-misses into the index's batch calls.  This module owns partitioning,
-generations, the cache, batching and the degraded path; it shapes no
-payload itself.
+its index to :func:`repro.service.planner.answer_query`, the one payload
+executor; :meth:`ShardedCoordinateStore.serve_batch` answers a whole
+batch from one generation, grouping a ``dense`` store's misses into the
+index's batch calls while no shard is down.  This module owns
+partitioning, generations, the cache, batching and the degraded path; it
+shapes no payload itself.
 
-**Oracle identity.** Merged answers are byte-identical -- same node sets,
-same ``Coordinate.distance`` floats, same ordering including ties -- to a
-single un-sharded store serving the same snapshot:
+**Oracle identity: one index in global order.** Answers are
+byte-identical -- same node sets, same ``Coordinate.distance`` floats,
+same ordering including ties -- to a single un-sharded store serving the
+same snapshot, because they *are* that store's answers: the generation's
+index holds the snapshot's rows in snapshot order, so its own insertion
+order is the linear oracle's tie-break and nothing is merged.
 
-* distances only involve the query point and one node's coordinate, so a
-  shard computes exactly the floats the single store would;
-* the single-store oracle breaks distance ties by snapshot insertion
-  order, so every published generation carries the snapshot's row map as
-  its *global* insertion sequence; each shard index holds its nodes in
-  global-order subsequence (making shard-local tie order consistent with
-  it) and the merge sorts candidates by ``(distance, global sequence)``;
-* any node in the global top-k is necessarily in its own shard's top-k
-  (the global comparator restricted to one shard is the shard's own
-  comparator), so merging per-shard top-k lists loses nothing.
+**The healthy-subset rule.** While shards are down, a query is answered
+from an index over exactly the rows whose owner is up, still in snapshot
+order, so a degraded answer is the full answer minus the down shards'
+rows -- nothing re-ranked, no tie order disturbed (what
+:mod:`repro.chaos.oracle` checks).  A generation builds the index for an
+excluded shard set once, on first use, and keeps it
+(:meth:`ShardGeneration.index_for`); :meth:`~ShardedCoordinateStore.kill_shard`
+and :meth:`~ShardedCoordinateStore.restart_shard` build the one for the
+new down set eagerly, under the ingest lock, so serving never waits for
+it.
 
 **Generations and torn reads.** Every publish builds a complete immutable
-:class:`ShardGeneration` -- the snapshot, per-shard indexes, the global
-sequence map -- *before* a single atomic reference swap installs it.  A
-request pins the generation reference once and serves the whole answer
-from it, so a response can never mix coordinate versions across shards,
-and rollover never blocks serving (readers of the old generation simply
-finish on it).
+:class:`ShardGeneration` -- the snapshot, its index, the owner array --
+*before* a single atomic reference swap installs it.  A request pins the
+generation reference once and serves the whole answer from it, so a
+response can never mix coordinate versions, and rollover never blocks
+serving (readers of the old generation simply finish on it).
 
 **Generations are the only history.** A full epoch becomes one
 ``ArraySnapshot``; a delta becomes
@@ -47,14 +50,13 @@ function a single store applies, so versions and insertion order are
 *definitionally* the oracle's.  Every constructor publishes one delta:
 ``from_snapshot`` and the synthetic and snapshot-file sources build it
 from arrays, with no per-node ``Coordinate``; only the object batches of
-``from_coordinates`` and ``ingest_collector`` start from objects.  Each
-shard index derives from the previous generation's with the delta's rows
-of that shard (``delta_applied``); when that declines, or for
-``linear``, :func:`~repro.service.index.index_over` builds it over the
-shard's rows, picked by a per-row owner array kept for the serving
-generation.  A delta routes every id already served by that array and
-hashes only the ids that join; one that keeps the population shares the
-array as is.
+``from_coordinates`` and ``ingest_collector`` start from objects.  The
+index derives from the previous generation's with one ``delta_applied``
+call (while shards are down, the live set's index from the delta's live
+rows); when that declines, or for ``linear``,
+:func:`~repro.service.index.index_over` builds it over the rows.  A
+delta routes every id already served by the owner array and hashes only
+the ids that join; one that keeps the population shares the array as is.
 
 **The cache across a publish.** Answers are cached under
 ``(version, query)``.  A delta publish, before its swap, re-keys to the
@@ -119,29 +121,6 @@ HEALTH_SECTIONS = (
 )
 
 
-class _DeadShardIndex:
-    """Placeholder index for a shard that is down.
-
-    Installed in generations built while a shard is killed; any scatter
-    that reaches it (i.e. that did not exclude the dead shard) raises a
-    counted :class:`QueryError` rather than silently serving nothing.
-    """
-
-    __slots__ = ("shard",)
-
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-
-    def __len__(self) -> int:
-        return 0
-
-    def nearest(self, *args, **kwargs):
-        raise QueryError(f"shard {self.shard} is down")
-
-    def within(self, *args, **kwargs):
-        raise QueryError(f"shard {self.shard} is down")
-
-
 class ServeResult:
     """:meth:`ShardedCoordinateStore.serve`'s return value.
 
@@ -186,9 +165,10 @@ def shard_of(node_id: str, shards: int) -> int:
 class ShardGeneration:
     """One immutable, fully built serving generation.
 
-    Everything a request needs -- per-shard indexes, the coordinate
-    lookup, the global tie-break order -- is reachable from this object,
-    so a request that captured it is untouched by later publishes.
+    Everything a request needs -- the snapshot, its one index, the
+    per-row owner array, the global tie-break order -- is reachable from
+    this object, so a request that captured it is untouched by later
+    publishes.
     """
 
     __slots__ = (
@@ -199,6 +179,9 @@ class ShardGeneration:
         "shard_sizes",
         "global_seq",
         "node_order",
+        "owners",
+        "index_kind",
+        "_indexes",
     )
 
     def __init__(
@@ -206,25 +189,57 @@ class ShardGeneration:
         version: int,
         source: str,
         snapshot,
-        shard_indexes: Tuple[CoordinateIndex, ...],
+        shard_indexes: Tuple[CoordinateIndex],
         shard_sizes: Tuple[int, ...],
         global_seq: Dict[str, int],
         node_order: List[str],
+        *,
+        owners: Optional[np.ndarray] = None,
+        index_kind: str = "vptree",
+        down: frozenset = frozenset(),
     ) -> None:
         self.version = version
         self.source = source
         #: The whole population's snapshot (coordinate lookup + wire dump).
         self.snapshot = snapshot
+        #: ``(index,)``: the one index the generation was published with,
+        #: over the rows of every shard not in ``down`` (the shards down at
+        #: the publish), in snapshot order.
         self.shard_indexes = shard_indexes
+        #: Rows each shard owns (``np.bincount`` of ``owners``).
         self.shard_sizes = shard_sizes
         #: node id -> position in the oracle's insertion order (the
         #: snapshot's ``row_index``).
         self.global_seq = global_seq
         #: Node ids in oracle insertion order (the snapshot's id list).
         self.node_order = node_order
+        #: The shard of every snapshot row; needed only to build an index
+        #: for a shard set other than ``down``.
+        self.owners = owners
+        self.index_kind = index_kind
+        self._indexes: Dict[frozenset, CoordinateIndex] = {
+            frozenset(down): shard_indexes[0]
+        }
 
     def __len__(self) -> int:
         return len(self.node_order)
+
+    def index_for(self, exclude_shards: Sequence[int] = ()) -> CoordinateIndex:
+        """The index over the rows of every shard not in ``exclude_shards``.
+
+        A set met for the first time gets an index built over exactly
+        those rows in snapshot order, kept for every later request; the
+        store builds the one for its down set eagerly, under its ingest
+        lock, when it kills or restarts a shard.
+        """
+        excluded = frozenset(exclude_shards)
+        index = self._indexes.get(excluded)
+        if index is None:
+            if self.owners is None:
+                raise ValueError("a generation without owners serves only its own set")
+            index = _index_over(self.index_kind, self.snapshot, self.owners, excluded)
+            self._indexes[excluded] = index
+        return index
 
     def answer(
         self,
@@ -236,41 +251,32 @@ class ShardGeneration:
     ) -> Any:
         """The oracle-identical payload for one service-layer query.
 
-        Scatter, merge and payload shaping are
-        :func:`repro.service.planner.answer_query`'s, with the shard
-        indexes as its partitions and the global sequence as its
-        tie-break.  ``exclude_shards`` restricts the scatter to the
-        healthy subset -- the degraded-response path while a shard is
-        down.
+        Payload shaping is :func:`repro.service.planner.answer_query`'s,
+        over :meth:`index_for` ``exclude_shards`` -- the whole population,
+        or the healthy subset on the degraded-response path while shards
+        are down.
         """
         return answer_query(
             query,
             self.snapshot,
-            self.shard_indexes,
-            self.global_seq,
-            exclude_shards,
+            self.index_for(exclude_shards),
             registry=registry,
             trace=trace,
         )
 
 
-def _generation_of(
-    snapshot: ArraySnapshot, shard_indexes: Sequence[CoordinateIndex]
-) -> ShardGeneration:
-    """The generation serving ``snapshot`` through ``shard_indexes``.
-
-    The order maps are the snapshot's own row map and id list, shared
-    rather than rebuilt.
-    """
-    return ShardGeneration(
-        snapshot.version,
-        snapshot.source,
-        snapshot,
-        tuple(shard_indexes),
-        tuple(len(index) for index in shard_indexes),
-        snapshot.row_index,
-        snapshot.arrays()[0],
-    )
+def _index_over(
+    kind: str, snapshot: ArraySnapshot, owners: np.ndarray, excluded: frozenset
+) -> CoordinateIndex:
+    """A ``kind`` index over ``snapshot``'s rows whose owner is not in
+    ``excluded``, in snapshot order; with nothing excluded it adopts the
+    snapshot's arrays."""
+    node_ids, components, heights = snapshot.arrays()
+    if excluded:
+        rows = np.flatnonzero(~np.isin(owners, list(excluded)))
+        node_ids = [node_ids[row] for row in rows.tolist()]
+        components, heights = components[rows], heights[rows]
+    return index_over(kind, node_ids, components, heights)
 
 
 class _ServeStats:
@@ -310,7 +316,7 @@ class _ServeStats:
 
 
 class ShardedCoordinateStore:
-    """N hash-partitioned shard indexes behind one scatter-gather router.
+    """N hash-partitioned shards of rows behind one index per generation.
 
     The complete serving engine minus the network: the asyncio daemon
     (:mod:`repro.server.daemon`) is a thin shell over :meth:`serve` and
@@ -348,16 +354,19 @@ class ShardedCoordinateStore:
         self._ingest_lock = threading.Lock()
         #: Guards cache + stats bookkeeping (short critical sections).
         self._stats_lock = threading.Lock()
-        empty = _generation_of(
+        #: Shards currently killed by fault injection.  Serving answers
+        #: scatter queries from the index over the other shards' rows
+        #: (degraded partial responses).  Written only under the ingest
+        #: lock; read as one volatile reference by serving threads.
+        self._down_shards: frozenset = frozenset()
+        empty = self._generation_of(
             ArraySnapshot(0, [], np.empty((0, 1))),
-            [CoordinateIndex() for _ in range(shards)],
+            CoordinateIndex(),
+            np.empty(0, dtype=np.intp),
         )
         self._generation = empty
         #: The retained generations by version: the store's only history.
         self._generations: Dict[int, ShardGeneration] = {0: empty}
-        #: The shard of every row of the serving generation's snapshot.
-        #: Written only under the ingest lock, at the swap.
-        self._owners = np.empty(0, dtype=np.intp)
         self.cache = LRUTTLCache(cache_entries)
         self._serve_stats: Dict[str, _ServeStats] = {
             kind: _ServeStats(kind, self.registry) for kind in QUERY_KINDS
@@ -423,12 +432,6 @@ class ShardedCoordinateStore:
         #: Install wall-time per retained generation version (timer units),
         #: pruned alongside the generations themselves.
         self._publish_walls: Dict[int, float] = {}
-        #: Shards currently killed by fault injection.  Serving excludes
-        #: them from the scatter (degraded partial responses); publishes
-        #: build no index for them and install a dead-index placeholder.
-        #: Written only under the ingest lock; read as one volatile
-        #: reference by serving threads.
-        self._down_shards: frozenset = frozenset()
         #: A :class:`repro.chaos.injector.ChaosInjector` when a fault
         #: schedule is active; the store consults it at publish entry
         #: (never under the ingest lock -- see the injector's lock-order
@@ -455,7 +458,7 @@ class ShardedCoordinateStore:
         running :func:`~repro.netsim.batch.run_batch_simulation` can
         stream epochs straight into a live server via ``publish_store``.
         The arrays are adopted (and frozen) as the generation's snapshot;
-        every shard index is built over its rows.
+        the index is built over the rows of every shard that is up.
         """
         if self._chaos_publish_gate():
             return self._generation
@@ -474,17 +477,10 @@ class ShardedCoordinateStore:
                 dtype=np.intp,
                 count=len(snapshot),
             )
-            generation = _generation_of(
-                snapshot,
-                [
-                    _DeadShardIndex(shard)
-                    if shard in self._down_shards
-                    else self._index_over_rows(snapshot, owners, shard)
-                    for shard in range(self.shards)
-                ],
-            )
+            index = _index_over(self.index_kind, snapshot, owners, self._down_shards)
+            generation = self._generation_of(snapshot, index, owners)
             self._install_locked(
-                generation, owners, started, mode="full", changed_count=len(snapshot)
+                generation, started, mode="full", changed_count=len(snapshot)
             )
             return generation
 
@@ -494,16 +490,16 @@ class ShardedCoordinateStore:
         The incremental half of the
         :class:`~repro.service.publish.EpochPublisher` protocol.  The
         snapshot is :func:`~repro.service.snapshot.apply_delta` of the
-        serving one (copy-on-write of the touched rows), and each shard
-        index derives from its predecessor with the delta's rows of that
-        shard (``delta_applied``); a shard the delta never touches keeps
-        its index outright, and one whose derivation declines (or a
-        ``linear`` one) is rebuilt over its rows.  The resulting
-        generation is byte-identical (coordinates, query results
-        including tie order, health snapshots) to publishing the same
-        final population through :meth:`publish_epoch`.  Cached answers
-        the delta provably leaves unchanged are carried to the new
-        version (see the module docstring).
+        serving one (copy-on-write of the touched rows), and the index
+        derives from its predecessor with one ``delta_applied`` call;
+        when that declines (compaction, or the ``linear`` kind) it is
+        rebuilt over the rows.  While shards are down only the live set's
+        index is derived, from the delta's rows of live shards.  The
+        resulting generation is byte-identical (coordinates, query
+        results including tie order, health snapshots) to publishing the
+        same final population through :meth:`publish_epoch`.  Cached
+        answers the delta provably leaves unchanged are carried to the
+        new version (see the module docstring).
         """
         if not isinstance(delta, EpochDelta):
             raise TypeError(
@@ -526,50 +522,35 @@ class ShardedCoordinateStore:
             known = base_rows >= 0
             joined = np.flatnonzero(~known)
             owner_of = np.empty(len(base_rows), dtype=np.intp)
-            owner_of[known] = self._owners[base_rows[known]]
+            owner_of[known] = base.owners[base_rows[known]]
             owner_of[joined] = [
                 shard_of(delta.node_ids[position], self.shards)
                 for position in joined.tolist()
             ]
             if snapshot.arrays()[0] is base.node_order:
-                owners = self._owners  # population unchanged: same rows
+                owners = base.owners  # population unchanged: same rows
             else:
                 keep = np.ones(len(base), dtype=bool)
                 keep[[row_of[gone] for gone in delta.removed_ids if gone in row_of]] = False
-                owners = np.concatenate([self._owners[keep], owner_of[joined]])
-            changed_rows: List[List[int]] = [[] for _ in range(self.shards)]
-            for position, owner in enumerate(owner_of.tolist()):
-                changed_rows[owner].append(position)
-            removed_ids: List[List[str]] = [[] for _ in range(self.shards)]
-            for node_id in delta.removed_ids:
-                row = row_of.get(node_id)
-                if row is not None:
-                    removed_ids[self._owners[row]].append(node_id)
-            shard_indexes: List[CoordinateIndex] = []
-            for shard, previous in enumerate(base.shard_indexes):
-                rows = changed_rows[shard]
-                if shard in self._down_shards:
-                    # restart_shard rebuilds it from the generation it
-                    # returns to.
-                    index = _DeadShardIndex(shard)
-                elif not rows and not removed_ids[shard]:
-                    index = previous  # untouched: immutable, shared as is
-                else:
-                    derive = getattr(previous, "delta_applied", None)
-                    index = None
-                    if derive is not None:
-                        index = derive(
-                            [delta.node_ids[row] for row in rows],
-                            delta.components[rows],
-                            delta.heights[rows],
-                            removed_ids[shard],
-                        )
-                    if index is None:  # compaction, or a linear shard
-                        index = self._index_over_rows(snapshot, owners, shard)
-                shard_indexes.append(index)
-            generation = _generation_of(snapshot, shard_indexes)
+                owners = np.concatenate([base.owners[keep], owner_of[joined]])
+            down = self._down_shards
+            changed_ids = delta.node_ids
+            components, heights = delta.components, delta.heights
+            if down:
+                # Only the live shards' rows enter the live set's index.
+                # Removed ids need no filter: an index ignores absent ids.
+                live = np.flatnonzero(~np.isin(owner_of, list(down)))
+                changed_ids = [changed_ids[position] for position in live.tolist()]
+                components, heights = components[live], heights[live]
+            derive = getattr(base.index_for(down), "delta_applied", None)
+            index = None
+            if derive is not None:
+                index = derive(changed_ids, components, heights, delta.removed_ids)
+            if index is None:  # compaction, or the linear kind
+                index = _index_over(self.index_kind, snapshot, owners, down)
+            generation = self._generation_of(snapshot, index, owners)
             self._install_locked(
-                generation, owners, started,
+                generation, started,
                 mode="delta", changed_count=delta.changed_count,
                 carried=self._survivors(base, generation, delta),
             )
@@ -606,25 +587,31 @@ class ShardedCoordinateStore:
             return self._generation
         return self.publish_delta(EpochDelta.from_coordinates(coordinates, source=source))
 
-    def _index_over_rows(
-        self, snapshot: ArraySnapshot, owners: np.ndarray, shard: int
-    ) -> CoordinateIndex:
-        """A fresh index over ``shard``'s rows of ``snapshot``, in global order.
+    def _generation_of(
+        self, snapshot: ArraySnapshot, index: CoordinateIndex, owners: np.ndarray
+    ) -> ShardGeneration:
+        """The generation serving ``snapshot`` through ``index``, built
+        over the rows of every shard not currently down.
 
-        ``owners`` is the per-row shard of ``snapshot``, so no node id is
-        hashed; a one-shard store's index adopts the snapshot's arrays.
+        The order maps are the snapshot's own row map and id list, shared
+        rather than rebuilt.
         """
-        node_ids, components, heights = snapshot.arrays()
-        if self.shards > 1:
-            rows = np.flatnonzero(owners == shard)
-            node_ids = [node_ids[row] for row in rows.tolist()]
-            components, heights = components[rows], heights[rows]
-        return index_over(self.index_kind, node_ids, components, heights)
+        return ShardGeneration(
+            snapshot.version,
+            snapshot.source,
+            snapshot,
+            (index,),
+            tuple(np.bincount(owners, minlength=self.shards).tolist()),
+            snapshot.row_index,
+            snapshot.arrays()[0],
+            owners=owners,
+            index_kind=self.index_kind,
+            down=self._down_shards,
+        )
 
     def _install_locked(
         self,
         generation: ShardGeneration,
-        owners: np.ndarray,
         started: float,
         *,
         mode: str,
@@ -650,7 +637,6 @@ class ShardedCoordinateStore:
             self.cache.rekey(generation.version, carried)
             self.cache.current_version = generation.version
         self._c_cache_carried.inc(len(carried))
-        self._owners = owners
         # The swap: a single reference assignment.  Readers see either the
         # whole old generation or the whole new one, never a mixture.
         self._generation = generation
@@ -709,55 +695,54 @@ class ShardedCoordinateStore:
         return False
 
     def kill_shard(self, shard: int) -> None:
-        """Drop one shard from the scatter set (fault injection).
+        """Drop one shard from the answering set (fault injection).
 
         Queries keep being served from the healthy subset as degraded
-        partial responses; publishes while down build no index for the
-        shard and install a dead-index placeholder.  Idempotent.
+        partial responses.  The serving generation's index over the
+        healthy shards' rows is built here, before the shard counts as
+        down, so no request waits for it; publishes while down derive
+        only that live-set index.  Idempotent.
         """
         if not 0 <= shard < self.shards:
             raise ValueError(f"shard {shard} out of range for {self.shards} shards")
         with self._ingest_lock:
             if shard in self._down_shards:
                 return
-            self._down_shards = self._down_shards | {shard}
+            down = self._down_shards | {shard}
+            self._generation.index_for(down)
+            self._down_shards = down
             self.events.emit(
                 "shard_killed", shard=shard, version=self._generation.version
             )
 
     def restart_shard(self, shard: int) -> None:
-        """Re-admit a killed shard, rebuilding it from the last generation.
+        """Re-admit a killed shard.
 
-        The shard's index is built over its rows of the serving
-        generation's snapshot (picked by the per-row owner array, so no
-        node id is rehashed) and installed into that generation by an
-        atomic swap -- the same no-torn-reads argument as a publish.
-        Idempotent.
+        The serving generation's index over every shard still up -- the
+        full index once none is down -- is built over its snapshot's rows
+        (picked by the per-row owner array, so no node id is rehashed)
+        before the shard counts as up again; the same no-torn-reads
+        argument as a publish.  Idempotent.
         """
         if not 0 <= shard < self.shards:
             raise ValueError(f"shard {shard} out of range for {self.shards} shards")
         with self._ingest_lock:
             if shard not in self._down_shards:
                 return
+            down = self._down_shards - {shard}
             generation = self._generation
-            shard_indexes = list(generation.shard_indexes)
-            shard_indexes[shard] = self._index_over_rows(
-                generation.snapshot, self._owners, shard
-            )
-            rebuilt = _generation_of(generation.snapshot, shard_indexes)
-            self._generations[generation.version] = rebuilt
-            self._generation = rebuilt
-            self._down_shards = self._down_shards - {shard}
+            generation.index_for(down)
+            self._down_shards = down
             self.events.emit(
                 "shard_restarted",
                 shard=shard,
                 version=generation.version,
-                nodes=rebuilt.shard_sizes[shard],
+                nodes=generation.shard_sizes[shard],
             )
 
     @property
     def down_shards(self) -> frozenset:
-        """The shards currently excluded from the scatter set."""
+        """The shards currently excluded from answers (degraded serving)."""
         return self._down_shards
 
     # ------------------------------------------------------------------
@@ -830,7 +815,7 @@ class ShardedCoordinateStore:
         the oracle audit expects.
 
         Passing a :class:`TraceRecorder` collects per-stage durations
-        (cache probe, per-shard scatter, merge) for this one request even
+        (cache probe, index scan, payload shaping) for this one request even
         when the registry's spans are globally disabled.
 
         It never sleeps, so an event loop may call it: an injected
@@ -886,24 +871,21 @@ class ShardedCoordinateStore:
         query that fails yields a result carrying its ``error`` in its
         slot instead of poisoning the rest of the batch.
 
-        On a one-shard store whose index has batch entry points (the
-        ``dense`` kind) and no chaos schedule, the batch's cache-missing
-        knn / nearest / range queries are answered in grouped NumPy calls
-        (by ``k`` / radius) -- same payloads, cache contents and stats as
+        While no shard is down and no chaos schedule is installed, a
+        store whose index has batch entry points (the ``dense`` kind, at
+        any shard count) answers the batch's cache-missing knn / nearest
+        / range queries in grouped NumPy calls (by ``k`` / radius) --
+        same payloads, cache contents and stats as
         per-query :meth:`serve`.  The grouped answers enter the cache
         before the rest of the batch is served, so with a cache smaller
         than the batch the *eviction* order within one call can differ.
         """
         pinned = self._generation
         slots: List[Optional[ServeResult]] = [None] * len(queries)
-        index = pinned.shard_indexes[0]
-        if (
-            len(queries) > 1
-            and self.shards == 1
-            and self.chaos is None
-            and hasattr(index, "knn_batch_by_id")
-        ):
-            self._serve_grouped(pinned, index, queries, slots)
+        if len(queries) > 1 and not self._down_shards and self.chaos is None:
+            index = pinned.index_for(())
+            if hasattr(index, "knn_batch_by_id"):
+                self._serve_grouped(pinned, index, queries, slots)
         results: List[ServeResult] = []
         for query, served in zip(queries, slots):
             if served is None:

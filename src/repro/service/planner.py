@@ -11,11 +11,13 @@ geometric:
   the indexed node closest to it.
 
 **One executor.**  :func:`answer_query` is the only code that turns a
-:class:`Query` into its payload.  It scatters over a tuple of index
-partitions and merges by ``(rtt, insertion order)``.  The one serving
-front, :class:`repro.server.sharding.ShardedCoordinateStore`, passes its
-shard indexes; a single store is its one-shard case, not a second
-implementation.  The store's grouped batch path
+:class:`Query` into its payload.  It reads one index whose insertion
+order is the snapshot's, so the index's answer is already in the linear
+oracle's ``(rtt, insertion order)`` order.  The one serving front,
+:class:`repro.server.sharding.ShardedCoordinateStore`, passes its
+generation's index (or, while shards are down, the index over the
+healthy shards' rows); a single store is its one-shard case, not a
+second implementation.  The store's grouped batch path
 (:meth:`~repro.server.sharding.ShardedCoordinateStore.serve_batch` on a
 ``dense`` index) shapes its payloads with this module's
 :func:`_proximity_payload` too, so both paths emit the same bytes.
@@ -140,28 +142,20 @@ def _proximity_payload(query: Query, ranked) -> Dict[str, Any]:
 def answer_query(
     query: Query,
     snapshot,
-    indexes: Sequence[Any],
-    order: Optional[Mapping[str, int]] = None,
-    exclude: Sequence[int] = (),
+    index: Any,
     *,
     registry: Optional[TelemetryRegistry] = None,
     trace: Optional[TraceRecorder] = None,
 ) -> Any:
     """The payload for ``query`` over one pinned snapshot: the one executor.
 
-    ``indexes`` are the spatial-index partitions that together hold the
-    snapshot's population (a single store passes its one index); only
-    their ``nearest`` / ``within`` methods are used.  Partial answers
-    merge by ``(rtt, order[node_id])``, where ``order`` maps a node id to
-    its position in the snapshot's insertion order -- the linear oracle's
-    tie-break.  Any node in the global top-k is in its own partition's
-    top-k, so merging per-partition top-k lists loses nothing, and one
-    partition alone is already in oracle order and needs no ``order``.
-
-    ``exclude`` names partitions to skip (shards that are down): the
-    answer is then exactly the full merge minus those partitions'
-    members.  Pairwise distance reads the snapshot alone and is never
-    affected.
+    ``index`` holds the rows that may answer -- the whole snapshot, or
+    the rows of its healthy shards while some are down -- inserted in
+    snapshot order, so the index's own tie-break is the linear oracle's
+    and its answer is final: no merge, no re-sort.  Only its ``nearest``
+    / ``within`` methods are used.  A degraded answer is therefore
+    exactly the full answer minus the down shards' rows.  Pairwise
+    distance reads the snapshot alone.
     """
     kind = query.kind
     if kind == "pairwise":
@@ -169,46 +163,24 @@ def answer_query(
         a = _coordinate_of(snapshot, first)
         b = _coordinate_of(snapshot, second)
         return {"pair": [first, second], "predicted_rtt_ms": a.distance(b)}
-    limit: Optional[int]  # how many merged candidates the answer keeps
     if kind == "centroid":
         members = query.members or snapshot.node_ids()
         if not members:
             raise QueryError("centroid query over an empty snapshot")
         point = centroid([_coordinate_of(snapshot, node_id) for node_id in members])
-        limit = 1
-
-        def scan(index):
-            return index.nearest(point, 1)
-
-    elif kind == "range":
-        point = _coordinate_of(snapshot, query.target)
-        limit = None
-
-        def scan(index):
-            return index.within(point, query.radius_ms)
-
     else:
         point = _coordinate_of(snapshot, query.target)
-        limit = query.k if kind == "knn" else 1
-
-        def scan(index):
-            return index.nearest(point, limit, exclude=[query.target])
-
-    partials = []
-    for partition, index in enumerate(indexes):
-        if partition in exclude:
-            continue
-        with make_span(registry, "query.scatter", trace, {"shard": partition}):
-            partials.append(scan(index))
-    with make_span(registry, "query.merge", trace, {}):
-        if len(partials) == 1:
-            ranked = partials[0]
+    with make_span(registry, "query.scatter", trace, {}):
+        if kind == "centroid":
+            ranked = index.nearest(point, 1)
+        elif kind == "range":
+            ranked = index.within(point, query.radius_ms)
         else:
-            ranked = [pair for partial in partials for pair in partial]
-            ranked.sort(key=lambda pair: (pair[1], order[pair[0]]))
-            if limit is not None:
-                ranked = ranked[:limit]
-    if kind == "centroid":
+            k = query.k if kind == "knn" else 1
+            ranked = index.nearest(point, k, exclude=[query.target])
+    with make_span(registry, "query.merge", trace, {}):
+        if kind != "centroid":
+            return _proximity_payload(query, ranked)
         host, rtt = ranked[0] if ranked else (None, None)
         return {
             "members": len(members),
@@ -216,7 +188,6 @@ def answer_query(
             "nearest_host": host,
             "nearest_rtt_ms": rtt,
         }
-    return _proximity_payload(query, ranked)
 
 
 #: Cells in any one temporary of :func:`survivors`' distance check.

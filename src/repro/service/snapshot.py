@@ -137,11 +137,21 @@ class ArraySnapshot:
     def row_index(self) -> Dict[str, int]:
         """``{node_id: row}`` over :meth:`arrays`; read-only once published.
 
-        Built on first use and shared, like the id list, by every
-        same-population snapshot derived from this one.
+        Built on first use -- which refuses a repeated id, naming it --
+        and shared, like the id list, by every same-population snapshot
+        derived from this one.  The sharded store builds it inside every
+        publish, before the swap, so a served generation never repeats an
+        id; construction stays free of per-row Python work.
         """
         if self._row_of is None:
-            self._row_of = {node_id: row for row, node_id in enumerate(self._node_ids)}
+            row_of = {node_id: row for row, node_id in enumerate(self._node_ids)}
+            if len(row_of) != len(self._node_ids):
+                seen = set()
+                for node_id in self._node_ids:
+                    if node_id in seen:
+                        raise ValueError(f"duplicate node id {node_id!r}")
+                    seen.add(node_id)
+            self._row_of = row_of
         return self._row_of
 
     def coordinate_of(self, node_id: str) -> Optional[Coordinate]:

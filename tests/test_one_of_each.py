@@ -10,8 +10,12 @@ sharded store).  These tests hold the collapse in place:
   batch path, equals a brute-force oracle written here -- the
   independence the comparison lost when the paths started sharing one
   builder;
-* the dense grouped batch path shapes the same payloads as per-query
-  ``serve``;
+* the dense grouped batch path shapes the same payloads, cache contents
+  and stats as per-query ``serve``, at any shard count;
+* a generation answers through one index in snapshot order: after every
+  step of a random publish / delta / kill / restart stream, every served
+  answer -- full or degraded -- and every ``answer(exclude_shards=X)``
+  equals the brute-force oracle over the healthy rows;
 * ``stats()`` percentiles are the registry histogram's read-out;
 * a served payload is one shared read-only value: the miss returns the
   object the cache keeps and every hit returns it again, uncopied;
@@ -23,8 +27,10 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import itertools
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +48,7 @@ from repro.server.sharding import ShardedCoordinateStore, shard_of
 import repro.service.index as index_module
 from repro.service.index import INDEX_KINDS, DenseIndex, VPTreeIndex, _VPTable, index_over
 from repro.service.planner import Query, QueryError
+from repro.service.publish import EpochDelta
 from repro.service.snapshot import ArraySnapshot, SnapshotStore
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -146,7 +153,8 @@ class TestOneExecutor:
             partial = _brute_force(query, node_ids, coordinates, excluded_members)
             assert generation.answer(query, exclude_shards=excluded) == partial
 
-    def test_dense_flush_shapes_the_payloads_execute_does(self):
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_dense_flush_shapes_the_payloads_execute_does(self, shards):
         rng = np.random.default_rng(4)
         node_ids = [f"n{i:03d}" for i in range(80)]
         # Rounded so that duplicates and ties occur in the batch kernels too.
@@ -154,7 +162,7 @@ class TestOneExecutor:
         heights = np.zeros(80)
 
         def store():
-            served = ShardedCoordinateStore(1, index_kind="dense", timer=lambda: 0.0)
+            served = ShardedCoordinateStore(shards, index_kind="dense", timer=lambda: 0.0)
             served.publish_epoch(node_ids, components, heights)
             return served
 
@@ -167,7 +175,7 @@ class TestOneExecutor:
         queries.append(Query.centroid(tuple(node_ids[:5])))
         queries.append(Query.knn("ghost"))  # an error slot, not a poisoned batch
         grouped = store()
-        index = grouped.generation().shard_indexes[0]
+        index = grouped.generation().index_for(())
         calls = []
         for name in ("knn_batch_by_id", "range_batch_by_id"):
             method = getattr(index, name)
@@ -193,7 +201,136 @@ class TestOneExecutor:
             else:
                 assert result.error is None
                 assert result.payload == single.serve(query).payload
+        version = grouped.version
+        assert dict(grouped.cache.entries_at(version)) == dict(
+            single.cache.entries_at(version)
+        )
         assert grouped.stats() == single.stats()
+        if shards > 1:
+            # With a shard down the batch is served query by query, degraded.
+            grouped.kill_shard(1)
+            calls.clear()
+            assert all(result.partial for result in grouped.serve_batch(queries[:3]))
+            assert not calls
+
+
+_STEPS = ("epoch", "delta", "delta", "delta", "kill", "restart")
+
+
+class TestOneIndexPerGeneration:
+    """A random publish stream, checked against the oracle after every step."""
+
+    @staticmethod
+    def _rows(rng, lattice, count):
+        if lattice:
+            points = rng.choice([0.0, 1.0, 2.0, 3.5], size=(count, 2))
+            heights = rng.choice([0.0, 0.0, 0.5], size=count)
+        else:
+            points = rng.normal(scale=10.0, size=(count, 2))
+            heights = rng.uniform(0.0, 2.0, size=count)
+        return points, heights
+
+    @given(
+        st.integers(1, 4),
+        st.sampled_from(INDEX_KINDS),
+        st.booleans(),
+        st.integers(0, 2**16),
+        st.lists(st.sampled_from(_STEPS), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_step_equals_the_healthy_oracle(self, shards, kind, lattice, seed, steps):
+        rng = np.random.default_rng(seed)
+        pool = [f"p{i:02d}" for i in range(24)]
+        store = ShardedCoordinateStore(shards, index_kind=kind, history=2)
+        population = {}  # node id -> Coordinate, in snapshot order
+        down = set()
+        derives = []
+
+        def counted(method):
+            def wrapper(self, *args):
+                derives.append(type(self).__name__)
+                return method(self, *args)
+
+            return wrapper
+
+        patches = [
+            mock.patch.object(cls, "delta_applied", counted(cls.delta_applied))
+            for cls in (VPTreeIndex, DenseIndex)
+        ]
+        with patches[0], patches[1]:
+            for step in ("epoch",) + tuple(steps):
+                if step == "epoch":
+                    ids = [pool[i] for i in rng.permutation(len(pool))[: rng.integers(1, 13)]]
+                    points, heights = self._rows(rng, lattice, len(ids))
+                    store.publish_epoch(ids, points, heights)
+                    population = {
+                        node_id: Coordinate(point.tolist(), float(height))
+                        for node_id, point, height in zip(ids, points, heights)
+                    }
+                elif step == "delta":
+                    present = list(population)
+                    moved = [n for n in present if rng.random() < 0.3]
+                    removed = [n for n in present if n not in moved and rng.random() < 0.2]
+                    absent = [n for n in pool if n not in population]
+                    joined = [n for n in absent if rng.random() < 0.15]
+                    changed = moved + joined
+                    points, heights = self._rows(rng, lattice, len(changed))
+                    derives.clear()
+                    store.publish_delta(
+                        EpochDelta(changed, points, heights, removed_ids=removed)
+                    )
+                    assert len(derives) == (0 if kind == "linear" else 1)
+                    for node_id in removed:
+                        del population[node_id]
+                    for node_id, point, height in zip(changed, points, heights):
+                        population[node_id] = Coordinate(point.tolist(), float(height))
+                elif step == "kill":
+                    shard = int(rng.integers(shards))
+                    store.kill_shard(shard)
+                    down.add(shard)
+                else:
+                    shard = int(rng.choice(sorted(down))) if down else 0
+                    store.restart_shard(shard)
+                    down.discard(shard)
+                self._check(store, population, shards, down, rng)
+
+    def _check(self, store, population, shards, down, rng):
+        generation = store.generation()
+        node_ids = list(population)
+        owners = [shard_of(node_id, shards) for node_id in node_ids]
+        assert len(generation.shard_indexes) == 1
+        assert generation.node_order == node_ids
+        assert generation.owners.tolist() == owners
+        assert store.down_shards == frozenset(down)
+        if not node_ids:
+            return
+        targets = [node_ids[i] for i in rng.permutation(len(node_ids))[:3]]
+        queries = [Query.centroid(), Query.centroid(tuple(targets[:2]))]
+        for position, target in enumerate(targets):
+            queries += [
+                Query.knn(target, k=1 + position),
+                Query.nearest(target),
+                Query.range(target, float(position + 1)),
+                Query.pairwise(target, node_ids[0]),
+            ]
+
+        def members_of(excluded):
+            return {n for n, owner in zip(node_ids, owners) if owner in excluded}
+
+        for query in queries:
+            served = store.serve(query)
+            degraded = bool(down) and query.kind != "pairwise"
+            assert served.partial == degraded
+            assert served.missing_shards == (tuple(sorted(down)) if degraded else ())
+            assert served.payload == _brute_force(
+                query, node_ids, population, members_of(down if degraded else ())
+            )
+        for size in range(shards + 1):
+            for excluded in itertools.combinations(range(shards), size):
+                hidden = members_of(excluded)
+                for query in queries:
+                    expected = _brute_force(query, node_ids, population, hidden)
+                    assert generation.answer(query, exclude_shards=excluded) == expected
 
 
 class TestOnePercentileOwner:

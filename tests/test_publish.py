@@ -50,7 +50,7 @@ from repro.service.index import (
 import repro.service.planner as planner_module
 from repro.service.planner import Query, QueryError, _reached, answer_query
 from repro.service.publish import EpochDelta, EpochPublisher
-from repro.service.snapshot import SnapshotStore
+from repro.service.snapshot import ArraySnapshot, SnapshotStore
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +216,15 @@ class TestDeltaEquivalenceSweep:
                 delta_store.kill_shard(1)
             delta_generation = delta_store.publish_delta(delta)
             if epoch == 2:
-                assert len(delta_generation.shard_indexes[1]) == 0
+                # Published while shard 1 is down: its rows are in no index.
+                (live_index,) = delta_generation.shard_indexes
+                assert live_index.node_ids() == [
+                    node_id
+                    for node_id, owner in zip(
+                        delta_generation.node_order, delta_generation.owners.tolist()
+                    )
+                    if owner != 1
+                ]
                 delta_store.restart_shard(1)
                 delta_generation = delta_store.generation()
             full_generation = full_store.publish_epoch(
@@ -225,10 +233,12 @@ class TestDeltaEquivalenceSweep:
             assert delta_generation.version == full_generation.version
             assert delta_generation.node_order == full_generation.node_order
             assert delta_generation.shard_sizes == full_generation.shard_sizes
-            for derived, rebuilt in zip(
-                delta_generation.shard_indexes, full_generation.shard_indexes
-            ):
-                assert derived.node_ids() == rebuilt.node_ids()
+            assert len(delta_generation.shard_indexes) == 1
+            assert len(full_generation.shard_indexes) == 1
+            assert (
+                delta_generation.index_for(()).node_ids()
+                == full_generation.index_for(()).node_ids()
+            )
             d_ids, d_comps, d_hts = delta_generation.snapshot.arrays()
             f_ids, f_comps, f_hts = full_generation.snapshot.arrays()
             assert d_ids == f_ids
@@ -303,13 +313,12 @@ class TestDeltaEquivalenceSweep:
             generation = store.generation()
             order = generation.node_order
             expected = [sharding_module.shard_of(node_id, 3) for node_id in order]
-            assert store._owners.tolist() == expected
-            for shard, index in enumerate(generation.shard_indexes):
-                if shard in store.down_shards:
-                    continue
-                assert index.node_ids() == [
-                    node_id for node_id, owner in zip(order, expected) if owner == shard
-                ]
+            assert generation.owners.tolist() == expected
+            assert generation.index_for(store.down_shards).node_ids() == [
+                node_id
+                for node_id, owner in zip(order, expected)
+                if owner not in store.down_shards
+            ]
 
     def test_empty_base_delta_bootstraps_population(self):
         store = SnapshotStore(index_kind="dense")
@@ -709,7 +718,7 @@ def _lattice_queries(rng, node_ids, count):
 def _oracle_answer(mirror: SnapshotStore, query: Query):
     """``answer_query`` over the linear oracle at the mirror's latest version."""
     snapshot = mirror.latest()
-    return answer_query(query, snapshot, (mirror.index_for(snapshot),))
+    return answer_query(query, snapshot, mirror.index_for(snapshot))
 
 
 class TestCacheCarriedAcrossADelta:
@@ -1367,3 +1376,76 @@ class TestWireProtocolVersioning:
         assert chaos["payload"]["installed"] is True
         assert degraded.get("partial") is True
         assert "partial" not in healed
+
+
+class TestDuplicateIdsRefused:
+    """A full epoch that repeats a node id publishes nothing, on every path."""
+
+    IDS = ["a", "a", "b", "c"]
+    COMPONENTS = np.arange(8.0).reshape(4, 2)
+
+    def test_array_snapshot_names_the_first_repeated_id(self):
+        snapshot = ArraySnapshot(1, ["x", "b", "b", "x"], np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="duplicate node id 'b'"):
+            snapshot.coordinate_of("x")
+
+    @pytest.mark.parametrize("index_kind", INDEX_KINDS)
+    def test_publish_epoch_refuses_duplicate_ids(self, index_kind):
+        store = ShardedCoordinateStore(2, index_kind=index_kind)
+        store.publish_epoch(["z"], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="duplicate node id 'a'"):
+            store.publish_epoch(self.IDS, self.COMPONENTS)
+        assert store.version == 1
+        assert store.generation().node_order == ["z"]
+
+    @pytest.mark.parametrize("transport", ["tcp", "http"])
+    def test_wire_publish_answers_not_ok(self, transport):
+        request = {
+            "op": "publish",
+            "nodes": self.IDS,
+            "components": self.COMPONENTS.tolist(),
+        }
+        if transport == "tcp":
+            store = ShardedCoordinateStore(2, index_kind="vptree")
+            store.publish_epoch(["z"], np.zeros((1, 2)))
+            boot = CoordinateServer(store).run_in_thread
+
+            async def connect(address):
+                return await AsyncCoordinateClient.connect(*address)
+
+        else:
+            from repro.gateway.app import GatewayServer
+            from repro.gateway.client import GatewayClient
+            from repro.gateway.config import parse_gateway_config
+
+            config = {
+                "tenants": [
+                    {
+                        "name": "acme",
+                        "api_key": "acme-secret-0001",
+                        "shards": 2,
+                        "quota": None,
+                        "data": {"synthetic": 8, "seed": 1},
+                    }
+                ]
+            }
+            boot = GatewayServer(parse_gateway_config(config)).run_in_thread
+
+            async def connect(address):
+                return GatewayClient(*address, "acme", "acme-secret-0001")
+
+        async def run(address):
+            client = await connect(address)
+            try:
+                before = await client.request({"op": "version"})
+                refused = await client.request(dict(request))
+                after = await client.request({"op": "version"})
+                return before, refused, after
+            finally:
+                await client.close()
+
+        with boot() as handle:
+            before, refused, after = asyncio.run(run(handle.address))
+        assert refused["ok"] is False
+        assert "duplicate node id 'a'" in refused["error"]
+        assert after["payload"] == before["payload"]

@@ -332,6 +332,13 @@ class HealthTracker:
             raise ValueError(f"heights must be ({len(ids)},); got {heights.shape}")
         if self._pair_ids is None:
             self._materialise_samples(ids)
+        if (
+            self._prev_components is not None
+            and components.shape[1] != self._prev_components.shape[1]
+        ):
+            # A new dimensionality shares no geometry with the retained
+            # epoch: no row is compared with it.
+            self._prev_index_of = None
         same_rows = self._prev_index_of is not None and (
             ids is self._prev_ids or ids == self._prev_ids
         )

@@ -56,9 +56,10 @@ __all__ = [
 ]
 
 
-def _rows(components) -> list:
-    """JSON-safe nested lists for a coordinate-row array or sequence."""
-    return [[float(value) for value in row] for row in components]
+def _as_sent(values) -> list:
+    """An array as nested lists, a sequence as it is: nothing is coerced,
+    the server's row contract (``check_rows``) judges the values."""
+    return values.tolist() if hasattr(values, "tolist") else list(values)
 
 
 def backoff_delay_ms(
@@ -275,12 +276,12 @@ class AsyncCoordinateClient:
         """Publish a whole-population epoch over the wire."""
         request: Dict[str, Any] = {
             "op": "publish",
-            "nodes": [str(node_id) for node_id in node_ids],
-            "components": _rows(components),
+            "nodes": list(node_ids),
+            "components": _as_sent(components),
             "source": source,
         }
         if heights is not None:
-            request["heights"] = [float(height) for height in heights]
+            request["heights"] = _as_sent(heights)
         return await self.request(request)
 
     async def publish_delta(
@@ -297,13 +298,13 @@ class AsyncCoordinateClient:
         request: Dict[str, Any] = {
             "op": "publish",
             "delta": True,
-            "nodes": [str(node_id) for node_id in node_ids],
-            "components": _rows(components),
-            "removed": [str(node_id) for node_id in removed_ids],
+            "nodes": list(node_ids),
+            "components": _as_sent(components),
+            "removed": list(removed_ids),
             "source": source,
         }
         if heights is not None:
-            request["heights"] = [float(height) for height in heights]
+            request["heights"] = _as_sent(heights)
         if epoch is not None:
             request["epoch"] = epoch
         return await self.request(request)

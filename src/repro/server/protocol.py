@@ -52,7 +52,9 @@ Operations
                  ``source`` publish a full epoch; with ``"delta": true``
                  only the changed rows travel, plus optional
                  ``removed``/``epoch`` -> ``{"version", "nodes", "mode",
-                 "changed"}``
+                 "changed"}``.  The rows must keep
+                 :func:`~repro.service.publish.check_rows`'s contract;
+                 a refusal is ``ok: false`` naming the first bad id
 ``chaos``     -> fault-injection control plane:
                  ``spec``/``seed`` install a deterministic
                  :class:`~repro.chaos.schedule.FaultSchedule`,
@@ -98,10 +100,8 @@ import json
 import struct
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.service.planner import Query, QueryError
-from repro.service.publish import EpochDelta
+from repro.service.publish import EpochDelta, check_rows
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -259,45 +259,21 @@ def request_to_publish(request: Mapping[str, Any]):
 
     Returns ``("full", (node_ids, components, heights, source))`` for a
     whole-population publish or ``("delta", EpochDelta)`` for the
-    incremental form.  Raises :class:`~repro.service.planner.QueryError`
-    on invalid fields, which the daemon turns into an error response.
+    incremental form.  Both read their rows through
+    :func:`~repro.service.publish.check_rows`, before the store is
+    touched.  Raises :class:`~repro.service.planner.QueryError` on invalid
+    fields, which the daemon turns into an error response.
     """
     delta = bool(request.get("delta", False))
-    node_ids = request.get("nodes", [])
-    if not isinstance(node_ids, (list, tuple)) or not all(
-        isinstance(node_id, str) and node_id for node_id in node_ids
-    ):
-        raise QueryError("publish 'nodes' must be a list of non-empty node ids")
-    node_ids = list(node_ids)
-    rows = request.get("components", [])
-    if not isinstance(rows, (list, tuple)):
-        raise QueryError("publish 'components' must be a list of coordinate rows")
-    try:
-        components = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise QueryError("publish 'components' rows must be numeric") from None
-    if components.size == 0:
-        components = components.reshape(0, 1)
-    if components.ndim != 2 or components.shape[0] != len(node_ids):
-        raise QueryError(
-            "publish 'components' must hold one equal-length numeric row "
-            "per entry of 'nodes'"
-        )
-    heights_field = request.get("heights")
-    if heights_field is None:
-        heights = None
-    else:
-        if not isinstance(heights_field, (list, tuple)):
-            raise QueryError("publish 'heights' must be a list of numbers")
-        try:
-            heights = np.asarray(heights_field, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise QueryError("publish 'heights' must be a list of numbers") from None
-        if heights.shape != (len(node_ids),):
-            raise QueryError("publish 'heights' must match 'nodes' in length")
+    node_ids, rows = request.get("nodes", []), request.get("components", [])
+    heights, removed = request.get("heights"), request.get("removed", [])
+    fields = (node_ids, rows, () if heights is None else heights, removed)
+    if not all(isinstance(field, (list, tuple)) for field in fields):
+        raise QueryError("publish 'nodes', 'components', 'heights' and 'removed' must be lists")
     source = request.get("source", "")
     if not isinstance(source, str):
         raise QueryError("publish 'source' must be a string")
+    epoch = request.get("epoch")
     if not delta:
         for key in ("removed", "epoch"):
             if request.get(key) is not None:
@@ -305,27 +281,16 @@ def request_to_publish(request: Mapping[str, Any]):
                     f"publish {key!r} is only valid on a delta publish "
                     "('delta': true)"
                 )
-        return "full", (node_ids, components, heights, source)
-    removed = request.get("removed", [])
-    if not isinstance(removed, (list, tuple)) or not all(
-        isinstance(node_id, str) and node_id for node_id in removed
-    ):
-        raise QueryError("publish 'removed' must be a list of non-empty node ids")
-    epoch = request.get("epoch")
-    if epoch is not None and (isinstance(epoch, bool) or not isinstance(epoch, int)):
+    elif epoch is not None and (isinstance(epoch, bool) or not isinstance(epoch, int)):
         raise QueryError("publish 'epoch' must be an integer")
     try:
-        payload = EpochDelta(
-            node_ids,
-            components,
-            heights,
-            removed_ids=tuple(removed),
-            source=source,
-            epoch=epoch,
+        if not delta:
+            return "full", (*check_rows(node_ids, rows, heights), source)
+        return "delta", EpochDelta(
+            node_ids, rows, heights, removed_ids=tuple(removed), source=source, epoch=epoch
         )
     except ValueError as exc:
-        raise QueryError(f"invalid delta publish: {exc}") from None
-    return "delta", payload
+        raise QueryError(str(exc)) from None
 
 
 def query_to_request(query: Query, request_id: Any) -> Dict[str, Any]:

@@ -472,8 +472,10 @@ class ShardedCoordinateStore:
                 heights,
                 source=source or base.source,
             )
+            # The row map keeps the row contract's id rules, so it is
+            # built before any id is hashed.
             owners = np.fromiter(
-                (shard_of(node_id, self.shards) for node_id in snapshot.arrays()[0]),
+                (shard_of(node_id, self.shards) for node_id in snapshot.row_index),
                 dtype=np.intp,
                 count=len(snapshot),
             )

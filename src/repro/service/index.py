@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.core.coordinate import Coordinate
 from repro.overlay.knn import CoordinateIndex
+from repro.service.publish import check_rows, row_map
 
 __all__ = ["INDEX_KINDS", "build_index", "index_over", "VPTreeIndex", "DenseIndex"]
 
@@ -72,45 +73,6 @@ _OVERLAY_COMPACT_FRACTION = 0.25
 def _overlay_budget(population: int) -> int:
     """Max changed-row footprint a derived index may carry before compaction."""
     return max(_OVERLAY_COMPACT_MIN, int(_OVERLAY_COMPACT_FRACTION * population))
-
-
-def _checked_rows(
-    node_ids: Sequence[str],
-    components: np.ndarray,
-    heights: Optional[np.ndarray] = None,
-) -> Tuple[List[str], np.ndarray, np.ndarray]:
-    """``node_ids`` as a list and the rows as float64 arrays, checked.
-
-    Refuses what ``Coordinate`` would refuse of any row -- no dimensions,
-    a negative or non-finite height, a non-finite component -- with one
-    vectorised test per case.  ``heights`` defaults to zeros.
-    """
-    ids = list(node_ids)
-    components = np.asarray(components, dtype=np.float64)
-    if components.ndim != 2:
-        raise ValueError("components must be a (n, d) array")
-    if len(ids) != components.shape[0]:
-        raise ValueError(f"{len(ids)} node ids for {components.shape[0]} coordinate rows")
-    if heights is None:
-        heights = np.zeros(len(ids), dtype=np.float64)
-    else:
-        heights = np.asarray(heights, dtype=np.float64)
-        if heights.shape != (len(ids),):
-            raise ValueError("heights must be a (n,) array aligned with node_ids")
-    if ids and components.shape[1] == 0:
-        raise ValueError("a coordinate needs at least one dimension")
-    for bad, refusal in (
-        (heights < 0.0, "height must be non-negative"),
-        (~np.isfinite(components).all(axis=1), "coordinate components must be finite"),
-        (~np.isfinite(heights), "height must be finite"),
-    ):
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ValueError(
-                f"{refusal}: {ids[row]!r} has components {components[row].tolist()}, "
-                f"height {heights[row]}"
-            )
-    return ids, components, heights
 
 
 def _loosen(bound: float) -> float:
@@ -232,8 +194,9 @@ def index_over(
 ) -> CoordinateIndex:
     """A finished ``kind`` index over aligned rows, inserted in row order.
 
-    The spatial kinds build straight from the arrays, with no
-    ``Coordinate`` per row, and refuse any row a ``Coordinate`` would:
+    Every kind refuses rows that break
+    :func:`~repro.service.publish.check_rows`'s contract.  The spatial
+    kinds build straight from the arrays, with no ``Coordinate`` per row:
     ``dense`` adopts them without copying (pass frozen ones) and
     ``vptree`` gathers its leaf arrays from them.  The linear oracle
     materialises one ``Coordinate`` per row.  The index is finalised
@@ -244,12 +207,10 @@ def index_over(
     if isinstance(index, _SpatialIndex):
         index.ingest_arrays(node_ids, components, heights)
         return index
-    rows = np.asarray(components, dtype=np.float64).tolist()
+    node_ids, components, heights = check_rows(node_ids, components, heights)
     index.update_many({
         node_id: Coordinate(row, height)
-        for node_id, row, height in zip(
-            node_ids, rows, np.asarray(heights, dtype=np.float64).tolist()
-        )
+        for node_id, row, height in zip(node_ids, components.tolist(), heights.tolist())
     })
     return index
 
@@ -290,23 +251,23 @@ class _SpatialIndex(CoordinateIndex):
     ) -> None:
         """Replace the contents with aligned rows, inserted in row order.
 
-        Rows are checked as ``Coordinate`` checks them.  ``dense``
+        Rows are checked by :func:`~repro.service.publish.check_rows`,
+        the ids by the ``{id: row}`` map ``_build`` makes first.  ``dense``
         references the arrays, so callers must treat them as frozen
         afterwards; ``vptree`` keeps gathered copies.
         """
-        self._adopt(*_checked_rows(node_ids, components, heights))
-
-    def _adopt(
-        self, node_ids: List[str], components: np.ndarray, heights: np.ndarray
-    ) -> None:
+        self._build(*check_rows(node_ids, components, heights, defer_ids=True))
         self._coordinates = {}
         self._array_only = True
-        self._build(node_ids, components, heights)
 
     def _build(
         self, node_ids: List[str], components: np.ndarray, heights: np.ndarray
     ) -> None:  # pragma: no cover - abstract
-        """Replace the contents with these rows, their row numbers as sequences."""
+        """Replace the contents with these rows, their row numbers as sequences.
+
+        Its first step is the ``{id: row}`` map, made by
+        :func:`~repro.service.publish.row_map`: a refused id changes nothing.
+        """
         raise NotImplementedError
 
     def _hydrate_objects(self) -> None:
@@ -326,23 +287,14 @@ class _SpatialIndex(CoordinateIndex):
         self._hydrate_objects()
         super().remove(node_id)
 
-    def _entry_arrays(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
-        """``_coordinates`` as ids, ``(n, d)`` components and ``(n,)`` heights."""
-        coordinates = list(self._coordinates.values())
-        dims = coordinates[0].dimensions if coordinates else 0
-        for node_id, coordinate in self._coordinates.items():
-            if coordinate.dimensions != dims:
-                raise ValueError(
-                    f"{type(self).__name__} needs uniform dimensionality; "
-                    f"{node_id!r} has {coordinate.dimensions}, expected {dims}"
-                )
-        components = np.asarray([c.components for c in coordinates], dtype=np.float64)
-        heights = np.asarray([c.height for c in coordinates], dtype=np.float64)
-        return list(self._coordinates), components.reshape(len(coordinates), dims), heights
-
     def _ensure_built(self) -> None:
         if not self._array_only:
-            self._adopt(*self._entry_arrays())
+            points = self._coordinates.values()
+            self.ingest_arrays(
+                list(self._coordinates),
+                [point.components for point in points],
+                [point.height for point in points],
+            )
 
 
 # ----------------------------------------------------------------------
@@ -484,9 +436,9 @@ class VPTreeIndex(_SpatialIndex):
     def _build(
         self, node_ids: List[str], components: np.ndarray, heights: np.ndarray
     ) -> None:
+        self._seq = row_map(node_ids)
         self._tombstones = frozenset()
         self._clear_overlay()
-        self._seq = dict(zip(node_ids, range(len(node_ids))))
         self._next_seq = len(node_ids)
         where = np.empty(len(node_ids), dtype=np.int64)
         nodes: List[tuple] = []  # the table's rows up to ``near`` / ``far``
@@ -953,11 +905,11 @@ class DenseIndex(_SpatialIndex):
     def _build(
         self, node_ids: List[str], components: np.ndarray, heights: np.ndarray
     ) -> None:
+        self._row_of = row_map(node_ids)
         self._ids = node_ids
         self._components = components
         self._heights = heights
         self._row_seq = np.arange(len(node_ids), dtype=np.int64)
-        self._row_of = None
         self._prune = None
         self._clear_overlay()
 

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.coordinate import Coordinate
 from repro.overlay.knn import CoordinateIndex
 from repro.service.index import INDEX_KINDS, index_over
-from repro.service.publish import EpochDelta
+from repro.service.publish import EpochDelta, check_rows, row_map
 
 __all__ = ["ArraySnapshot", "SnapshotStore", "apply_delta"]
 
@@ -46,7 +46,9 @@ class ArraySnapshot:
     the simulation -> service bridge.  ``Coordinate`` objects are
     materialised lazily, one per ``coordinate_of`` lookup; the spatial
     indexes (``vptree``, ``dense``) are built from the arrays and never
-    materialise any.
+    materialise any.  The rows keep
+    :func:`~repro.service.publish.check_rows`'s contract: the constructor
+    checks the arrays, and :attr:`row_index` the ids.
     """
 
     __slots__ = (
@@ -67,28 +69,7 @@ class ArraySnapshot:
         *,
         source: str = "",
     ) -> None:
-        components = np.asarray(components, dtype=np.float64)
-        if components.ndim != 2 or components.shape[1] < 1:
-            raise ValueError("components must be a (n, d) array with d >= 1")
-        ids = list(node_ids)
-        if len(ids) != components.shape[0]:
-            raise ValueError(
-                f"{len(ids)} node ids for {components.shape[0]} coordinate rows"
-            )
-        if heights is None:
-            heights = np.zeros(len(ids), dtype=np.float64)
-        else:
-            heights = np.asarray(heights, dtype=np.float64)
-            if heights.shape != (len(ids),):
-                raise ValueError("heights must be a (n,) array aligned with node_ids")
-        if len(ids) and (
-            not np.isfinite(components).all()
-            or not np.isfinite(heights).all()
-            or (heights < 0.0).any()
-        ):
-            raise ValueError(
-                "coordinate components must be finite and heights finite and non-negative"
-            )
+        ids, components, heights = check_rows(node_ids, components, heights, defer_ids=True)
         components.setflags(write=False)
         heights.setflags(write=False)
         self.version = version
@@ -137,21 +118,15 @@ class ArraySnapshot:
     def row_index(self) -> Dict[str, int]:
         """``{node_id: row}`` over :meth:`arrays`; read-only once published.
 
-        Built on first use -- which refuses a repeated id, naming it --
-        and shared, like the id list, by every same-population snapshot
-        derived from this one.  The sharded store builds it inside every
-        publish, before the swap, so a served generation never repeats an
-        id; construction stays free of per-row Python work.
+        Built on first use -- which runs :func:`~repro.service.publish.check_rows`'s
+        id rules, deferred by the constructor -- and shared, like the id
+        list, by every same-population snapshot derived from this one.
+        The sharded store builds it inside every publish, before the
+        swap, so a served generation keeps the whole contract;
+        construction stays free of per-row Python work.
         """
         if self._row_of is None:
-            row_of = {node_id: row for row, node_id in enumerate(self._node_ids)}
-            if len(row_of) != len(self._node_ids):
-                seen = set()
-                for node_id in self._node_ids:
-                    if node_id in seen:
-                        raise ValueError(f"duplicate node id {node_id!r}")
-                    seen.add(node_id)
-            self._row_of = row_of
+            self._row_of = row_map(self._node_ids)
         return self._row_of
 
     def coordinate_of(self, node_id: str) -> Optional[Coordinate]:
@@ -188,10 +163,11 @@ class ArraySnapshot:
         """The snapshot :meth:`to_dict` describes.
 
         ``version`` defaults to 1, ``source`` to ``""`` and a row's
-        ``height`` to 0.0.  Components and heights must be JSON numbers (a
-        numeric string or a boolean is refused, not converted), and every
-        row needs the first row's dimensionality.  A malformed payload
-        raises a one-line ``ValueError`` that names the offending entry.
+        ``height`` to 0.0.  The rows must keep
+        :func:`~repro.service.publish.check_rows`'s contract, ids
+        included (components and heights are JSON numbers).  A malformed
+        payload raises a one-line ``ValueError`` that names the offending
+        entry.
         """
         if not isinstance(payload, Mapping):
             raise ValueError(
@@ -208,38 +184,20 @@ class ArraySnapshot:
                 f"malformed snapshot: 'version' must be an integer, "
                 f"got {payload.get('version')!r}"
             ) from None
-        node_ids = list(entries)
-        rows: List[Any] = []
-        heights: List[Any] = []
+        rows, heights = [], []
         for node_id, entry in entries.items():
             try:
-                row = entry["components"]
+                rows.append(entry["components"])
             except (TypeError, KeyError):
                 raise ValueError(
                     f"malformed snapshot: entry for {node_id!r} has no 'components'"
                 ) from None
-            height = entry.get("height", 0.0)
-            if not (
-                isinstance(row, (list, tuple))
-                and _NUMBERS.issuperset(map(type, row))
-                and type(height) in _NUMBERS
-            ):
-                raise ValueError(
-                    f"malformed snapshot: {_not_numbers(node_id, row, height)}"
-                )
-            rows.append(row)
-            heights.append(height)
+            heights.append(entry.get("height", 0.0))
         try:
-            return cls(
-                version,
-                node_ids,
-                np.array(rows, dtype=np.float64) if rows else np.empty((0, 1)),
-                np.array(heights, dtype=np.float64),
-                source=str(payload.get("source", "")),
-            )
-        except (TypeError, ValueError) as exc:
-            reason = _bad_entry(node_ids, rows, heights) or exc
-            raise ValueError(f"malformed snapshot: {reason}") from None
+            checked = check_rows(list(entries), rows, heights)
+        except ValueError as exc:
+            raise ValueError(f"malformed snapshot: {exc}") from None
+        return cls(version, *checked, source=str(payload.get("source", "")))
 
     def save(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -265,43 +223,6 @@ class ArraySnapshot:
             return cls.from_dict(payload)
         except ValueError as exc:
             raise ValueError(f"snapshot file {path}: {exc}") from None
-
-
-#: The Python types JSON numbers decode to (``bool`` is not one of them).
-_NUMBERS = frozenset((int, float))
-
-
-def _not_numbers(node_id: str, row: Any, height: Any) -> str:
-    """Why one entry's components or height are not JSON numbers."""
-    if not isinstance(row, (list, tuple)):
-        kind = type(row).__name__
-        return f"entry for {node_id!r}: 'components' must be a list, got {kind}"
-    for value in row:
-        if type(value) not in _NUMBERS:
-            return (
-                f"entry for {node_id!r}: 'components' must be JSON numbers, "
-                f"got {value!r}"
-            )
-    return f"entry for {node_id!r}: 'height' must be a JSON number, got {height!r}"
-
-
-def _bad_entry(
-    node_ids: Sequence[str], rows: Sequence[Any], heights: Sequence[Any]
-) -> Optional[str]:
-    """The first entry :meth:`ArraySnapshot.from_dict` cannot take, and why."""
-    first = None
-    for node_id, row, height in zip(node_ids, rows, heights):
-        try:
-            dimensions = Coordinate(row, height).dimensions
-        except (TypeError, ValueError) as exc:
-            return f"entry for {node_id!r}: {exc}"
-        first = first or dimensions
-        if dimensions != first:
-            return (
-                f"entry for {node_id!r} is {dimensions}-dimensional, "
-                f"the first entry is {first}-dimensional"
-            )
-    return None
 
 
 def apply_delta(base: ArraySnapshot, delta: EpochDelta) -> ArraySnapshot:
@@ -410,26 +331,21 @@ class SnapshotStore:
         self._latest = ArraySnapshot(0, [], np.empty((0, 1)))
         self._versions: Dict[int, ArraySnapshot] = {0: self._latest}
         self._indexes: Dict[int, CoordinateIndex] = {}
-        self._ingested = 0
 
     # -- ingest (write path) -------------------------------------------
     def apply(self, node_id: str, coordinate: Coordinate) -> None:
         """Stage one coordinate update for the next commit."""
         with self._lock:
             self._staged[node_id] = coordinate
-            self._ingested += 1
 
     def apply_many(self, coordinates: Mapping[str, Coordinate]) -> None:
         with self._lock:
-            for node_id, coordinate in coordinates.items():
-                self._staged[node_id] = coordinate
-                self._ingested += 1
+            self._staged.update(coordinates)
 
     def retire(self, node_id: str) -> None:
         """Stage the removal of a node (e.g. it left the overlay)."""
         with self._lock:
             self._staged[node_id] = None
-            self._ingested += 1
 
     def ingest_collector(self, collector, *, level: str = "application") -> None:
         """Stage every node's latest coordinate from a metrics collector.
@@ -446,12 +362,6 @@ class SnapshotStore:
         """Staged updates awaiting the next commit."""
         with self._lock:
             return len(self._staged)
-
-    @property
-    def ingested_updates(self) -> int:
-        """Total updates ever staged (commit resets nothing)."""
-        with self._lock:
-            return self._ingested
 
     def commit(self, *, source: str = "") -> ArraySnapshot:
         """Publish staged updates as a new immutable version.
@@ -527,7 +437,6 @@ class SnapshotStore:
                 source=source or self._latest.source,
             )
             self._publish_locked(snapshot)
-            self._ingested += len(snapshot)
             return snapshot
 
     def publish_delta(self, delta: EpochDelta) -> ArraySnapshot:
@@ -557,7 +466,6 @@ class SnapshotStore:
             prev_index = self._indexes.get(base.version)
             snapshot = apply_delta(base, delta)
             self._publish_locked(snapshot)
-            self._ingested += delta.changed_count
             if prev_index is not None:
                 derive = getattr(prev_index, "delta_applied", None)
                 if derive is not None:

@@ -297,6 +297,17 @@ class TestHealthTracker:
         assert kinds == ["health_snapshot", "health_snapshot"]
         assert events.tail()[-1]["epoch"] == 2
 
+    def test_a_new_dimensionality_compares_no_rows(self):
+        # The same ids re-published in another dimensionality share no
+        # geometry with the retained epoch: nothing is diffed against it.
+        tracker = HealthTracker(seed=0)
+        node_ids = ["a", "b", "c"]
+        tracker.observe_epoch(node_ids, np.zeros((3, 1)), np.zeros(3))
+        for dims in (2, 3):
+            snapshot = tracker.observe_epoch(node_ids, np.ones((3, dims)), np.zeros(3))
+            assert snapshot.displacement_median is None
+            assert snapshot.drift_velocity is None
+
     def test_validation(self):
         tracker = HealthTracker(seed=0)
         with pytest.raises(ValueError, match="components"):

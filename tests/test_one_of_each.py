@@ -26,9 +26,13 @@ sharded store).  These tests hold the collapse in place:
 from __future__ import annotations
 
 import asyncio
+import http.client
 import inspect
 import itertools
+import json
+import math
 import re
+import socket
 from pathlib import Path
 from unittest import mock
 
@@ -446,6 +450,225 @@ class TestSharedPayloads:
         assert b'"cached":false' in miss and b'"cached":true' in hit
         assert miss.replace(b'"cached":false', b'"cached":true') == hit
         assert (http_miss, http_hit) == (miss, hit)
+
+
+#: One fault of each class the row contract refuses, planted by _populations.
+_FAULTS = (
+    "duplicate-id", "empty-id", "non-str-id", "numeric-string", "boolean",
+    "nan", "negative-inf", "negative-height", "ragged-row", "zero-width-row",
+)
+
+
+@st.composite
+def _populations(draw):
+    """``(ids, rows, heights)`` as JSON-shaped lists, with up to two faults."""
+    count = draw(st.integers(1, 5))
+    dims = draw(st.integers(1, 3))
+    ids = [f"n{i}" for i in range(count)]
+    rows = [[draw(_AXIS) for _ in range(dims)] for _ in range(count)]
+    heights = [draw(st.sampled_from([0.0, 0.5])) for _ in range(count)]
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        at = draw(st.integers(0, count - 1))
+        column = draw(st.integers(0, dims - 1))
+        in_height = draw(st.booleans())
+        if fault == "duplicate-id":
+            ids[at] = ids[draw(st.integers(0, count - 1))]
+        elif fault == "empty-id":
+            ids[at] = ""
+        elif fault == "non-str-id":
+            ids[at] = 7
+        elif fault == "numeric-string":
+            rows[at][column] = str(rows[at][column])
+        elif fault in ("boolean", "nan", "negative-inf"):
+            value = {"boolean": True, "nan": math.nan, "negative-inf": -math.inf}[fault]
+            if in_height:
+                heights[at] = value
+            else:
+                rows[at][column] = value
+        elif fault == "negative-height":
+            heights[at] = -0.5
+        elif fault == "ragged-row":
+            rows[at] = rows[at] + [1.0]
+        else:
+            rows[at] = []
+    return ids, rows, heights
+
+
+def _first_bad(ids, rows, heights):
+    """The row the contract must name, by definition; ``None`` to accept."""
+
+    def finite_number(value):
+        return type(value) in (int, float) and math.isfinite(value)
+
+    for row, (node_id, values, height) in enumerate(zip(ids, rows, heights)):
+        if not (isinstance(node_id, str) and node_id) or node_id in ids[:row]:
+            return row
+        if not values or len(values) != len(rows[0]):
+            return row
+        if not all(map(finite_number, values)) or not finite_number(height) or height < 0:
+            return row
+    return None
+
+
+class _RawWire:
+    """Raw publish bodies to a TCP daemon and a gateway tenant, one
+    connection each, so a body may carry ``NaN`` / ``-Infinity``."""
+
+    def __init__(self, tcp_address, http_address):
+        self.tcp = socket.create_connection(tcp_address)
+        self.tcp_stream = self.tcp.makefile("rb")
+        self.http = http.client.HTTPConnection(*http_address)
+
+    def exchange(self, transport, request):
+        body = json.dumps(request).encode()
+        if transport == "tcp":
+            self.tcp.sendall(HEADER.pack(len(body)) + body)
+            return json.loads(
+                self.tcp_stream.read(frame_length(self.tcp_stream.read(HEADER.size)))
+            )
+        route = "publish" if request["op"] == "publish" else "query"
+        self.http.request(
+            "POST", f"/v1/acme/{route}", body, {"Authorization": "Bearer acme-secret-0001"}
+        )
+        return json.loads(self.http.getresponse().read())
+
+    def close(self):
+        self.tcp_stream.close()
+        self.tcp.close()
+        self.http.close()
+
+
+class TestOneRowContract:
+    """Every coordinate-row ingress keeps one contract.
+
+    A generated population -- JSON-shaped lists with up to two planted
+    faults -- goes through every ingress: ``EpochDelta``, ``ArraySnapshot``
+    (constructed, then its ``row_index`` built), ``from_dict``,
+    ``index_over`` for each kind, ``publish_epoch`` / ``publish_delta`` of
+    a sharded store, and the wire ``publish`` over TCP and through the
+    gateway, full and delta.  Either all accept, or all refuse with one
+    ``ValueError`` text naming the first bad row's id (``from_dict``
+    prefixes ``malformed snapshot: ``, the wire answers it as ``ok:
+    false``) and no version moves.  ``from_dict`` is skipped when ids
+    repeat: a mapping cannot hold them.  ``Coordinate`` has no ids and,
+    as the scalar core, converts any ``float()``-able value, so it is
+    held row by row on rows of JSON numbers: it refuses exactly the rows
+    a one-row population refuses, in the same words.  Accepted
+    populations are answered by every index kind as by ``linear``, and
+    ``save`` then ``load`` gives back the same bytes.
+    """
+
+    TENANT = {
+        "name": "acme",
+        "api_key": "acme-secret-0001",
+        "shards": 2,
+        "quota": None,
+        "data": {"synthetic": 4, "seed": 1},
+    }
+
+    def test_every_ingress_agrees(self, tmp_path):
+        served = ShardedCoordinateStore(2, index_kind="vptree")
+        gateway = GatewayServer(parse_gateway_config({"tenants": [self.TENANT]}))
+        with CoordinateServer(served).run_in_thread() as tcp, gateway.run_in_thread() as web:
+            wire = _RawWire(tcp.address, web.address)
+            try:
+                self._property(wire, tmp_path)
+            finally:
+                wire.close()
+
+    def _property(self, wire, tmp_path):
+        store = ShardedCoordinateStore(2, index_kind="vptree")
+
+        @given(_populations())
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        def check(population):
+            ids, rows, heights = population
+            bad = _first_bad(ids, rows, heights)
+            outcomes = self._in_process(store, ids, rows, heights)
+            outcomes.update(self._over_the_wire(wire, ids, rows, heights))
+            if bad is None:
+                assert set(outcomes.values()) == {None}, outcomes
+                self._answers_and_files_agree(ids, rows, heights, tmp_path)
+            else:
+                texts = set(outcomes.values())
+                assert len(texts) == 1 and None not in texts, outcomes
+                assert texts.pop().startswith(f"node id {ids[bad]!r}: "), outcomes
+            self._coordinate_agrees_row_by_row(rows, heights)
+
+        check()
+
+    @staticmethod
+    def _refusal(call):
+        try:
+            call()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    def _in_process(self, store, ids, rows, heights):
+        outcomes = {
+            "EpochDelta": self._refusal(lambda: EpochDelta(ids, rows, heights)),
+            "ArraySnapshot": self._refusal(
+                lambda: ArraySnapshot(1, ids, rows, heights).row_index
+            ),
+        }
+        for kind in INDEX_KINDS:
+            outcomes[f"index_over[{kind}]"] = self._refusal(
+                lambda: index_over(kind, ids, rows, heights)
+            )
+        if len(set(ids)) == len(ids):
+            entries = {
+                node_id: {"components": row, "height": height}
+                for node_id, row, height in zip(ids, rows, heights)
+            }
+            refusal = self._refusal(lambda: ArraySnapshot.from_dict({"coordinates": entries}))
+            outcomes["from_dict"] = refusal and refusal.removeprefix("malformed snapshot: ")
+        for mode, publish in (
+            ("full", lambda: store.publish_epoch(ids, rows, heights)),
+            ("delta", lambda: store.publish_delta(EpochDelta(ids, rows, heights))),
+        ):
+            version = store.version
+            outcomes[f"publish[{mode}]"] = refusal = self._refusal(publish)
+            assert store.version == version + (refusal is None)
+        return outcomes
+
+    def _over_the_wire(self, wire, ids, rows, heights):
+        outcomes = {}
+        for transport in ("tcp", "http"):
+            for mode in ("full", "delta"):
+                request = {
+                    "id": 1, "op": "publish", "nodes": ids, "components": rows,
+                    "heights": heights, "delta": mode == "delta",
+                }
+                version = wire.exchange(transport, {"id": 0, "op": "version"})["payload"]
+                answer = wire.exchange(transport, request)
+                after = wire.exchange(transport, {"id": 0, "op": "version"})["payload"]
+                assert after["version"] == version["version"] + answer["ok"], answer
+                outcomes[f"{transport}[{mode}]"] = None if answer["ok"] else answer["error"]
+        return outcomes
+
+    def _answers_and_files_agree(self, ids, rows, heights, tmp_path):
+        linear = index_over("linear", ids, rows, heights)
+        for kind in ("vptree", "dense"):
+            index = index_over(kind, ids, rows, heights)
+            for node_id in ids:
+                point = linear.coordinate_of(node_id)
+                for k in (1, 3):
+                    assert index.nearest(point, k) == linear.nearest(point, k)
+                for radius in (0.0, 1.0, 2.5):
+                    assert index.within(point, radius) == linear.within(point, radius)
+        saved, resaved = tmp_path / "saved.json", tmp_path / "resaved.json"
+        ArraySnapshot(1, ids, rows, heights, source="prop").save(saved)
+        ArraySnapshot.load(saved).save(resaved)
+        assert saved.read_bytes() == resaved.read_bytes()
+
+    def _coordinate_agrees_row_by_row(self, rows, heights):
+        for row, height in zip(rows, heights):
+            if not all(type(value) in (int, float) for value in row + [height]):
+                continue
+            expected = self._refusal(lambda: Coordinate(row, height))
+            refused = self._refusal(lambda: EpochDelta(["x"], [row], [height]))
+            assert refused == (expected and f"node id 'x': {expected}")
 
 
 class TestOneOfEachInTheSourceTree:

@@ -15,6 +15,10 @@ answer at that version.
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
+import re
+import socket
 import sys
 import threading
 import time
@@ -31,9 +35,11 @@ from repro.netsim.runner import NodeConfig, SimulationConfig
 from repro.server.client import AsyncCoordinateClient
 from repro.server.daemon import CoordinateServer
 from repro.server.protocol import (
+    HEADER,
     OPS,
     PROTOCOL_VERSION,
     encode_body,
+    frame_length,
     request_to_publish,
     request_to_query,
 )
@@ -1199,7 +1205,7 @@ class TestWireProtocolVersioning:
         )
         assert mode == "full"
         node_ids, components, heights, source = parsed
-        assert node_ids == ["a"] and heights is None and source == "s"
+        assert node_ids == ["a"] and heights.tolist() == [0.0] and source == "s"
         assert components.tolist() == [[1.0, 2.0]]
 
     def test_full_publish_rejects_delta_only_fields(self):
@@ -1378,22 +1384,70 @@ class TestWireProtocolVersioning:
         assert "partial" not in healed
 
 
+def _raw_exchange(address, body, *, http_path=None, api_key=None):
+    """One raw request body over TCP (``http_path`` None) or HTTP.
+
+    Raw, so a body may carry the ``NaN`` / ``-Infinity`` literals that
+    ``json.loads`` reads and the clients' encoder refuses to write.
+    Returns the response body's bytes.
+    """
+    if http_path is None:
+        with socket.create_connection(address) as conn:
+            conn.sendall(HEADER.pack(len(body)) + body)
+            stream = conn.makefile("rb")
+            return stream.read(frame_length(stream.read(HEADER.size)))
+    conn = http.client.HTTPConnection(*address)
+    try:
+        conn.request("POST", http_path, body, {"Authorization": f"Bearer {api_key}"})
+        return conn.getresponse().read()
+    finally:
+        conn.close()
+
+
 class TestDuplicateIdsRefused:
-    """A full epoch that repeats a node id publishes nothing, on every path."""
+    """A publish that breaks the row contract publishes nothing, on every path.
+
+    Named for its first case, a repeated id; ``CASES`` holds one input per
+    refusal class of :func:`~repro.service.publish.check_rows`.  Each is
+    refused in full and in delta mode, in process and over TCP and HTTP,
+    with an error that names the first bad id, the same bytes on both
+    transports, and no version change.
+    """
 
     IDS = ["a", "a", "b", "c"]
     COMPONENTS = np.arange(8.0).reshape(4, 2)
+    ROWS = [[0.0, 1.0], [2.0, 3.0]]
+    #: refusal class -> (ids, rows, heights, the id the refusal names)
+    CASES = {
+        "duplicate-id": (["a", "b", "b"], ROWS + [[4.0, 5.0]], None, "b"),
+        "empty-id": (["a", ""], ROWS, None, ""),
+        "non-str-id": (["a", 7], ROWS, None, 7),
+        "numeric-string": (["a", "b"], [[0.0, 1.0], ["1.5", 3.0]], None, "b"),
+        "boolean": (["a", "b"], ROWS, [0.0, True], "b"),
+        "nan": (["a", "b"], [[0.0, float("nan")], [2.0, 3.0]], None, "a"),
+        "negative-inf": (["a", "b"], [[0.0, 1.0], [-float("inf"), 3.0]], None, "b"),
+        "negative-height": (["a", "b"], ROWS, [0.0, -0.5], "b"),
+        "ragged-row": (["a", "b"], [[0.0, 1.0], [2.0]], None, "b"),
+        "zero-width-row": (["a", "b"], [[], []], None, "a"),
+    }
+    TENANT = {
+        "name": "acme",
+        "api_key": "acme-secret-0001",
+        "shards": 2,
+        "quota": None,
+        "data": {"synthetic": 8, "seed": 1},
+    }
 
     def test_array_snapshot_names_the_first_repeated_id(self):
         snapshot = ArraySnapshot(1, ["x", "b", "b", "x"], np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="duplicate node id 'b'"):
+        with pytest.raises(ValueError, match="^node id 'b': ids must be unique$"):
             snapshot.coordinate_of("x")
 
     @pytest.mark.parametrize("index_kind", INDEX_KINDS)
     def test_publish_epoch_refuses_duplicate_ids(self, index_kind):
         store = ShardedCoordinateStore(2, index_kind=index_kind)
         store.publish_epoch(["z"], np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="duplicate node id 'a'"):
+        with pytest.raises(ValueError, match="^node id 'a': ids must be unique$"):
             store.publish_epoch(self.IDS, self.COMPONENTS)
         assert store.version == 1
         assert store.generation().node_order == ["z"]
@@ -1418,18 +1472,7 @@ class TestDuplicateIdsRefused:
             from repro.gateway.client import GatewayClient
             from repro.gateway.config import parse_gateway_config
 
-            config = {
-                "tenants": [
-                    {
-                        "name": "acme",
-                        "api_key": "acme-secret-0001",
-                        "shards": 2,
-                        "quota": None,
-                        "data": {"synthetic": 8, "seed": 1},
-                    }
-                ]
-            }
-            boot = GatewayServer(parse_gateway_config(config)).run_in_thread
+            boot = GatewayServer(parse_gateway_config({"tenants": [self.TENANT]})).run_in_thread
 
             async def connect(address):
                 return GatewayClient(*address, "acme", "acme-secret-0001")
@@ -1447,5 +1490,97 @@ class TestDuplicateIdsRefused:
         with boot() as handle:
             before, refused, after = asyncio.run(run(handle.address))
         assert refused["ok"] is False
-        assert "duplicate node id 'a'" in refused["error"]
+        assert refused["error"] == "node id 'a': ids must be unique"
         assert after["payload"] == before["payload"]
+
+    def test_the_client_sends_ids_and_values_as_given(self):
+        # No str() or float() on the client side: the server's contract
+        # judges an int id and a boolean height.
+        store = ShardedCoordinateStore(2, index_kind="vptree")
+
+        async def run(address):
+            client = await AsyncCoordinateClient.connect(*address)
+            try:
+                return (
+                    await client.publish_full([1, "b"], self.COMPONENTS[:2]),
+                    await client.publish_delta(["a"], [[0.0, 1.0]], [True]),
+                )
+            finally:
+                await client.close()
+
+        with CoordinateServer(store).run_in_thread() as handle:
+            full, delta = asyncio.run(run(handle.address))
+        assert full["error"] == "node id 1: ids must be non-empty strings"
+        assert delta["error"] == "node id 'a': height must be a number, got True"
+        assert store.version == 0
+
+    @pytest.mark.parametrize("mode", ["full", "delta"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_in_process_publish_is_refused(self, case, mode):
+        ids, rows, heights, bad = self.CASES[case]
+        store = ShardedCoordinateStore(2, index_kind="vptree")
+        store.publish_epoch(["z"], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=f"^node id {re.escape(repr(bad))}: "):
+            if mode == "full":
+                store.publish_epoch(ids, rows, heights)
+            else:
+                store.publish_delta(EpochDelta(ids, rows, heights))
+        assert store.version == 1
+        assert store.generation().node_order == ["z"]
+
+    @pytest.mark.parametrize("mode", ["full", "delta"])
+    def test_wire_publish_is_refused_alike_on_tcp_and_http(self, mode):
+        from repro.gateway.app import GatewayServer
+        from repro.gateway.config import parse_gateway_config
+
+        store = ShardedCoordinateStore(2, index_kind="vptree")
+        store.publish_epoch(["z"], np.zeros((1, 2)))
+        gateway = GatewayServer(parse_gateway_config({"tenants": [self.TENANT]}))
+        with CoordinateServer(store).run_in_thread() as tcp, gateway.run_in_thread() as web:
+
+            def exchange(request, transport):
+                body = json.dumps(request).encode()
+                if transport == "tcp":
+                    return _raw_exchange(tcp.address, body)
+                path = "/v1/acme/" + ("publish" if request["op"] == "publish" else "query")
+                return _raw_exchange(
+                    web.address, body, http_path=path, api_key=self.TENANT["api_key"]
+                )
+
+            for case, (ids, rows, heights, bad) in sorted(self.CASES.items()):
+                request = {"id": 1, "op": "publish", "nodes": ids, "components": rows}
+                if heights is not None:
+                    request["heights"] = heights
+                if mode == "delta":
+                    request["delta"] = True
+                answers = {}
+                for transport in ("tcp", "http"):
+                    before = exchange({"id": 0, "op": "version"}, transport)
+                    answers[transport] = exchange(request, transport)
+                    assert exchange({"id": 0, "op": "version"}, transport) == before, case
+                assert answers["tcp"] == answers["http"], case
+                refused = json.loads(answers["tcp"])
+                assert refused["ok"] is False, case
+                assert refused["error"].startswith(f"node id {bad!r}: "), case
+
+    def test_snapshot_store_never_answers_a_repeated_id(self):
+        # Publishing adds no per-id pass, so the population is refused where
+        # it would first be served: the index build and the row map.
+        for kind in INDEX_KINDS:
+            store = SnapshotStore.from_arrays(self.IDS, self.COMPONENTS, index_kind=kind)
+            with pytest.raises(ValueError, match="^node id 'a': ids must be unique$"):
+                store.index_for()
+            with pytest.raises(ValueError, match="^node id 'a': ids must be unique$"):
+                store.latest().coordinate_of("a")
+
+    def test_ids_are_not_coerced(self):
+        # An int id is refused by every publish, not turned into "1".
+        store = ShardedCoordinateStore(2)
+        for publish in (
+            lambda: store.publish_epoch([1, "b"], np.zeros((2, 2))),
+            lambda: store.publish_delta(EpochDelta([1, "b"], np.zeros((2, 2)))),
+            lambda: EpochDelta(["a"], np.zeros((1, 2)), removed_ids=(1,)),
+        ):
+            with pytest.raises(ValueError, match="^node id 1: ids must be non-empty strings$"):
+                publish()
+        assert store.version == 0

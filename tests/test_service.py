@@ -200,11 +200,13 @@ class TestIndexesMatchOracle:
 
     @pytest.mark.parametrize("kind", ["vptree", "dense"])
     def test_rejects_mixed_dimensionality(self, kind):
-        # The check lives in the shared _SpatialIndex._entry_arrays.
+        # The object path builds through the row contract too.
         index = build_index(kind)
         index.update("a", Coordinate([1.0, 2.0, 3.0]))
         index.update("b", Coordinate([1.0, 2.0]))
-        with pytest.raises(ValueError, match="uniform dimensionality"):
+        with pytest.raises(
+            ValueError, match="^node id 'b': coordinate dimensionality mismatch: 2 vs 3$"
+        ):
             index.nearest(Coordinate([0.0, 0.0, 0.0]), 1)
 
     @pytest.mark.parametrize("kind", ["vptree", "dense"])
@@ -1386,7 +1388,7 @@ class TestServiceCli:
             bad.write_text(json.dumps({"coordinates": {"a": entry}}))
             assert main(["query", "--snapshot", str(bad), "info"]) == 2
             err = capsys.readouterr().err
-            assert f"snapshot file {bad}: malformed snapshot: entry for 'a'" in err
+            assert f"snapshot file {bad}: malformed snapshot: node id 'a': " in err
             assert len(err.strip().splitlines()) == 1
         # A snapshot has one dimensionality: rows of different lengths are
         # refused at load, by every command, naming the file and the row.
@@ -1403,7 +1405,10 @@ class TestServiceCli:
         ):
             assert main(command) == 2, command
             err = capsys.readouterr().err
-            assert f"snapshot file {bad}: malformed snapshot: entry for 'b'" in err
+            assert (
+                f"snapshot file {bad}: malformed snapshot: node id 'b': "
+                "coordinate dimensionality mismatch: 3 vs 2"
+            ) in err
             assert len(err.strip().splitlines()) == 1
 
     def test_unparseable_and_missing_snapshots_are_one_line_errors(
